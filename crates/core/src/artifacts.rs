@@ -7,6 +7,7 @@
 //! `Experiment` enum-match: adding an artifact is now adding one row
 //! here, and the run-plan layer derives required studies from it.
 
+use crate::error::DcnrError;
 use crate::experiments::{Comparison, Experiment, ExperimentOutcome};
 use crate::report;
 use crate::routes;
@@ -42,6 +43,24 @@ pub fn descriptor(e: Experiment) -> &'static Artifact {
         .iter()
         .find(|a| a.id == e)
         .expect("every experiment has exactly one registered artifact")
+}
+
+/// Resolves an artifact id (`fig15`, `surv.lifespan`). An unknown id is
+/// a usage error listing every registered id in registry order: the one
+/// message `dcnr artifact`, `dcnr loadgen --artifacts` and the server's
+/// `/artifacts/{id}` 404 share.
+pub fn lookup(id: &str) -> Result<Experiment, DcnrError> {
+    REGISTRY
+        .iter()
+        .find(|a| a.id.key() == id)
+        .map(|a| a.id)
+        .ok_or_else(|| {
+            let valid: Vec<&str> = REGISTRY.iter().map(|a| a.id.key()).collect();
+            DcnrError::Usage(format!(
+                "unknown artifact {id:?} (valid: {})",
+                valid.join(", ")
+            ))
+        })
 }
 
 /// The scenario kind whose default configuration produces `e` — the

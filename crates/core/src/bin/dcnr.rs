@@ -13,8 +13,8 @@ use dcnr_core::telemetry::{logger, Telemetry};
 use dcnr_core::{
     apply_scenario_flags, artifacts, checkpoint, loadgen, parse_sweep_args, phase_rows,
     render_profile_json, render_profile_table, run_supervised, serve, telemetry_io, ArgScanner,
-    DcnrError, Experiment, FaultPlan, InterDcStudy, RunContext, Scenario, ScenarioKind,
-    SupervisorConfig, SweepConfig,
+    DcnrError, FaultPlan, InterDcStudy, RunContext, Scenario, ScenarioKind, SupervisorConfig,
+    SweepConfig,
 };
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -106,8 +106,7 @@ USAGE:
                    build, issue generation per device type,
                    remediation, SEV analysis, backbone, aggregation),
                    and write it to PATH (default BENCH_profile.json).
-    dcnr serve     [--addr HOST:PORT] [--engine threads|events]
-                   [--workers W] [--queue-depth Q]
+    dcnr serve     [--addr HOST:PORT] [--workers W] [--queue-depth Q]
                    [--cache-entries E] [--sweep-root DIR] [--admin]
                    [--port-file PATH] [--chaos-* ...]
                    [--breaker-threshold N] [--breaker-cooldown-ms MS]
@@ -115,13 +114,8 @@ USAGE:
                    [--render-fault-limit N] [--render-fault-seed S]
                    Serve study reports over HTTP on a fixed worker pool
                    with a bounded accept queue (overload sheds 503 +
-                   Retry-After; never hangs). --engine picks the
-                   serving core: `threads` (default) blocks a pool
-                   thread per connection; `events` runs W epoll
-                   reactor workers with per-worker sharded caches —
-                   the wire bytes are identical either way. --workers 0
-                   auto-detects available parallelism (pool threads or
-                   reactor workers). GET /artifacts/{id} (with
+                   Retry-After; never hangs). --workers 0 auto-detects
+                   available parallelism. GET /artifacts/{id} (with
                    scenario flags as query parameters, e.g.
                    /artifacts/fig15?seed=7&scale=0.5) renders any
                    registry artifact byte-identically to
@@ -164,7 +158,6 @@ USAGE:
                    [--retries K] [--backoff-ms MS] [--backoff-cap-ms MS]
                    [--deadline-ms MS] [--min-success F]
                    [--bench-json PATH] [--bench-append]
-                   [--bench-label ENGINE]
                    [--timeout-secs T] [scenario flags]
                    [--open-loop [--rate R] [--overload X]
                    [--arrivals N] [--max-in-flight N]
@@ -182,9 +175,7 @@ USAGE:
                    are classified ok / retried-ok / shed / gave-up /
                    corrupt. --verify compares every body byte-for-byte
                    against a local render; --bench-json writes the run
-                   record (--bench-append adds to an existing file,
-                   --bench-label tags the record's engine key so
-                   threads and events rows stay distinguishable).
+                   record (--bench-append adds to an existing file).
                    --chaos is the resilience harness: verification is
                    forced, the verdict fails unless the eventual
                    success rate is >= --min-success (default 0.99) AND
@@ -612,14 +603,7 @@ fn cmd_artifact(mut argv: Vec<String>) -> Result<(), DcnrError> {
                 .into(),
         ));
     }
-    let id = argv.remove(0);
-    let Some(experiment) = Experiment::ALL.into_iter().find(|e| e.key() == id) else {
-        let valid: Vec<&str> = Experiment::ALL.iter().map(|e| e.key()).collect();
-        return Err(DcnrError::Usage(format!(
-            "unknown artifact {id:?} (valid: {})",
-            valid.join(", ")
-        )));
-    };
+    let experiment = artifacts::lookup(&argv.remove(0))?;
     let mut args = ArgScanner::new(argv);
     let base = Scenario::cli_default(artifacts::base_kind(experiment));
     let scenario = apply_scenario_flags(&mut args, base)?;

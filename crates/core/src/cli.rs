@@ -238,11 +238,6 @@ pub fn parse_serve_args(args: &mut ArgScanner) -> Result<crate::serve::ServeOpti
     if let Some(addr) = args.value::<String>("--addr")? {
         opts.addr = addr;
     }
-    if let Some(engine) = args.value::<String>("--engine")? {
-        // Resolve through the engine registry; an unknown id is a usage
-        // error naming the menu (the --topology discipline).
-        opts.engine = crate::serve::Engine::parse(&engine)?;
-    }
     if let Some(workers) = args.value::<usize>("--workers")? {
         opts.workers = workers; // 0 = auto-detect
     }
@@ -427,12 +422,6 @@ pub fn parse_loadgen_args(
     if opts.bench_append && opts.bench_json.is_none() {
         return Err(DcnrError::Usage(
             "--bench-append requires --bench-json PATH".into(),
-        ));
-    }
-    opts.bench_label = args.value::<String>("--bench-label")?;
-    if opts.bench_label.is_some() && opts.bench_json.is_none() {
-        return Err(DcnrError::Usage(
-            "--bench-label requires --bench-json PATH".into(),
         ));
     }
     if opts.chaos && opts.bench_json.is_none() {
@@ -1039,63 +1028,6 @@ mod tests {
         assert!(!opts.admission.enabled());
         let mut a = scan(&["--sojourn-target-ms", "0"]);
         assert_eq!(parse_serve_args(&mut a).unwrap_err().kind(), "usage");
-    }
-
-    #[test]
-    fn serve_engine_flag_resolves_through_the_registry() {
-        // Both valid ids parse; the default is the thread pool.
-        let mut a = scan(&["--engine", "events"]);
-        let opts = parse_serve_args(&mut a).unwrap();
-        a.finish().unwrap();
-        assert_eq!(opts.engine, crate::serve::Engine::Events);
-        let mut a = scan(&["--engine=threads"]);
-        let opts = parse_serve_args(&mut a).unwrap();
-        a.finish().unwrap();
-        assert_eq!(opts.engine, crate::serve::Engine::Threads);
-        let mut a = scan(&[]);
-        let opts = parse_serve_args(&mut a).unwrap();
-        assert_eq!(opts.engine, crate::serve::Engine::Threads);
-    }
-
-    #[test]
-    fn serve_engine_misuse_is_a_usage_error() {
-        // Every bad engine spelling must exit 2 and list the valid ids
-        // (the --topology discipline).
-        let cases: &[&[&str]] = &[
-            &["--engine", "fibers"],  // not a registered engine
-            &["--engine", "Events"],  // ids are exact, lowercase
-            &["--engine", ""],        // empty id
-            &["--engine", "events "], // stray whitespace
-            &["--engine=thread"],     // close but unregistered
-        ];
-        for case in cases {
-            let mut a = scan(case);
-            let err = parse_serve_args(&mut a).unwrap_err();
-            assert_eq!(err.kind(), "usage", "{case:?}: {err}");
-            assert_eq!(err.exit_code(), 2, "{case:?} must exit 2");
-            let msg = err.to_string();
-            assert!(
-                msg.contains("threads") && msg.contains("events"),
-                "{case:?} must list the valid engines: {msg}"
-            );
-        }
-    }
-
-    #[test]
-    fn loadgen_bench_label_tags_the_record_and_requires_a_path() {
-        let mut a = scan(&["--bench-json", "/tmp/b.json", "--bench-label", "events"]);
-        let opts = parse_loadgen_args(&mut a).unwrap();
-        a.finish().unwrap();
-        assert_eq!(opts.bench_label.as_deref(), Some("events"));
-        // A label without a record path has nothing to tag.
-        let mut a = scan(&["--bench-label", "threads"]);
-        let err = parse_loadgen_args(&mut a).unwrap_err();
-        assert_eq!(err.kind(), "usage");
-        assert!(err.to_string().contains("--bench-json"), "{err}");
-        // Absent label leaves the record untagged.
-        let mut a = scan(&[]);
-        let opts = parse_loadgen_args(&mut a).unwrap();
-        assert_eq!(opts.bench_label, None);
     }
 
     #[test]

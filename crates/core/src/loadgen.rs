@@ -24,6 +24,7 @@
 //! (eventual-success rate ≥ `min_success`, undetected corruption
 //! exactly zero) plus a `BENCH_resilience.json` record.
 
+use crate::artifacts;
 use crate::error::DcnrError;
 use crate::experiments::Experiment;
 use crate::json;
@@ -67,10 +68,6 @@ pub struct LoadgenOptions {
     pub bench_json: Option<String>,
     /// Append to an existing bench file instead of overwriting.
     pub bench_append: bool,
-    /// Tag the bench record with an `"engine"` key (`--bench-label`),
-    /// so `BENCH_serve.json` rows distinguish `threads` from `events`
-    /// runs at the same worker count.
-    pub bench_label: Option<String>,
     /// Per-request client timeout (the retry policy's attempt timeout).
     pub timeout: Duration,
     /// Retry/backoff/deadline policy for every request.
@@ -149,7 +146,6 @@ impl Default for LoadgenOptions {
             verify: false,
             bench_json: None,
             bench_append: false,
-            bench_label: None,
             timeout: Duration::from_secs(30),
             policy: RetryPolicy::default(),
             chaos: false,
@@ -205,9 +201,6 @@ pub struct LoadReport {
     /// The `dcnr_server_workers` gauge scraped from `/metrics` after
     /// the run (0 when the scrape failed).
     pub server_workers: u64,
-    /// The `--bench-label` engine tag, recorded as the bench record's
-    /// `"engine"` key when present.
-    pub engine_label: Option<String>,
     /// Total transport fault injections scraped from the server's
     /// `dcnr_server_chaos_injections_total` counters (0 when absent).
     pub chaos_injections: u64,
@@ -467,7 +460,6 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadReport, DcnrError> {
         throughput_rps,
         latency_micros,
         server_workers,
-        engine_label: opts.bench_label.clone(),
         chaos_injections,
         chaos: opts.chaos,
         min_success: opts.min_success,
@@ -574,9 +566,6 @@ fn bench_record(report: &LoadReport) -> String {
         .unwrap_or(1);
     let oversubscribed = report.clients + report.server_workers as usize > cpus;
     let mut out = String::from("    {\n");
-    if let Some(engine) = &report.engine_label {
-        let _ = writeln!(out, "      \"engine\": \"{}\",", engine.escape_default());
-    }
     let _ = writeln!(out, "      \"clients\": {},", report.clients);
     let _ = writeln!(
         out,
@@ -1153,16 +1142,7 @@ fn write_overload_bench(path: &str, report: &OverloadReport) -> Result<(), DcnrE
 pub fn parse_artifact_list(list: &str) -> Result<Vec<Experiment>, DcnrError> {
     let mut out = Vec::new();
     for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        match Experiment::ALL.into_iter().find(|e| e.key() == name) {
-            Some(e) => out.push(e),
-            None => {
-                let valid: Vec<&str> = Experiment::ALL.iter().map(|e| e.key()).collect();
-                return Err(DcnrError::Usage(format!(
-                    "unknown artifact {name:?} (valid: {})",
-                    valid.join(", ")
-                )));
-            }
-        }
+        out.push(artifacts::lookup(name)?);
     }
     if out.is_empty() {
         return Err(DcnrError::Usage(format!("no artifacts in {list:?}")));
@@ -1260,7 +1240,6 @@ mod tests {
             throughput_rps: 7.33,
             latency_micros: (100, 200, 300, 120, 400),
             server_workers: 4,
-            engine_label: Some("events".into()),
             chaos_injections: 12,
             chaos: true,
             min_success: 0.99,
@@ -1275,11 +1254,6 @@ mod tests {
         let runs = parsed.get("runs").unwrap().as_arr().unwrap();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].get("clients").unwrap().as_u64().unwrap(), 2);
-        assert_eq!(
-            runs[0].get("engine").unwrap().as_str().unwrap(),
-            "events",
-            "--bench-label must land as the engine key"
-        );
         assert_eq!(
             runs[1]
                 .get("outcomes")
@@ -1402,7 +1376,6 @@ mod tests {
             throughput_rps: 100.0,
             latency_micros: (1, 2, 3, 2, 3),
             server_workers: 1,
-            engine_label: None,
             chaos_injections: 0,
             chaos: true,
             min_success: 0.99,

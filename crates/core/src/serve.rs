@@ -32,8 +32,8 @@ use crate::experiments::Experiment;
 use crate::scenario::{RunContext, Scenario};
 use crate::sweep;
 use dcnr_server::breaker::{BreakerConfig, CircuitBreaker};
+use dcnr_server::cache::LruCache;
 use dcnr_server::chaos::ChaosState;
-use dcnr_server::event::{EventServer, ReactorStats, ShardedLru, READY_BOUNDS};
 use dcnr_server::http::{percent_decode, Request, Response};
 use dcnr_server::pool::{AdmissionConfig, Handler, Server, ServerConfig, ServerStats};
 use dcnr_sim::rng::derive_indexed_seed;
@@ -44,56 +44,14 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Which serving engine backs `dcnr serve`. Both speak the same wire
-/// protocol through the same handler — the engine-parity integration
-/// test `cmp`s their bytes — so the choice is purely operational.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The blocking worker thread pool (the default): one thread per
-    /// in-flight connection stage, kernel socket timeouts.
-    #[default]
-    Threads,
-    /// The epoll reactor: N event-loop workers multiplexing every
-    /// connection, timer-wheel deadlines, per-worker sharded caches.
-    Events,
-}
-
-impl Engine {
-    /// Every valid `--engine` id, for usage errors and docs.
-    pub const VALID_IDS: &'static str = "threads, events";
-
-    /// Resolves an `--engine` id; an unknown id is a usage error naming
-    /// the menu (the `--topology` discipline).
-    pub fn parse(id: &str) -> Result<Engine, DcnrError> {
-        match id {
-            "threads" => Ok(Engine::Threads),
-            "events" => Ok(Engine::Events),
-            other => Err(DcnrError::Usage(format!(
-                "unknown engine {other:?} (valid engines: {})",
-                Engine::VALID_IDS
-            ))),
-        }
-    }
-
-    /// The id this engine is selected by.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Threads => "threads",
-            Engine::Events => "events",
-        }
-    }
-}
 
 /// Everything `dcnr serve` needs to start.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Bind address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Which engine serves: the thread pool or the epoll reactor.
-    pub engine: Engine,
     /// Worker thread count; `0` auto-detects
     /// `std::thread::available_parallelism()`.
     pub workers: usize,
@@ -126,7 +84,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:7878".into(),
-            engine: Engine::default(),
             workers: 4,
             queue_depth: 64,
             cache_entries: 64,
@@ -190,19 +147,15 @@ impl RenderFaultPlan {
 /// Shared state behind the request handler.
 struct ServeState {
     telemetry: TelemetryHandle,
-    /// Rendered-artifact result cache. Sharded per worker on the events
-    /// engine (hash of the cache key picks the shard); a single shard on
-    /// the threads engine, which is observation-equivalent to the plain
-    /// mutex-wrapped LRU it replaces.
-    cache: ShardedLru<String, Arc<String>>,
+    /// Rendered-artifact result cache.
+    cache: Mutex<LruCache<String, Arc<String>>>,
     /// Last-known-good renders, retained past `cache` eviction so the
     /// degraded paths (breaker open, render failure, saturation) can
     /// serve something honest — always flagged with `X-Dcnr-Stale`.
-    stale: ShardedLru<String, Arc<String>>,
+    stale: Mutex<LruCache<String, Arc<String>>>,
     stats: Arc<ServerStats>,
     sweep_root: PathBuf,
     admin: bool,
-    engine: Engine,
     workers: usize,
     queue_depth: usize,
     draining: AtomicBool,
@@ -212,36 +165,11 @@ struct ServeState {
     breakers: Mutex<HashMap<&'static str, CircuitBreaker>>,
     render_faults: RenderFaultPlan,
     render_attempts: AtomicU64,
-    /// Reactor counters, published once after the events engine binds
-    /// (and only then exported on `/metrics`); never set on threads.
-    reactor: std::sync::OnceLock<Arc<ReactorStats>>,
-}
-
-/// The engine actually serving, behind one seam.
-enum EngineServer {
-    Threads(Server),
-    Events(EventServer),
-}
-
-impl EngineServer {
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            EngineServer::Threads(s) => s.local_addr(),
-            EngineServer::Events(s) => s.local_addr(),
-        }
-    }
-
-    fn shutdown_and_join(self) {
-        match self {
-            EngineServer::Threads(s) => s.shutdown_and_join(),
-            EngineServer::Events(s) => s.shutdown_and_join(),
-        }
-    }
 }
 
 /// A started server plus the state handles tests and the CLI loop need.
 pub struct RunningServer {
-    server: Option<EngineServer>,
+    server: Option<Server>,
     state: Arc<ServeState>,
     addr: SocketAddr,
 }
@@ -267,11 +195,6 @@ impl RunningServer {
         self.state.workers
     }
 
-    /// The engine serving this instance.
-    pub fn engine(&self) -> Engine {
-        self.state.engine
-    }
-
     /// The live chaos state, when fault injection is enabled.
     pub fn chaos(&self) -> Option<&Arc<ChaosState>> {
         self.state.chaos.as_ref()
@@ -289,7 +212,7 @@ impl RunningServer {
 /// in [`run`]; tests drive the returned handle directly.
 pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
     let stats = Arc::new(ServerStats::default());
-    let workers = resolve_workers(opts.workers, opts.engine);
+    let workers = resolve_workers(opts.workers);
     let chaos = opts
         .chaos
         .clone()
@@ -297,21 +220,13 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
     if let Some(c) = &chaos {
         logger::info(format!("chaos enabled: {}", c.plan().describe()));
     }
-    // One shard per reactor on the events engine so workers answering
-    // different artifacts touch different locks; a single shard on the
-    // threads engine keeps its behavior (and `/metrics`) unchanged.
-    let shards = match opts.engine {
-        Engine::Threads => 1,
-        Engine::Events => workers,
-    };
     let state = Arc::new(ServeState {
         telemetry: Telemetry::new_handle(),
-        cache: ShardedLru::new(shards, opts.cache_entries.max(1)),
-        stale: ShardedLru::new(shards, opts.cache_entries.max(1) * 8),
+        cache: Mutex::new(LruCache::new(opts.cache_entries.max(1))),
+        stale: Mutex::new(LruCache::new(opts.cache_entries.max(1) * 8)),
         stats: stats.clone(),
         sweep_root: opts.sweep_root.clone(),
         admin: opts.admin,
-        engine: opts.engine,
         workers,
         queue_depth: opts.queue_depth.max(1),
         draining: AtomicBool::new(false),
@@ -321,7 +236,6 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
         breakers: Mutex::new(HashMap::new()),
         render_faults: opts.render_faults,
         render_attempts: AtomicU64::new(0),
-        reactor: std::sync::OnceLock::new(),
     });
     let handler: Handler = {
         let state = state.clone();
@@ -334,21 +248,11 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
         chaos,
         ..ServerConfig::default()
     };
-    let bind_err = |e: std::io::Error| DcnrError::Io {
-        path: opts.addr.clone(),
-        message: format!("bind: {e}"),
-    };
-    let server = match opts.engine {
-        Engine::Threads => EngineServer::Threads(
-            Server::bind(opts.addr.as_str(), config, stats, handler).map_err(bind_err)?,
-        ),
-        Engine::Events => {
-            let server =
-                EventServer::bind(opts.addr.as_str(), config, stats, handler).map_err(bind_err)?;
-            let _ = state.reactor.set(server.reactor_stats());
-            EngineServer::Events(server)
-        }
-    };
+    let server =
+        Server::bind(opts.addr.as_str(), config, stats, handler).map_err(|e| DcnrError::Io {
+            path: opts.addr.clone(),
+            message: format!("bind: {e}"),
+        })?;
     let addr = server.local_addr();
     if let Some(path) = &opts.port_file {
         std::fs::write(path, format!("{addr}\n")).map_err(|e| DcnrError::Io {
@@ -365,11 +269,9 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
 
 /// Resolves a `--workers` value: `0` auto-detects the machine's
 /// available parallelism (logged, and exported as the
-/// `dcnr_server_workers` gauge); anything else is taken as given.
-/// Engine-aware: the detected count means pool threads on `threads`
-/// and reactor event loops on `events` — either way it is the
-/// available parallelism, never below 1.
-pub(crate) fn resolve_workers(requested: usize, engine: Engine) -> usize {
+/// `dcnr_server_workers` gauge); anything else is taken as given. The
+/// detected count is never below 1.
+pub(crate) fn resolve_workers(requested: usize) -> usize {
     if requested != 0 {
         return requested;
     }
@@ -377,12 +279,8 @@ pub(crate) fn resolve_workers(requested: usize, engine: Engine) -> usize {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
         .max(1);
-    let noun = match engine {
-        Engine::Threads => "worker thread",
-        Engine::Events => "reactor worker",
-    };
     logger::info(format!(
-        "--workers 0: auto-detected {detected} {noun}{}",
+        "--workers 0: auto-detected {detected} worker thread{}",
         if detected == 1 { "" } else { "s" }
     ));
     detected
@@ -394,9 +292,8 @@ pub fn run(opts: &ServeOptions) -> Result<(), DcnrError> {
     dcnr_server::signal::install_sigint_latch();
     let server = start(opts)?;
     logger::info(format!(
-        "serving on http://{} ({} engine, {} workers, queue depth {}, cache {} entries)",
+        "serving on http://{} ({} workers, queue depth {}, cache {} entries)",
         server.addr(),
-        server.engine().name(),
         server.workers(),
         opts.queue_depth.max(1),
         opts.cache_entries.max(1),
@@ -515,7 +412,7 @@ fn metrics_response(state: &ServeState) -> Response {
             .counters
             .insert(key(name), value.load(Ordering::Relaxed));
     }
-    let cache_entries = state.cache.len() as i64;
+    let cache_entries = lock(&state.cache).len() as i64;
     for (name, value) in [
         (
             "dcnr_server_queue_depth",
@@ -539,38 +436,6 @@ fn metrics_response(state: &ServeState) -> Response {
             snapshot.counters.insert(
                 Key::new("dcnr_server_chaos_injections_total", &[("fault", fault)]),
                 count,
-            );
-        }
-    }
-    // Engine-specific series exist only on the events engine: the
-    // default threads scrape must stay byte-identical to the pre-engine
-    // server (the same discipline as the admission gating below).
-    if state.engine == Engine::Events {
-        for (shard, (hits, misses, evictions)) in state.cache.shard_snapshots().iter().enumerate() {
-            let label = shard.to_string();
-            for (name, value) in [
-                ("dcnr_server_cache_shard_hits_total", *hits),
-                ("dcnr_server_cache_shard_misses_total", *misses),
-                ("dcnr_server_cache_shard_evictions_total", *evictions),
-            ] {
-                snapshot
-                    .counters
-                    .insert(Key::new(name, &[("shard", &label)]), value);
-            }
-        }
-        if let Some(reactor) = state.reactor.get() {
-            snapshot
-                .counters
-                .insert(key("dcnr_server_reactor_wakeups_total"), reactor.wakeups());
-            let (counts, sum, count) = reactor.ready_histogram();
-            snapshot.histograms.insert(
-                key("dcnr_server_reactor_ready_events"),
-                dcnr_telemetry::metrics::HistogramSnapshot {
-                    bounds: READY_BOUNDS.to_vec(),
-                    counts,
-                    sum,
-                    count,
-                },
             );
         }
     }
@@ -599,7 +464,7 @@ fn metrics_response(state: &ServeState) -> Response {
             },
         );
     }
-    for (artifact, breaker) in lock_breakers(state).iter() {
+    for (artifact, breaker) in lock(&state.breakers).iter() {
         snapshot.gauges.insert(
             Key::new("dcnr_server_breaker_state", &[("artifact", artifact)]),
             breaker.state().code(),
@@ -624,13 +489,11 @@ fn metrics_response(state: &ServeState) -> Response {
     response
 }
 
-fn lock_breakers(
-    state: &ServeState,
-) -> std::sync::MutexGuard<'_, HashMap<&'static str, CircuitBreaker>> {
-    state
-        .breakers
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Locks a cache or the breaker map. Every update to them is a single
+/// map operation that leaves the data valid, so a guard poisoned by a
+/// panicking handler is still safe to use.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The accept-queue depth at which cache misses brown out: renders are
@@ -649,7 +512,7 @@ fn stale_response(
     artifact: &'static str,
     cause: &str,
 ) -> Option<Response> {
-    let body = state.stale.get(key)?;
+    let body = lock(&state.stale).get(key).cloned()?;
     dcnr_telemetry::counter_add(
         "dcnr_server_stale_total",
         &[("artifact", artifact), ("cause", cause)],
@@ -672,8 +535,9 @@ fn unavailable_for(after: Duration, reason: &str) -> Response {
 }
 
 fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
-    let Some(experiment) = Experiment::ALL.into_iter().find(|e| e.key() == id) else {
-        return Response::not_found(&format!("artifact {id:?} (valid ids: table1, fig2, ...)"));
+    let experiment = match artifacts::lookup(id) {
+        Ok(e) => e,
+        Err(e) => return Response::not_found(&e.to_string()),
     };
     let scenario = match scenario_for_artifact(experiment, query) {
         Ok(s) => s,
@@ -681,7 +545,8 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
     };
     let artifact_key = experiment.key();
     let key = cache_key(&scenario, artifact_key);
-    if let Some(body) = state.cache.get(&key) {
+    let hit = lock(&state.cache).get(&key).cloned();
+    if let Some(body) = hit {
         dcnr_telemetry::counter_add(
             "dcnr_server_cache_hits_total",
             &[("artifact", artifact_key)],
@@ -713,7 +578,7 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
     // that keeps failing; a half-open probe readmits one render after
     // the cooldown.
     let now = Instant::now();
-    let admitted = lock_breakers(state)
+    let admitted = lock(&state.breakers)
         .entry(artifact_key)
         .or_insert_with(|| CircuitBreaker::new(state.breaker_config))
         .try_acquire(now);
@@ -726,7 +591,7 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
         if let Some(response) = stale_response(state, &key, artifact_key, "breaker-open") {
             return response;
         }
-        let after = lock_breakers(state)
+        let after = lock(&state.breakers)
             .get(artifact_key)
             .map(|b| b.retry_after(now))
             .unwrap_or_default();
@@ -751,26 +616,26 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
 
     match rendered {
         Ok(text) => {
-            lock_breakers(state)
+            lock(&state.breakers)
                 .entry(artifact_key)
                 .or_insert_with(|| CircuitBreaker::new(state.breaker_config))
                 .record_success();
             let body = Arc::new(text.clone());
-            state.cache.insert(key.clone(), body.clone());
-            state.stale.insert(key, body);
+            lock(&state.cache).insert(key.clone(), body.clone());
+            lock(&state.stale).insert(key, body);
             Response::ok(text)
         }
         Err(e @ (DcnrError::Config(_) | DcnrError::Usage(_))) => {
             // The request was wrong, not the render path — the probe
             // (if any) completes successfully for breaker purposes.
-            lock_breakers(state)
+            lock(&state.breakers)
                 .entry(artifact_key)
                 .or_insert_with(|| CircuitBreaker::new(state.breaker_config))
                 .record_success();
             Response::bad_request(e)
         }
         Err(e) => {
-            lock_breakers(state)
+            lock(&state.breakers)
                 .entry(artifact_key)
                 .or_insert_with(|| CircuitBreaker::new(state.breaker_config))
                 .record_failure(Instant::now());
@@ -1008,36 +873,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_ids_parse_and_unknown_ids_name_the_menu() {
-        assert_eq!(Engine::parse("threads").unwrap(), Engine::Threads);
-        assert_eq!(Engine::parse("events").unwrap(), Engine::Events);
-        assert_eq!(Engine::default(), Engine::Threads);
-        let err = Engine::parse("fibers").unwrap_err();
-        assert_eq!(err.kind(), "usage");
-        assert_eq!(err.exit_code(), 2);
-        let msg = err.to_string();
-        assert!(
-            msg.contains("fibers") && msg.contains(Engine::VALID_IDS),
-            "{msg}"
-        );
-    }
-
-    #[test]
-    fn worker_auto_detection_is_engine_aware_and_never_zero() {
-        // Explicit counts pass through untouched on both engines.
-        assert_eq!(resolve_workers(3, Engine::Threads), 3);
-        assert_eq!(resolve_workers(3, Engine::Events), 3);
-        // Zero auto-detects: whatever the machine reports, the result
-        // is at least one pool thread / reactor worker.
-        for engine in [Engine::Threads, Engine::Events] {
-            assert!(resolve_workers(0, engine) >= 1, "{engine:?}");
-        }
-        // Both engines detect the same parallelism; only the noun in
-        // the log differs.
-        assert_eq!(
-            resolve_workers(0, Engine::Threads),
-            resolve_workers(0, Engine::Events)
-        );
+    fn worker_auto_detection_never_yields_zero() {
+        // Explicit counts pass through untouched; zero auto-detects, and
+        // whatever the machine reports, the result is at least one pool
+        // thread.
+        assert_eq!(resolve_workers(3), 3);
+        assert!(resolve_workers(0) >= 1);
     }
 
     #[test]

@@ -44,8 +44,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Inserts `key -> value`, evicting the least-recently-used entry
     /// if the cache is at capacity and `key` is new. Returns the evicted
-    /// key, if any, so callers (the sharded cache's eviction counters)
-    /// can observe displacement.
+    /// key, if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<K> {
         self.tick += 1;
         let mut evicted = None;

@@ -425,7 +425,7 @@ impl ChaosState {
 
 /// How mutated response bytes should be put on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireEffect {
+enum WireEffect {
     /// Write everything, close normally.
     Intact,
     /// Write `..at`, then close cleanly (FIN) — the truncation case.
@@ -459,7 +459,7 @@ fn body_start(bytes: &[u8]) -> Option<usize> {
 /// apply (e.g. corrupting an empty body) downgrade to [`WireEffect::Intact`]
 /// without counting. With [`FaultAction::None`] the bytes are untouched
 /// and the effect is `Intact` — the zero-rate identity.
-pub fn apply_action(bytes: &mut [u8], action: FaultAction, stats: &ChaosStats) -> WireEffect {
+fn apply_action(bytes: &mut [u8], action: FaultAction, stats: &ChaosStats) -> WireEffect {
     match action {
         FaultAction::None => WireEffect::Intact,
         FaultAction::Corrupt { salt } => {

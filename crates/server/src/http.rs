@@ -189,7 +189,7 @@ pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 1024];
     let end = loop {
-        if let Some(pos) = find_head_end(&head) {
+        if let Some(pos) = head.windows(4).position(|w| w == b"\r\n\r\n") {
             break pos;
         }
         if head.len() > MAX_HEAD_BYTES {
@@ -203,23 +203,7 @@ pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
     };
     // Bytes past the head are ignored: GET/HEAD requests carry no body
     // we care about, and the connection closes after one response.
-    parse_request_bytes(&head[..end])
-}
-
-/// Position of the `\r\n\r\n` head terminator in `buf`, if present.
-/// The event engine's incremental reader calls this on its accumulation
-/// buffer after every readiness-driven read.
-pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-/// Parses an already-accumulated request head (the bytes *before* the
-/// `\r\n\r\n` terminator). The incremental entry point for the event
-/// engine; [`read_request`] is the blocking wrapper over the same
-/// parser, so both engines reject exactly the same heads with exactly
-/// the same errors.
-pub(crate) fn parse_request_bytes(head: &[u8]) -> Result<Request, HttpError> {
-    let text = std::str::from_utf8(head)
+    let text = std::str::from_utf8(&head[..end])
         .map_err(|_| HttpError::Malformed("request head is not UTF-8".into()))?;
     parse_head(text)
 }
@@ -319,6 +303,27 @@ mod tests {
         assert_eq!(req.header("host"), Some("localhost"));
         assert_eq!(req.header("x-thing"), Some("a value"));
         assert_eq!(req.header("absent"), None);
+    }
+
+    #[test]
+    fn incremental_reads_assemble_a_split_head() {
+        // A peer that dribbles its head a few bytes per read() must
+        // parse exactly like one that sends it whole.
+        struct Trickle<'a>(&'a [u8]);
+        impl Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = self.0.len().min(buf.len()).min(5);
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let raw = b"GET /artifacts/fig15?seed=7 HTTP/1.1\r\nHost: x\r\n\r\n";
+        let req = read_request(&mut Trickle(raw)).unwrap();
+        assert_eq!(req.method, "GET");
+        assert_eq!(req.path, "/artifacts/fig15");
+        assert_eq!(req.query, "seed=7");
+        assert_eq!(req.header("host"), Some("x"));
     }
 
     #[test]

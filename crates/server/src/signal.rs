@@ -10,8 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static SIGINT: AtomicBool = AtomicBool::new(false);
 
-/// One of two unsafe islands in the workspace outside vendored compat
-/// crates (the other is the `epoll(7)` shim in [`crate::event::poll`]):
+/// The workspace's only unsafe island outside vendored compat crates:
 /// a direct declaration of libc `signal(2)` (we vendor no libc crate).
 /// Kept to the smallest possible surface — one FFI call installing a
 /// handler that stores one atomic.

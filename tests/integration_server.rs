@@ -66,7 +66,13 @@ fn basic_routes_respond_and_admin_is_opt_in() {
     assert_eq!(health.body, b"ok\n");
     assert_eq!(get(&server, "/readyz").body, b"ready\n");
     assert_eq!(get(&server, "/no/such/route").status, 404);
-    assert_eq!(get(&server, "/artifacts/fig99").status, 404);
+    let unknown = get(&server, "/artifacts/fig99");
+    assert_eq!(unknown.status, 404);
+    // The 404 lists the registry ids, the same list `dcnr artifact` prints.
+    assert!(
+        String::from_utf8_lossy(&unknown.body).contains("surv.lifespan"),
+        "the 404 names every valid id"
+    );
     // Admin endpoints do not exist unless the server opted in.
     assert_eq!(get(&server, "/admin/shutdown").status, 404);
     assert!(!server.shutdown_requested());
@@ -182,6 +188,9 @@ fn saturation_sheds_503_with_retry_after_and_the_server_survives() {
             r.header("retry-after").is_some(),
             "shed responses carry Retry-After"
         );
+        // The whole body arrived: the shed path half-closes and drains
+        // the request, so the client reads a FIN rather than an RST.
+        assert_eq!(r.body, b"server busy; retry later\n");
     }
 
     // The server is still healthy and its metrics report the sheds.

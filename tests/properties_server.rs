@@ -1,11 +1,10 @@
-//! Property-based tests for the server substrate: at shard count 1 the
-//! sharded LRU must be observation-equivalent to a single [`LruCache`]
-//! of the same capacity — same hits, same misses, same residency, same
-//! eviction arithmetic, for any interleaving of inserts and lookups.
-//! That equivalence is why the thread engine runs on `ShardedLru` with
-//! one shard and stays byte-identical to its pre-shard behavior.
+//! Property test for the server's artifact cache: [`LruCache`] must
+//! behave exactly like a recency-ordered `Vec` reference model — the
+//! same `get` results, the same evicted key from every `insert`, and
+//! never more than `capacity` entries — for any interleaving of inserts
+//! and lookups.
 
-use dcnr_server::{LruCache, ShardedLru};
+use dcnr_server::LruCache;
 use proptest::prelude::*;
 
 /// One cache operation over a small key universe (small on purpose:
@@ -26,80 +25,52 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
+/// The reference model: entries ordered least- to most-recently used.
+struct Model {
+    capacity: usize,
+    entries: Vec<(u8, u16)>,
+}
+
+impl Model {
+    /// Moves `k` to the most-recent end and returns its value.
+    fn get(&mut self, k: u8) -> Option<u16> {
+        let i = self.entries.iter().position(|&(key, _)| key == k)?;
+        let entry = self.entries.remove(i);
+        self.entries.push(entry);
+        Some(entry.1)
+    }
+
+    /// Stores `k` as the most-recent entry; a new `k` in a full model
+    /// first evicts the least-recent one.
+    fn insert(&mut self, k: u8, v: u16) -> Option<u8> {
+        let evicted = match self.entries.iter().position(|&(key, _)| key == k) {
+            Some(i) => {
+                self.entries.remove(i);
+                None
+            }
+            None if self.entries.len() >= self.capacity => Some(self.entries.remove(0).0),
+            None => None,
+        };
+        self.entries.push((k, v));
+        evicted
+    }
+}
+
 proptest! {
     #[test]
-    fn one_shard_is_observation_equivalent_to_a_single_lru(
+    fn lru_cache_matches_a_recency_ordered_reference_model(
         capacity in 1usize..8,
         ops in proptest::collection::vec(op_strategy(), 0..200)
     ) {
-        let sharded: ShardedLru<u8, u16> = ShardedLru::new(1, capacity);
-        let mut plain: LruCache<u8, u16> = LruCache::new(capacity);
-        let mut gets = 0u64;
+        let mut cache: LruCache<u8, u16> = LruCache::new(capacity);
+        let mut model = Model { capacity, entries: Vec::new() };
         for op in &ops {
             match *op {
-                Op::Insert(k, v) => {
-                    sharded.insert(k, v);
-                    plain.insert(k, v);
-                }
-                Op::Get(k) => {
-                    gets += 1;
-                    // Lookups must agree (value and presence), and both
-                    // refresh recency, so divergence would compound into
-                    // different eviction orders — checked implicitly by
-                    // every later lookup.
-                    prop_assert_eq!(sharded.get(&k), plain.get(&k).copied());
-                }
+                Op::Insert(k, v) => prop_assert_eq!(cache.insert(k, v), model.insert(k, v)),
+                Op::Get(k) => prop_assert_eq!(cache.get(&k).copied(), model.get(k)),
             }
-        }
-        prop_assert_eq!(sharded.len(), plain.len());
-        prop_assert!(sharded.len() <= capacity);
-        // The shard counters account for exactly the lookups made.
-        let (hits, misses, _) = sharded.shard_snapshots()[0];
-        prop_assert_eq!(hits + misses, gets);
-    }
-
-    #[test]
-    fn eviction_counters_balance_inserts_against_residency(
-        capacity in 1usize..8,
-        keys in proptest::collection::vec(0u8..32, 0..64)
-    ) {
-        // Distinct-key inserts only: every insert either grows the
-        // shard or displaces exactly one entry, so evictions ==
-        // distinct inserts - final residency.
-        let sharded: ShardedLru<u8, u8> = ShardedLru::new(1, capacity);
-        let mut distinct = std::collections::BTreeSet::new();
-        for &k in &keys {
-            if distinct.insert(k) {
-                sharded.insert(k, k);
-            }
-        }
-        let (_, _, evictions) = sharded.shard_snapshots()[0];
-        prop_assert_eq!(
-            evictions as usize,
-            distinct.len() - sharded.len(),
-            "cap {capacity}: {} distinct inserts, {} resident",
-            distinct.len(),
-            sharded.len()
-        );
-    }
-
-    #[test]
-    fn shard_placement_is_deterministic_and_lookups_survive_sharding(
-        shards in 1usize..8,
-        keys in proptest::collection::vec(any::<u16>(), 1..32)
-    ) {
-        // Capacity >= one entry per shard per key, so nothing evicts:
-        // whatever the shard count, an inserted key must be found, in
-        // the same shard, every time.
-        let cache: ShardedLru<u16, u16> = ShardedLru::new(shards, shards * keys.len());
-        for &k in &keys {
-            cache.insert(k, k.wrapping_add(1));
-        }
-        prop_assert_eq!(cache.shard_count(), shards);
-        for &k in &keys {
-            prop_assert_eq!(cache.shard_for(&k), cache.shard_for(&k));
-            prop_assert!(cache.shard_for(&k) < shards);
-            prop_assert_eq!(cache.get(&k), Some(k.wrapping_add(1)));
+            prop_assert!(cache.len() <= capacity);
+            prop_assert_eq!(cache.len(), model.entries.len());
         }
     }
 }
