@@ -74,6 +74,29 @@ grep -q '"phase": "intra.remediation"' /tmp/dcnr_profile_smoke.json
 cargo run --release -q --example validate_telemetry -- \
     /tmp/dcnr_profile_metrics.prom /tmp/dcnr_profile_smoke.json
 
+echo "==> telemetry tax gate (intra benchmark: collector_ms <= 1.5 x latency_ms)"
+# The benchmark's intra workload runs every seed with no collector and
+# then with one, and checks the two reports are byte-identical. The
+# replica wall with a collector may cost at most 1.5x the plain one.
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload intra --seed 1 --seconds 10 --trace 0 \
+    >/tmp/dcnr_telemetry_tax.out 2>/dev/null || {
+    echo "intra benchmark failed:" >&2
+    tail -n 1 /tmp/dcnr_telemetry_tax.out >&2
+    exit 1
+}
+dcnr_tax=$(tail -n 1 /tmp/dcnr_telemetry_tax.out)
+echo "$dcnr_tax" | grep -q '"correct":true'
+dcnr_metric() {
+    echo "$dcnr_tax" | sed -n "s/.*\"$1\":{\"value\":\([0-9.eE+-]*\).*/\1/p"
+}
+dcnr_plain_ms=$(dcnr_metric latency_ms)
+dcnr_collector_ms=$(dcnr_metric collector_ms)
+awk -v c="$dcnr_collector_ms" -v l="$dcnr_plain_ms" 'BEGIN { exit !(c != "" && l > 0 && c <= 1.5 * l) }' || {
+    echo "telemetry tax: collector_ms $dcnr_collector_ms > 1.5 x latency_ms $dcnr_plain_ms" >&2
+    exit 1
+}
+
 echo "==> routes smoke (quarter scale, emergent severity, byte-identity)"
 # The artifact listing must enumerate the registry (stable order, exit 0).
 ./target/release/dcnr artifact --list >/tmp/dcnr_artifact_list.out

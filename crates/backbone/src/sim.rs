@@ -27,6 +27,7 @@ use crate::topo::{BackboneParams, BackboneTopology};
 use bytes::Bytes;
 use dcnr_sim::{stream_rng, SimDuration, SimTime, StudyCalendar};
 use rand::Rng;
+use std::fmt::Write;
 
 /// Configuration for one backbone simulation.
 #[derive(Debug, Clone, Copy)]
@@ -102,7 +103,9 @@ impl BackboneSim {
                     dcnr_telemetry::trace_event(
                         at_hours(cfg.window, start).as_secs(),
                         "fiber_cut",
-                        || format!("edge {} down {:.1}h", edge.id, end - start),
+                        |d| {
+                            let _ = write!(d, "edge {} down {:.1}h", edge.id, end - start);
+                        },
                     );
                 }
                 intervals.push((start, end));

@@ -12,6 +12,7 @@ use crate::config::ChaosConfig;
 use dcnr_sim::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt::Write;
 
 /// Why a message ended up in quarantine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,8 +122,8 @@ impl<T> DeadLetterQueue<T> {
             &[("reason", reason.label())],
             1,
         );
-        dcnr_telemetry::trace_event(retry_at.as_secs(), "dead_letter_retry", || {
-            format!("attempt {attempts} deferred ({})", reason.label())
+        dcnr_telemetry::trace_event(retry_at.as_secs(), "dead_letter_retry", |d| {
+            let _ = write!(d, "attempt {attempts} deferred ({})", reason.label());
         });
         self.heap.push(Reverse(Entry {
             retry_at,

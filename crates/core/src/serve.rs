@@ -39,6 +39,7 @@ use dcnr_server::pool::{AdmissionConfig, Handler, Server, ServerConfig, ServerSt
 use dcnr_sim::rng::derive_indexed_seed;
 use dcnr_telemetry::logger;
 use dcnr_telemetry::metrics::Key;
+use dcnr_telemetry::trace::TraceBuffer;
 use dcnr_telemetry::{prometheus, Telemetry, TelemetryHandle};
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -146,6 +147,8 @@ impl RenderFaultPlan {
 
 /// Shared state behind the request handler.
 struct ServeState {
+    /// Metrics only: nothing reads a trace back out of the server, so
+    /// its buffer keeps no events and renders format no trace details.
     telemetry: TelemetryHandle,
     /// Rendered-artifact result cache.
     cache: Mutex<LruCache<String, Arc<String>>>,
@@ -221,7 +224,10 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
         logger::info(format!("chaos enabled: {}", c.plan().describe()));
     }
     let state = Arc::new(ServeState {
-        telemetry: Telemetry::new_handle(),
+        telemetry: Arc::new(Telemetry {
+            trace: TraceBuffer::with_capacity(0),
+            ..Telemetry::default()
+        }),
         cache: Mutex::new(LruCache::new(opts.cache_entries.max(1))),
         stale: Mutex::new(LruCache::new(opts.cache_entries.max(1) * 8)),
         stats: stats.clone(),
@@ -399,7 +405,7 @@ fn sleep_response(query: &str) -> Response {
 /// latency histograms, cache hits, study phase spans) with the live
 /// substrate counters spliced in at scrape time.
 fn metrics_response(state: &ServeState) -> Response {
-    let (mut snapshot, _) = state.telemetry.snapshots();
+    let mut snapshot = state.telemetry.metrics.snapshot();
     let key = |name: &str| Key::new(name, &[]);
     let stats = &state.stats;
     for (name, value) in [

@@ -114,7 +114,7 @@ mod tests {
     use super::*;
     use crate::json;
     use dcnr_telemetry::metrics::Registry;
-    use dcnr_telemetry::trace::{TraceBuffer, TraceEvent};
+    use dcnr_telemetry::trace::TraceBuffer;
 
     fn sample_metrics() -> MetricsSnapshot {
         let r = Registry::default();
@@ -152,10 +152,8 @@ mod tests {
     fn trace_json_parses_and_keeps_accounting() {
         let b = TraceBuffer::with_capacity(1);
         for i in 0..4u64 {
-            b.record(TraceEvent {
-                at_secs: i,
-                kind: "test",
-                detail: format!("e{i}\n"),
+            b.record(i, "test", |d| {
+                let _ = writeln!(d, "e{i}");
             });
         }
         let text = render_trace_json(&b.snapshot());

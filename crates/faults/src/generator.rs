@@ -18,6 +18,7 @@ use crate::root_cause::{RootCause, RootCauseModel};
 use dcnr_sim::{stream_rng, SimDuration, SimTime, StudyCalendar};
 use dcnr_topology::{format_device_name, DeviceType};
 use rand::Rng;
+use std::fmt::Write;
 
 /// One raw device issue, before remediation triage.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,8 +119,8 @@ impl IssueGenerator {
                 let root_cause = self.causes.sample(&mut rng, t);
                 if let Some(counter) = &issue_counter {
                     counter.inc();
-                    dcnr_telemetry::trace_event(at.as_secs(), "device_failure", || {
-                        format!("{device_name}: {root_cause}")
+                    dcnr_telemetry::trace_event(at.as_secs(), "device_failure", |d| {
+                        let _ = write!(d, "{device_name}: {root_cause}");
                     });
                 }
                 out.push(RawIssue {

@@ -47,6 +47,18 @@ impl RemediationAction {
         ACTION_MIX[idx]
     }
 
+    /// The action's display name, which also labels its telemetry
+    /// series.
+    pub fn label(self) -> &'static str {
+        match self {
+            RemediationAction::PortCycle => "port off/on cycle",
+            RemediationAction::ConfigServiceRestart => "configuration service restart",
+            RemediationAction::FanAlert => "fan failure alert",
+            RemediationAction::LivenessTask => "liveness technician task",
+            RemediationAction::Other => "other",
+        }
+    }
+
     /// Whether the action still involves a human technician (fan alerts
     /// and liveness tasks page someone; the repair system's contribution
     /// is triage and data collection).
@@ -60,13 +72,7 @@ impl RemediationAction {
 
 impl fmt::Display for RemediationAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            RemediationAction::PortCycle => "port off/on cycle",
-            RemediationAction::ConfigServiceRestart => "configuration service restart",
-            RemediationAction::FanAlert => "fan failure alert",
-            RemediationAction::LivenessTask => "liveness technician task",
-            RemediationAction::Other => "other",
-        })
+        f.write_str(self.label())
     }
 }
 

@@ -22,9 +22,11 @@ use crate::action::{ActionModel, RemediationAction};
 use crate::policy::RepairPolicy;
 use dcnr_faults::{calibration::MANUAL_ESCALATION_PROB, HazardModel, RawIssue};
 use dcnr_sim::{stream_rng, SimDuration, SimTime};
+use dcnr_telemetry::CounterFamily;
 use dcnr_topology::DeviceType;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::fmt::Write;
 
 /// A completed automated repair.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,29 +128,7 @@ impl RemediationEngine {
     /// Triage one issue.
     pub fn triage(&mut self, issue: RawIssue) -> RemediationOutcome {
         let outcome = self.triage_inner(issue);
-        // All RNG draws happen inside triage_inner; observation is
-        // strictly after the fact.
-        if dcnr_telemetry::active() {
-            let kind = match &outcome {
-                RemediationOutcome::AutoRepaired(r) => {
-                    dcnr_telemetry::counter_add(
-                        "dcnr_remediation_actions_total",
-                        &[("action", &r.action.to_string())],
-                        1,
-                    );
-                    dcnr_telemetry::trace_event(r.issue.at.as_secs(), "repair_dispatch", || {
-                        format!(
-                            "{}: {} (priority {})",
-                            r.issue.device_name, r.action, r.priority
-                        )
-                    });
-                    "auto_repaired"
-                }
-                RemediationOutcome::ManuallyResolved { .. } => "manually_resolved",
-                RemediationOutcome::Escalated { .. } => "escalated",
-            };
-            dcnr_telemetry::counter_add("dcnr_remediation_outcomes_total", &[("outcome", kind)], 1);
-        }
+        TriageTelemetry::resolve().observe(&outcome);
         outcome
     }
 
@@ -200,9 +180,67 @@ impl RemediationEngine {
         }
     }
 
-    /// Triage a whole issue stream, preserving order.
+    /// Triage a whole issue stream, preserving order. Its counters are
+    /// resolved once, against the collector installed when the call
+    /// starts.
     pub fn triage_all(&mut self, issues: Vec<RawIssue>) -> Vec<RemediationOutcome> {
-        issues.into_iter().map(|i| self.triage(i)).collect()
+        let mut telemetry = TriageTelemetry::resolve();
+        issues
+            .into_iter()
+            .map(|issue| {
+                let outcome = self.triage_inner(issue);
+                telemetry.observe(&outcome);
+                outcome
+            })
+            .collect()
+    }
+}
+
+/// The triage counters of one `triage`/`triage_all` call. They observe
+/// each outcome strictly after `triage_inner` made all of its RNG draws.
+struct TriageTelemetry {
+    /// `auto_repaired`, `manually_resolved`, `escalated`.
+    outcomes: CounterFamily<3>,
+    /// Indexed like [`RemediationAction::ALL`], which is declaration order.
+    actions: CounterFamily<5>,
+}
+
+impl TriageTelemetry {
+    fn resolve() -> Self {
+        Self {
+            outcomes: CounterFamily::new(
+                "dcnr_remediation_outcomes_total",
+                "outcome",
+                ["auto_repaired", "manually_resolved", "escalated"],
+            ),
+            actions: CounterFamily::new(
+                "dcnr_remediation_actions_total",
+                "action",
+                RemediationAction::ALL.map(RemediationAction::label),
+            ),
+        }
+    }
+
+    fn observe(&mut self, outcome: &RemediationOutcome) {
+        if !self.outcomes.active() {
+            return;
+        }
+        let kind = match outcome {
+            RemediationOutcome::AutoRepaired(r) => {
+                self.actions.inc(r.action as usize);
+                dcnr_telemetry::trace_event(r.issue.at.as_secs(), "repair_dispatch", |d| {
+                    let _ = write!(
+                        d,
+                        "{}: {} (priority {})",
+                        r.issue.device_name, r.action, r.priority
+                    );
+                });
+                0
+            }
+            RemediationOutcome::ManuallyResolved { .. } => 1,
+            RemediationOutcome::Escalated { .. } => 2,
+        };
+        self.outcomes.inc(kind);
     }
 }
 

@@ -11,9 +11,11 @@
 use crate::emergent::EmergentSeverityModel;
 use crate::resolution::ResolutionModel;
 use dcnr_remediation::RemediationOutcome;
-use dcnr_sev::SevDb;
+use dcnr_sev::{SevDb, SevLevel};
 use dcnr_sim::stream_rng;
+use dcnr_telemetry::CounterFamily;
 use rand::rngs::StdRng;
+use std::fmt::Write;
 
 /// Builds SEV databases from triage outcomes.
 pub struct SevGenerator {
@@ -39,6 +41,12 @@ impl SevGenerator {
     /// Non-escalated outcomes are ignored (they never reached service
     /// impact). Returns the number of reports created.
     pub fn ingest(&mut self, outcomes: &[RemediationOutcome], db: &mut SevDb) -> usize {
+        // Indexed like `SevLevel::ALL`, which is declaration order.
+        let mut sevs = CounterFamily::new(
+            "dcnr_service_sevs_total",
+            "severity",
+            SevLevel::ALL.map(SevLevel::label),
+        );
         let mut created = 0;
         for outcome in outcomes {
             let RemediationOutcome::Escalated {
@@ -63,19 +71,15 @@ impl SevGenerator {
             );
             // All sampling for this record is done; telemetry below is
             // observation only.
-            if dcnr_telemetry::active() {
-                dcnr_telemetry::counter_add(
-                    "dcnr_service_sevs_total",
-                    &[("severity", &severity.to_string())],
-                    1,
-                );
+            if sevs.active() {
+                sevs.inc(severity as usize);
                 let opened = issue.at;
                 let closed = issue.at + duration;
-                dcnr_telemetry::trace_event(opened.as_secs(), "sev_open", || {
-                    format!("{severity} on {}", issue.device_name)
+                dcnr_telemetry::trace_event(opened.as_secs(), "sev_open", |d| {
+                    let _ = write!(d, "{severity} on {}", issue.device_name);
                 });
-                dcnr_telemetry::trace_event(closed.as_secs(), "sev_close", || {
-                    format!("{severity} on {} after {duration}", issue.device_name)
+                dcnr_telemetry::trace_event(closed.as_secs(), "sev_close", |d| {
+                    let _ = write!(d, "{severity} on {} after {duration}", issue.device_name);
                 });
             }
             db.insert(

@@ -38,6 +38,16 @@ impl SevLevel {
         }
     }
 
+    /// The display name (`SEV1`…`SEV3`), which also labels telemetry
+    /// series.
+    pub fn label(self) -> &'static str {
+        match self {
+            SevLevel::Sev1 => "SEV1",
+            SevLevel::Sev2 => "SEV2",
+            SevLevel::Sev3 => "SEV3",
+        }
+    }
+
     /// From a numeric level.
     pub fn from_number(n: u8) -> Option<SevLevel> {
         match n {
@@ -66,7 +76,7 @@ impl SevLevel {
 
 impl fmt::Display for SevLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SEV{}", self.number())
+        f.write_str(self.label())
     }
 }
 

@@ -2,16 +2,20 @@
 //! current thread records into.
 //!
 //! Instrumented code calls the free functions below unconditionally;
-//! with no collector installed each call is a cheap early return, and
-//! nothing is formatted or allocated (trace details are built lazily
-//! via closures). A driver that wants telemetry installs a handle —
-//! usually through the RAII [`installed`] guard — runs the workload,
-//! and snapshots the registry/trace afterwards. Sweep replicas each
-//! install a **fresh** instance on their worker thread, so attribution
-//! is exact and merging is an explicit, ordered post-join step.
+//! with no collector installed each call is a thread-local check and an
+//! early return that never runs its trace-detail writer. Per-event hot
+//! loops instead resolve their counters once per stage call (a
+//! [`CounterFamily`], or [`counter`] for a single series) and bump them
+//! with one atomic add; trace details are written into buffers the
+//! trace owns and reuses (see [`TraceBuffer::record`]). A caller that
+//! wants telemetry installs a handle — usually through the RAII
+//! [`installed`] guard — runs the workload, and snapshots the
+//! registry/trace afterwards. Sweep replicas each install a **fresh**
+//! instance on their worker thread, so attribution is exact and merging
+//! is an explicit, ordered post-join step.
 
 use crate::metrics::{Counter, MetricsSnapshot, Registry, DURATION_BOUNDS_MICROS};
-use crate::trace::{TraceBuffer, TraceEvent, TraceSnapshot};
+use crate::trace::{TraceBuffer, TraceSnapshot};
 use crate::PHASE_HISTOGRAM;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -107,6 +111,53 @@ pub fn counter(name: &str, labels: &[(&str, &str)]) -> Option<Counter> {
     with(|t| t.metrics.counter(name, labels))
 }
 
+/// Counter handles for one metric family whose one label ranges over a
+/// fixed set of values, for per-event hot loops. A family is bound to
+/// the collector installed when it is created — inert without one — and
+/// is meant to live for one stage call. Each value's series is resolved
+/// on its first bump, so a snapshot holds exactly the series a registry
+/// lookup per event would have created; every later bump is one atomic
+/// add.
+#[derive(Debug)]
+pub struct CounterFamily<const N: usize> {
+    collector: Option<TelemetryHandle>,
+    name: &'static str,
+    label: &'static str,
+    values: [&'static str; N],
+    cells: [Option<Counter>; N],
+}
+
+impl<const N: usize> CounterFamily<N> {
+    /// Binds the family `name{label=values[i]}` to the current thread's
+    /// collector.
+    pub fn new(name: &'static str, label: &'static str, values: [&'static str; N]) -> Self {
+        Self {
+            collector: current(),
+            name,
+            label,
+            values,
+            cells: std::array::from_fn(|_| None),
+        }
+    }
+
+    /// Whether a collector was installed when the family was created.
+    pub fn active(&self) -> bool {
+        self.collector.is_some()
+    }
+
+    /// Adds one to the series labeled `values[index]`.
+    pub fn inc(&mut self, index: usize) {
+        if let Some(t) = &self.collector {
+            self.cells[index]
+                .get_or_insert_with(|| {
+                    t.metrics
+                        .counter(self.name, &[(self.label, self.values[index])])
+                })
+                .inc();
+        }
+    }
+}
+
 /// Adds `by` (may be negative) to the named gauge. No-op without a
 /// collector.
 pub fn gauge_add(name: &str, labels: &[(&str, &str)], by: i64) {
@@ -123,17 +174,12 @@ pub fn observe_micros(name: &str, labels: &[(&str, &str)], micros: u64) {
     });
 }
 
-/// Records a sim-time trace event. `detail` is only invoked when a
-/// collector is installed, so instrumented hot loops pay no formatting
-/// cost when telemetry is off.
-pub fn trace_event(at_secs: u64, kind: &'static str, detail: impl FnOnce() -> String) {
-    with(|t| {
-        t.trace.record(TraceEvent {
-            at_secs,
-            kind,
-            detail: detail(),
-        })
-    });
+/// Records a sim-time trace event whose detail text `detail` writes
+/// into a buffer the trace owns. `detail` runs only when a collector is
+/// installed and its trace retains events, so instrumented hot loops
+/// pay no formatting when telemetry is off.
+pub fn trace_event(at_secs: u64, kind: &'static str, detail: impl FnOnce(&mut String)) {
+    with(|t| t.trace.record(at_secs, kind, detail));
 }
 
 /// A wall-clock phase timer. On drop it records the elapsed time (in
@@ -196,10 +242,7 @@ mod tests {
         gauge_add("nope", &[], -1);
         observe_micros("nope_micros", &[], 5);
         let mut built = false;
-        trace_event(0, "test", || {
-            built = true;
-            String::new()
-        });
+        trace_event(0, "test", |_| built = true);
         assert!(!built, "detail closure must not run when inactive");
         assert!(current().is_none());
     }
@@ -211,7 +254,7 @@ mod tests {
             let _guard = installed(t.clone());
             assert!(active());
             counter_add("seen_total", &[], 2);
-            trace_event(7, "test", || "x".into());
+            trace_event(7, "test", |d| d.push('x'));
             // Nested scope: inner handle wins, outer restored after.
             let inner = Telemetry::new_handle();
             {
@@ -229,6 +272,26 @@ mod tests {
         assert_eq!(metrics.counter_value("seen_total", &[]), 3);
         assert_eq!(trace.seen, 1);
         assert_eq!(trace.head[0].at_secs, 7);
+    }
+
+    #[test]
+    fn counter_families_bind_at_creation_and_resolve_on_first_bump() {
+        let mut idle = CounterFamily::new("fam_total", "kind", ["a"]);
+        idle.inc(0);
+        assert!(!idle.active());
+        let t = Telemetry::new_handle();
+        let mut family = {
+            let _guard = installed(t.clone());
+            CounterFamily::new("fam_total", "kind", ["a", "b", "c"])
+        };
+        // Bound at creation: bumps land in `t` after its guard dropped.
+        family.inc(2);
+        family.inc(2);
+        family.inc(0);
+        let snap = t.metrics.snapshot();
+        assert_eq!(snap.counters.len(), 2, "`b` never counted: no series");
+        assert_eq!(snap.counter_value("fam_total", &[("kind", "c")]), 2);
+        assert_eq!(snap.counter_value("fam_total", &[("kind", "a")]), 1);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! boundary as plain `u64` seconds since the study epoch.
 //!
 //! Instrumented code calls the free functions ([`counter_add`],
-//! [`gauge_add`], [`trace_event`], [`span`], …); a driver that wants
+//! [`gauge_add`], [`trace_event`], [`span`], …), or, in per-event hot
+//! loops, bumps handles resolved once per stage call ([`counter`],
+//! [`CounterFamily`]); a caller that wants
 //! telemetry installs a [`Telemetry`] collector on the thread first
 //! (see [`installed`]) and takes snapshots when done. All metric
 //! arithmetic is integer (`u64`/`i64`, durations in microseconds), so
@@ -40,7 +42,7 @@ pub mod trace;
 
 pub use collector::{
     active, counter, counter_add, current, gauge_add, install, installed, observe_micros, span,
-    trace_event, uninstall, InstallGuard, Span, Telemetry, TelemetryHandle,
+    trace_event, uninstall, CounterFamily, InstallGuard, Span, Telemetry, TelemetryHandle,
 };
 
 /// Name of the well-known histogram every [`span`] records into, with a

@@ -11,7 +11,6 @@
 //! Events carry sim time as plain `u64` seconds since the study epoch;
 //! this crate deliberately knows nothing about `SimTime`.
 
-use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 
 /// Default per-half retention (first 256 + last 256 events).
@@ -29,10 +28,25 @@ pub struct TraceEvent {
     pub detail: String,
 }
 
+impl TraceEvent {
+    fn written(at_secs: u64, kind: &'static str, detail: impl FnOnce(&mut String)) -> Self {
+        let mut text = String::new();
+        detail(&mut text);
+        Self {
+            at_secs,
+            kind,
+            detail: text,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct TraceInner {
     head: Vec<TraceEvent>,
-    tail: VecDeque<TraceEvent>,
+    /// A ring of the latest events after the head; once full, `oldest`
+    /// is the slot the next event overwrites.
+    tail: Vec<TraceEvent>,
+    oldest: usize,
     seen: u64,
     capacity: usize,
 }
@@ -52,38 +66,49 @@ impl Default for TraceBuffer {
 
 impl TraceBuffer {
     /// A buffer retaining the first `capacity` and last `capacity`
-    /// events.
+    /// events. At capacity 0 it only counts them.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(TraceInner {
                 head: Vec::new(),
-                tail: VecDeque::new(),
+                tail: Vec::new(),
+                oldest: 0,
                 seen: 0,
                 capacity,
             }),
         }
     }
 
-    /// Records one event.
-    pub fn record(&self, event: TraceEvent) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+    /// Records one event whose detail text `detail` writes into the
+    /// buffer it is given. Once the tail ring is full, each event reuses
+    /// the slot, and the detail buffer, of the event it evicts, so it
+    /// allocates only when its detail outgrows that buffer. At capacity
+    /// 0 `detail` never runs. It runs under the buffer's lock, so it
+    /// must not record events.
+    pub fn record(&self, at_secs: u64, kind: &'static str, detail: impl FnOnce(&mut String)) {
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let inner = &mut *guard;
         inner.seen += 1;
         if inner.head.len() < inner.capacity {
-            inner.head.push(event);
-        } else {
-            if inner.tail.len() == inner.capacity {
-                inner.tail.pop_front();
-            }
-            inner.tail.push_back(event);
+            inner.head.push(TraceEvent::written(at_secs, kind, detail));
+        } else if inner.tail.len() < inner.capacity {
+            inner.tail.push(TraceEvent::written(at_secs, kind, detail));
+        } else if let Some(slot) = inner.tail.get_mut(inner.oldest) {
+            slot.at_secs = at_secs;
+            slot.kind = kind;
+            slot.detail.clear();
+            detail(&mut slot.detail);
+            inner.oldest = (inner.oldest + 1) % inner.capacity;
         }
     }
 
     /// Freezes the current contents.
     pub fn snapshot(&self) -> TraceSnapshot {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let (newer, older) = inner.tail.split_at(inner.oldest);
         TraceSnapshot {
             head: inner.head.clone(),
-            tail: inner.tail.iter().cloned().collect(),
+            tail: older.iter().chain(newer).cloned().collect(),
             seen: inner.seen,
         }
     }
@@ -125,20 +150,19 @@ impl TraceSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write;
 
-    fn ev(i: u64) -> TraceEvent {
-        TraceEvent {
-            at_secs: i,
-            kind: "test",
-            detail: format!("e{i}"),
-        }
+    fn record(b: &TraceBuffer, i: u64) {
+        b.record(i, "test", |d| {
+            let _ = write!(d, "e{i}");
+        });
     }
 
     #[test]
     fn small_streams_are_kept_whole() {
         let b = TraceBuffer::with_capacity(4);
         for i in 0..3 {
-            b.record(ev(i));
+            record(&b, i);
         }
         let s = b.snapshot();
         assert_eq!(s.head.len(), 3);
@@ -150,7 +174,7 @@ mod tests {
     fn long_streams_keep_first_and_last() {
         let b = TraceBuffer::with_capacity(2);
         for i in 0..10 {
-            b.record(ev(i));
+            record(&b, i);
         }
         let s = b.snapshot();
         let heads: Vec<u64> = s.head.iter().map(|e| e.at_secs).collect();
@@ -166,10 +190,23 @@ mod tests {
         let run = || {
             let b = TraceBuffer::with_capacity(3);
             for i in 0..50 {
-                b.record(ev(i));
+                record(&b, i);
             }
             b.snapshot()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn capacity_zero_counts_without_writing() {
+        let b = TraceBuffer::with_capacity(0);
+        for i in 0..5 {
+            b.record(i, "test", |_| {
+                panic!("nothing is retained, so nothing is written")
+            });
+        }
+        let s = b.snapshot();
+        assert!(s.head.is_empty() && s.tail.is_empty());
+        assert_eq!((s.seen, s.dropped()), (5, 5));
     }
 }

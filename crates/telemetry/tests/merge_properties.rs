@@ -7,6 +7,7 @@
 use dcnr_telemetry::metrics::{MetricsSnapshot, Registry};
 use dcnr_telemetry::trace::{TraceBuffer, TraceEvent, TraceSnapshot};
 use proptest::prelude::*;
+use std::fmt::Write;
 
 const NAMES: [&str; 3] = ["dcnr_a_total", "dcnr_b_total", "dcnr_c_total"];
 const LABELS: [&str; 3] = ["x", "y", "z"];
@@ -140,16 +141,32 @@ proptest! {
     fn trace_merge_concatenates_and_sums_seen(
         a in proptest::collection::vec(0u64..1_000_000, 0..30),
         b in proptest::collection::vec(0u64..1_000_000, 0..30),
-        capacity in 1usize..8,
+        capacity in 0usize..8,
     ) {
         let snap = |times: &[u64]| -> TraceSnapshot {
             let buf = TraceBuffer::with_capacity(capacity);
             for &t in times {
-                buf.record(TraceEvent { at_secs: t, kind: "p", detail: String::new() });
+                buf.record(t, "p", |d| {
+                    let _ = write!(d, "t{t}");
+                });
             }
             buf.snapshot()
         };
+        let events = |times: &[u64]| -> Vec<TraceEvent> {
+            times
+                .iter()
+                .map(|&t| TraceEvent { at_secs: t, kind: "p", detail: format!("t{t}") })
+                .collect()
+        };
         let (sa, sb) = (snap(&a), snap(&b));
+        // Each buffer keeps the first `capacity` events verbatim and the
+        // last `capacity` of the rest, in emission order.
+        for (times, s) in [(&a, &sa), (&b, &sb)] {
+            let (first, rest) = times.split_at(capacity.min(times.len()));
+            let last = &rest[rest.len().saturating_sub(capacity)..];
+            prop_assert_eq!(&s.head, &events(first));
+            prop_assert_eq!(&s.tail, &events(last));
+        }
         let mut m = sa.clone();
         m.merge(&sb);
         prop_assert_eq!(m.seen, (a.len() + b.len()) as u64);

@@ -2,11 +2,15 @@
 //! telemetry on must not perturb a single RNG draw**. Reports and sweep
 //! artifacts must be byte-identical with and without a collector
 //! installed, merged sweep totals must be independent of the worker
-//! count, and the profile must attribute issue generation per device
-//! type.
+//! count, the profile must attribute issue generation per device type,
+//! and an intra study's counters and trace must account for every
+//! issue, repair and SEV it recorded.
 
+use dcnr_core::remediation::RemediationOutcome;
+use dcnr_core::telemetry::metrics::Key;
 use dcnr_core::telemetry::{installed, Telemetry};
 use dcnr_core::{phase_rows, run_sweep, RunContext, Scenario, ScenarioKind, SweepConfig};
+use std::collections::BTreeMap;
 
 fn small(kind: ScenarioKind, seed: u64) -> Scenario {
     Scenario {
@@ -143,4 +147,58 @@ fn telemetry_off_records_nothing_and_costs_no_formatting() {
     let (metrics, trace) = handle.snapshots();
     assert!(metrics.is_empty());
     assert!(trace.is_empty());
+}
+
+#[test]
+fn intra_counters_and_trace_account_for_every_event_exactly() {
+    let handle = Telemetry::new_handle();
+    let ctx = RunContext::new(Scenario {
+        scale: 0.25,
+        ..Scenario::intra(0xACC7)
+    });
+    {
+        let _guard = installed(handle.clone());
+        ctx.intra();
+    }
+    let study = ctx.intra();
+    let (metrics, trace) = handle.snapshots();
+
+    // Every per-event series, counted from the study's own records.
+    let mut expected: BTreeMap<Key, u64> = BTreeMap::new();
+    let mut count = |name: &str, label: &str, value: &str| {
+        *expected
+            .entry(Key::new(name, &[(label, value)]))
+            .or_default() += 1;
+    };
+    let mut auto_repaired = 0;
+    for outcome in study.outcomes() {
+        let device_type = outcome.issue().device_type.name_prefix();
+        count("dcnr_faults_issues_total", "device_type", device_type);
+        let kind = match outcome {
+            RemediationOutcome::AutoRepaired(r) => {
+                auto_repaired += 1;
+                let action = r.action.to_string();
+                count("dcnr_remediation_actions_total", "action", &action);
+                "auto_repaired"
+            }
+            RemediationOutcome::ManuallyResolved { .. } => "manually_resolved",
+            RemediationOutcome::Escalated { .. } => "escalated",
+        };
+        count("dcnr_remediation_outcomes_total", "outcome", kind);
+    }
+    for record in study.db().iter() {
+        let severity = record.severity.to_string();
+        count("dcnr_service_sevs_total", "severity", &severity);
+    }
+    assert_eq!(metrics.counters, expected);
+    assert!(
+        metrics.counters.values().all(|&v| v > 0),
+        "series resolve on first use, so none is zero: {:?}",
+        metrics.counters
+    );
+
+    // One trace event per issue and per automated repair, two per SEV.
+    let (issues, sevs) = (study.outcomes().len(), study.db().len());
+    assert!(auto_repaired > 0 && sevs > 0);
+    assert_eq!(trace.seen, (issues + auto_repaired + 2 * sevs) as u64);
 }
