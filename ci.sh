@@ -63,6 +63,23 @@ grep -q '^dcnr_backbone_fiber_cuts_total ' /tmp/dcnr_metrics.prom
 grep -q '^# TYPE dcnr_phase_duration_micros histogram' /tmp/dcnr_metrics.prom
 grep -q '"kind": "fiber_cut"' /tmp/dcnr_trace.json
 
+echo "==> intra telemetry smoke (report identical with --metrics/--trace on, all intra trace kinds)"
+# The intra trace sites record unformatted payloads that are written
+# out only when the trace is snapshotted. At scale 0.15 the retained
+# head and tail hold all four kinds (from 0.2 up the tail holds only
+# SEV events), so every intra detail writer runs here.
+./target/release/dcnr intra --scale 0.15 --seed 7 >/tmp/dcnr_intra_plain.out 2>/dev/null
+./target/release/dcnr --metrics /tmp/dcnr_intra_metrics.prom --trace /tmp/dcnr_intra_trace.json \
+    intra --scale 0.15 --seed 7 >/tmp/dcnr_intra_telem.out 2>/dev/null
+cmp /tmp/dcnr_intra_plain.out /tmp/dcnr_intra_telem.out
+for dcnr_kind in device_failure repair_dispatch sev_open sev_close; do
+    grep -q "\"kind\": \"$dcnr_kind\"" /tmp/dcnr_intra_trace.json || {
+        echo "intra trace holds no $dcnr_kind event" >&2
+        exit 1
+    }
+done
+cargo run --release -q --example validate_telemetry -- /tmp/dcnr_intra_metrics.prom
+
 echo "==> profile smoke (quarter scale, parseable BENCH_profile.json)"
 ( cd /tmp && /root/repo/target/release/dcnr \
     --metrics /tmp/dcnr_profile_metrics.prom \

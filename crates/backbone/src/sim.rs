@@ -23,7 +23,7 @@
 use crate::email::{render_email, VendorEmail};
 use crate::failure_model::EntityTargets;
 use crate::ticket::TicketKind;
-use crate::topo::{BackboneParams, BackboneTopology};
+use crate::topo::{BackboneParams, BackboneTopology, EdgeNodeId};
 use bytes::Bytes;
 use dcnr_sim::{stream_rng, SimDuration, SimTime, StudyCalendar};
 use rand::Rng;
@@ -103,9 +103,8 @@ impl BackboneSim {
                     dcnr_telemetry::trace_event(
                         at_hours(cfg.window, start).as_secs(),
                         "fiber_cut",
-                        |d| {
-                            let _ = write!(d, "edge {} down {:.1}h", edge.id, end - start);
-                        },
+                        [u64::from(edge.id.0), (end - start).to_bits(), 0, 0],
+                        write_fiber_cut,
                     );
                 }
                 intervals.push((start, end));
@@ -327,6 +326,12 @@ impl BackboneSim {
 
 fn at_hours(window: StudyCalendar, hours: f64) -> SimTime {
     window.start + SimDuration::from_hours_f64(hours)
+}
+
+/// Writes a `fiber_cut` detail: `[edge index, f64 bits of hours down]`.
+fn write_fiber_cut([edge, hours, ..]: [u64; 4], d: &mut String) {
+    let edge = EdgeNodeId(edge as u32);
+    let _ = write!(d, "edge {edge} down {:.1}h", f64::from_bits(hours));
 }
 
 /// Mean-one log-normal duration jitter (sigma 0.5): repair durations are

@@ -31,6 +31,14 @@ pub enum QuarantineReason {
 }
 
 impl QuarantineReason {
+    /// Every reason, in declaration order, so `r as usize` indexes it.
+    pub const ALL: [QuarantineReason; 4] = [
+        QuarantineReason::ParseFailed,
+        QuarantineReason::StoreFailed,
+        QuarantineReason::Unmatched,
+        QuarantineReason::Implausible,
+    ];
+
     /// Stable lowercase label, used by telemetry counters.
     pub fn label(self) -> &'static str {
         match self {
@@ -122,9 +130,12 @@ impl<T> DeadLetterQueue<T> {
             &[("reason", reason.label())],
             1,
         );
-        dcnr_telemetry::trace_event(retry_at.as_secs(), "dead_letter_retry", |d| {
-            let _ = write!(d, "attempt {attempts} deferred ({})", reason.label());
-        });
+        dcnr_telemetry::trace_event(
+            retry_at.as_secs(),
+            "dead_letter_retry",
+            [u64::from(attempts), reason as u64, 0, 0],
+            write_retry,
+        );
         self.heap.push(Reverse(Entry {
             retry_at,
             seq,
@@ -166,6 +177,12 @@ impl<T> DeadLetterQueue<T> {
     pub fn into_quarantined(self) -> Vec<(T, QuarantineReason)> {
         self.quarantined
     }
+}
+
+/// Writes a `dead_letter_retry` detail: `[attempts, reason]`.
+fn write_retry([attempts, reason, ..]: [u64; 4], d: &mut String) {
+    let reason = QuarantineReason::ALL[reason as usize].label();
+    let _ = write!(d, "attempt {attempts} deferred ({reason})");
 }
 
 #[cfg(test)]
@@ -210,5 +227,33 @@ mod tests {
         q.defer(&cfg(), t0, 1, "zeroth", QuarantineReason::ParseFailed);
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, i)| i)).collect();
         assert_eq!(order, vec!["zeroth", "first", "second"]);
+    }
+
+    #[test]
+    fn retries_are_traced_with_attempt_and_reason() {
+        let t = dcnr_telemetry::Telemetry::new_handle();
+        {
+            let _guard = dcnr_telemetry::installed(t.clone());
+            let mut q = DeadLetterQueue::new();
+            for (attempts, reason) in (1..).zip(QuarantineReason::ALL) {
+                q.defer(&cfg(), SimTime::from_secs(0), attempts, (), reason);
+            }
+        }
+        let details: Vec<String> = t
+            .trace
+            .snapshot()
+            .head
+            .into_iter()
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(
+            details,
+            [
+                "attempt 1 deferred (parse)",
+                "attempt 2 deferred (store)",
+                "attempt 3 deferred (unmatched)",
+                "attempt 4 deferred (implausible)",
+            ]
+        );
     }
 }

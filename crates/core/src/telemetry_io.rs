@@ -152,7 +152,7 @@ mod tests {
     fn trace_json_parses_and_keeps_accounting() {
         let b = TraceBuffer::with_capacity(1);
         for i in 0..4u64 {
-            b.record(i, "test", |d| {
+            b.record(i, "test", [i, 0, 0, 0], |[i, ..], d| {
                 let _ = writeln!(d, "e{i}");
             });
         }

@@ -7,16 +7,17 @@
 //! sampling within each year, per type, on an independent RNG stream —
 //! so changing one type's model never perturbs another's stream.
 //!
-//! Every issue carries a synthetic offending-device name generated with
-//! the fleet naming convention, which is how the downstream SEV analysis
-//! classifies incidents (§4.3.1) — the pipeline genuinely parses names
-//! rather than cheating with an enum field.
+//! Every issue records which device of its type's fleet it struck, as
+//! the drawn unit index. Its convention name ([`RawIssue::device_name`])
+//! is formatted only where it is read: when an escalated issue becomes a
+//! SEV report, whose analysis classifies incidents by parsing that name
+//! (§4.3.1) rather than cheating with an enum field, and in trace output.
 
 use crate::growth::FleetGrowth;
 use crate::hazard::HazardModel;
 use crate::root_cause::{RootCause, RootCauseModel};
 use dcnr_sim::{stream_rng, SimDuration, SimTime, StudyCalendar};
-use dcnr_topology::{format_device_name, DeviceType};
+use dcnr_topology::{DeviceName, DeviceType};
 use rand::Rng;
 use std::fmt::Write;
 
@@ -27,11 +28,40 @@ pub struct RawIssue {
     pub at: SimTime,
     /// The offending device's type.
     pub device_type: DeviceType,
-    /// The offending device's name (convention-formatted; the SEV
-    /// pipeline re-derives the type by parsing this).
-    pub device_name: String,
+    /// The offending device: its index within its type's fleet.
+    pub unit: u32,
     /// The underlying root cause.
     pub root_cause: RootCause,
+}
+
+// A scale-10 replica streams ~390k issues through triage; a heap field
+// here (a formatted name) would cost an allocation each.
+const _: () = assert!(std::mem::size_of::<RawIssue>() <= 16);
+
+impl RawIssue {
+    /// The offending device's convention name (the SEV pipeline
+    /// re-derives the type by parsing it), formatted when displayed.
+    pub fn device_name(&self) -> DeviceName {
+        DeviceName::of_unit(self.device_type, self.unit)
+    }
+
+    /// The offending device as one trace-payload word; see
+    /// [`device_name_of_word`].
+    pub fn device_word(&self) -> u64 {
+        (self.device_type as u64) << 32 | u64::from(self.unit)
+    }
+}
+
+/// The name of the device a [`RawIssue::device_word`] packs, for trace
+/// detail writers.
+pub fn device_name_of_word(word: u64) -> DeviceName {
+    DeviceName::of_unit(DeviceType::ALL[(word >> 32) as usize], word as u32)
+}
+
+/// Writes a `device_failure` detail: `[device word, root cause]`.
+fn write_device_failure([device, cause, ..]: [u64; 4], d: &mut String) {
+    let cause = RootCause::ALL[cause as usize];
+    let _ = write!(d, "{}: {cause}", device_name_of_word(device));
 }
 
 /// Deterministic generator of [`RawIssue`] streams.
@@ -115,20 +145,25 @@ impl IssueGenerator {
                 if at >= end {
                     break;
                 }
-                let device_name = self.sample_device_name(&mut rng, t, pop);
+                // A concrete device within the population.
+                let unit = rng.gen_range(0..(pop.ceil() as u32).max(1));
                 let root_cause = self.causes.sample(&mut rng, t);
-                if let Some(counter) = &issue_counter {
-                    counter.inc();
-                    dcnr_telemetry::trace_event(at.as_secs(), "device_failure", |d| {
-                        let _ = write!(d, "{device_name}: {root_cause}");
-                    });
-                }
-                out.push(RawIssue {
+                let issue = RawIssue {
                     at,
                     device_type: t,
-                    device_name,
+                    unit,
                     root_cause,
-                });
+                };
+                if let Some(counter) = &issue_counter {
+                    counter.inc();
+                    dcnr_telemetry::trace_event(
+                        at.as_secs(),
+                        "device_failure",
+                        [issue.device_word(), root_cause as u64, 0, 0],
+                        write_device_failure,
+                    );
+                }
+                out.push(issue);
             }
         }
         out
@@ -143,20 +178,6 @@ impl IssueGenerator {
             .collect();
         all.sort_by_key(|i| i.at);
         all
-    }
-
-    /// Picks a concrete device within the population: data centers hold
-    /// up to 4096 devices of a type, scopes (cluster/pod) up to 64.
-    fn sample_device_name<R: Rng + ?Sized>(&self, rng: &mut R, t: DeviceType, pop: f64) -> String {
-        let unit = rng.gen_range(0..(pop.ceil() as u32).max(1));
-        let datacenter = (unit / 4096) as u16;
-        let scope_idx = (unit / 64) % 64;
-        let scope = match t.design() {
-            dcnr_topology::NetworkDesign::Cluster => 'c',
-            dcnr_topology::NetworkDesign::Fabric => 'p',
-            dcnr_topology::NetworkDesign::Shared => 'x',
-        };
-        format_device_name(t, datacenter, scope, scope_idx, unit)
     }
 }
 
@@ -191,7 +212,7 @@ mod tests {
         let w = StudyCalendar::year(2017);
         for issue in gen().generate(w) {
             assert_eq!(
-                parse_device_type(&issue.device_name).unwrap(),
+                parse_device_type(&issue.device_name().to_string()).unwrap(),
                 issue.device_type
             );
         }
@@ -249,6 +270,16 @@ mod tests {
         );
         let trace = t.trace.snapshot();
         assert_eq!(trace.seen, bare.len() as u64);
+        let retained = trace.head.iter().chain(&trace.tail);
+        let issues = bare.iter().take(trace.head.len());
+        let issues = issues.chain(&bare[bare.len() - trace.tail.len()..]);
+        for (event, issue) in retained.zip(issues) {
+            let expected = format!("{}: {}", issue.device_name(), issue.root_cause);
+            assert_eq!(
+                (event.at_secs, event.detail.as_str()),
+                (issue.at.as_secs(), &*expected)
+            );
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod hazard;
 pub mod root_cause;
 pub mod wearout;
 
-pub use generator::{IssueGenerator, RawIssue};
+pub use generator::{device_name_of_word, IssueGenerator, RawIssue};
 pub use growth::FleetGrowth;
 pub use hazard::HazardModel;
 pub use root_cause::{RootCause, RootCauseModel};

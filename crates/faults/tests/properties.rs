@@ -89,7 +89,7 @@ proptest! {
         prop_assert!(issues.windows(2).all(|p| p[0].at <= p[1].at), "sorted");
         for issue in &issues {
             prop_assert!(window.contains(issue.at));
-            prop_assert_eq!(parse_device_type(&issue.device_name).unwrap(), issue.device_type);
+            prop_assert_eq!(parse_device_type(&issue.device_name().to_string()).unwrap(), issue.device_type);
         }
     }
 

@@ -20,7 +20,9 @@
 
 use crate::action::{ActionModel, RemediationAction};
 use crate::policy::RepairPolicy;
-use dcnr_faults::{calibration::MANUAL_ESCALATION_PROB, HazardModel, RawIssue};
+use dcnr_faults::{
+    calibration::MANUAL_ESCALATION_PROB, device_name_of_word, HazardModel, RawIssue,
+};
 use dcnr_sim::{stream_rng, SimDuration, SimTime};
 use dcnr_telemetry::CounterFamily;
 use dcnr_topology::DeviceType;
@@ -228,13 +230,17 @@ impl TriageTelemetry {
         let kind = match outcome {
             RemediationOutcome::AutoRepaired(r) => {
                 self.actions.inc(r.action as usize);
-                dcnr_telemetry::trace_event(r.issue.at.as_secs(), "repair_dispatch", |d| {
-                    let _ = write!(
-                        d,
-                        "{}: {} (priority {})",
-                        r.issue.device_name, r.action, r.priority
-                    );
-                });
+                dcnr_telemetry::trace_event(
+                    r.issue.at.as_secs(),
+                    "repair_dispatch",
+                    [
+                        r.issue.device_word(),
+                        r.action as u64,
+                        u64::from(r.priority),
+                        0,
+                    ],
+                    write_repair_dispatch,
+                );
                 0
             }
             RemediationOutcome::ManuallyResolved { .. } => 1,
@@ -242,6 +248,13 @@ impl TriageTelemetry {
         };
         self.outcomes.inc(kind);
     }
+}
+
+/// Writes a `repair_dispatch` detail: `[device word, action, priority]`.
+fn write_repair_dispatch([device, action, priority, _]: [u64; 4], d: &mut String) {
+    let action = RemediationAction::ALL[action as usize];
+    let device = device_name_of_word(device);
+    let _ = write!(d, "{device}: {action} (priority {priority})");
 }
 
 #[cfg(test)]
@@ -254,7 +267,7 @@ mod tests {
         RawIssue {
             at: SimTime::from_date(year, 6, 15).unwrap(),
             device_type: t,
-            device_name: format!("{}.dc01.c000.u0000", t.name_prefix()),
+            unit: 0,
             root_cause: RootCause::Hardware,
         }
     }

@@ -141,7 +141,7 @@ mod tests {
                     at: SimTime::from_date(2017, 6, 1).unwrap()
                         + dcnr_sim::SimDuration::from_secs(i as u64),
                     device_type: t,
-                    device_name: format!("{}.dc01.c000.u{:04}", t.name_prefix(), i % 100),
+                    unit: (i % 100) as u32,
                     root_cause: RootCause::Hardware,
                 })
             })

@@ -62,7 +62,7 @@ proptest! {
         let issue = RawIssue {
             at: SimTime::from_date(year, 6, 1).unwrap(),
             device_type: t,
-            device_name: format!("{}.dc01.c000.u0000", t.name_prefix()),
+            unit: 0,
             root_cause: RootCause::Hardware,
         };
         let automation_possible = t.has_automated_repair() && year >= 2013;
@@ -95,7 +95,7 @@ proptest! {
                 engine.triage(RawIssue {
                     at: base + SimDuration::from_secs(i as u64),
                     device_type: t,
-                    device_name: format!("{}.dc01.c000.u{:04}", t.name_prefix(), i),
+                    unit: i as u32,
                     root_cause: RootCause::Maintenance,
                 })
             })

@@ -10,9 +10,10 @@
 
 use crate::emergent::EmergentSeverityModel;
 use crate::resolution::ResolutionModel;
+use dcnr_faults::device_name_of_word;
 use dcnr_remediation::RemediationOutcome;
 use dcnr_sev::{SevDb, SevLevel};
-use dcnr_sim::stream_rng;
+use dcnr_sim::{stream_rng, SimDuration};
 use dcnr_telemetry::CounterFamily;
 use rand::rngs::StdRng;
 use std::fmt::Write;
@@ -59,10 +60,10 @@ impl SevGenerator {
             let severity = self.severity.sample(&mut self.rng, issue.device_type);
             let year = issue.at.year();
             let duration = self.resolution.sample(&mut self.rng, year, severity);
+            let device_name = issue.device_name().to_string();
             let impact = format!(
-                "{} on {}: service-level impact{}",
+                "{} on {device_name}: service-level impact{}",
                 issue.root_cause,
-                issue.device_name,
                 if *automation_attempted {
                     " (automated repair failed)"
                 } else {
@@ -73,18 +74,24 @@ impl SevGenerator {
             // observation only.
             if sevs.active() {
                 sevs.inc(severity as usize);
-                let opened = issue.at;
                 let closed = issue.at + duration;
-                dcnr_telemetry::trace_event(opened.as_secs(), "sev_open", |d| {
-                    let _ = write!(d, "{severity} on {}", issue.device_name);
-                });
-                dcnr_telemetry::trace_event(closed.as_secs(), "sev_close", |d| {
-                    let _ = write!(d, "{severity} on {} after {duration}", issue.device_name);
-                });
+                let payload = [issue.device_word(), severity as u64, duration.as_secs(), 0];
+                dcnr_telemetry::trace_event(
+                    issue.at.as_secs(),
+                    "sev_open",
+                    payload,
+                    write_sev_open,
+                );
+                dcnr_telemetry::trace_event(
+                    closed.as_secs(),
+                    "sev_close",
+                    payload,
+                    write_sev_close,
+                );
             }
             db.insert(
                 severity,
-                issue.device_name.clone(),
+                device_name,
                 vec![issue.root_cause],
                 issue.at,
                 issue.at + duration,
@@ -94,6 +101,18 @@ impl SevGenerator {
         }
         created
     }
+}
+
+/// Writes a `sev_open` detail: `[device word, severity, ..]`.
+fn write_sev_open([device, severity, ..]: [u64; 4], d: &mut String) {
+    let severity = SevLevel::ALL[severity as usize];
+    let _ = write!(d, "{severity} on {}", device_name_of_word(device));
+}
+
+/// Writes a `sev_close` detail: `[device word, severity, duration]`.
+fn write_sev_close(payload: [u64; 4], d: &mut String) {
+    write_sev_open(payload, d);
+    let _ = write!(d, " after {}", SimDuration::from_secs(payload[2]));
 }
 
 #[cfg(test)]
@@ -194,7 +213,7 @@ mod tests {
         let issue = dcnr_faults::RawIssue {
             at: dcnr_sim::SimTime::from_date(2017, 1, 1).unwrap(),
             device_type: DeviceType::Rsw,
-            device_name: "rsw.dc01.c000.u0000".into(),
+            unit: 0,
             root_cause: dcnr_faults::RootCause::Hardware,
         };
         let outcomes = vec![RemediationOutcome::ManuallyResolved { issue }];

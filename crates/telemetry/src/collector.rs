@@ -3,19 +3,19 @@
 //!
 //! Instrumented code calls the free functions below unconditionally;
 //! with no collector installed each call is a thread-local check and an
-//! early return that never runs its trace-detail writer. Per-event hot
-//! loops instead resolve their counters once per stage call (a
-//! [`CounterFamily`], or [`counter`] for a single series) and bump them
-//! with one atomic add; trace details are written into buffers the
-//! trace owns and reuses (see [`TraceBuffer::record`]). A caller that
-//! wants telemetry installs a handle — usually through the RAII
-//! [`installed`] guard — runs the workload, and snapshots the
+//! early return. Per-event hot loops instead resolve their counters
+//! once per stage call (a [`CounterFamily`], or [`counter`] for a
+//! single series) and bump them with one atomic add; a trace event is
+//! recorded as a fixed-size payload and formatted only if it is still
+//! retained when the trace is snapshotted (see [`TraceBuffer::record`]).
+//! A caller that wants telemetry installs a handle — usually through
+//! the RAII [`installed`] guard — runs the workload, and snapshots the
 //! registry/trace afterwards. Sweep replicas each install a **fresh**
 //! instance on their worker thread, so attribution is exact and merging
 //! is an explicit, ordered post-join step.
 
 use crate::metrics::{Counter, MetricsSnapshot, Registry, DURATION_BOUNDS_MICROS};
-use crate::trace::{TraceBuffer, TraceSnapshot};
+use crate::trace::{DetailWriter, TraceBuffer, TracePayload, TraceSnapshot};
 use crate::PHASE_HISTOGRAM;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -174,12 +174,12 @@ pub fn observe_micros(name: &str, labels: &[(&str, &str)], micros: u64) {
     });
 }
 
-/// Records a sim-time trace event whose detail text `detail` writes
-/// into a buffer the trace owns. `detail` runs only when a collector is
-/// installed and its trace retains events, so instrumented hot loops
-/// pay no formatting when telemetry is off.
-pub fn trace_event(at_secs: u64, kind: &'static str, detail: impl FnOnce(&mut String)) {
-    with(|t| t.trace.record(at_secs, kind, detail));
+/// Records a sim-time trace event whose detail `write` formats from
+/// `payload`. No-op without a collector; with one, `write` runs only
+/// for events the trace still retains when it is snapshotted, so
+/// instrumented hot loops pay no formatting.
+pub fn trace_event(at_secs: u64, kind: &'static str, payload: TracePayload, write: DetailWriter) {
+    with(|t| t.trace.record(at_secs, kind, payload, write));
 }
 
 /// A wall-clock phase timer. On drop it records the elapsed time (in
@@ -241,9 +241,9 @@ mod tests {
         counter_add("nope_total", &[], 3);
         gauge_add("nope", &[], -1);
         observe_micros("nope_micros", &[], 5);
-        let mut built = false;
-        trace_event(0, "test", |_| built = true);
-        assert!(!built, "detail closure must not run when inactive");
+        trace_event(0, "test", [0; 4], |_, _| {
+            panic!("detail writer must not run when inactive")
+        });
         assert!(current().is_none());
     }
 
@@ -254,7 +254,7 @@ mod tests {
             let _guard = installed(t.clone());
             assert!(active());
             counter_add("seen_total", &[], 2);
-            trace_event(7, "test", |d| d.push('x'));
+            trace_event(7, "test", [0; 4], |_, d| d.push('x'));
             // Nested scope: inner handle wins, outer restored after.
             let inner = Telemetry::new_handle();
             {
@@ -271,7 +271,10 @@ mod tests {
         let (metrics, trace) = t.snapshots();
         assert_eq!(metrics.counter_value("seen_total", &[]), 3);
         assert_eq!(trace.seen, 1);
-        assert_eq!(trace.head[0].at_secs, 7);
+        assert_eq!(
+            (trace.head[0].at_secs, trace.head[0].detail.as_str()),
+            (7, "x")
+        );
     }
 
     #[test]

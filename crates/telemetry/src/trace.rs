@@ -9,12 +9,23 @@
 //! run-to-run.
 //!
 //! Events carry sim time as plain `u64` seconds since the study epoch;
-//! this crate deliberately knows nothing about `SimTime`.
+//! this crate deliberately knows nothing about `SimTime`. An event's
+//! detail is recorded unformatted, as a [`TracePayload`] plus the
+//! [`DetailWriter`] that formats it, and only the retained events are
+//! ever formatted, when a snapshot is taken.
 
 use std::sync::{Mutex, PoisonError};
 
 /// Default per-half retention (first 256 + last 256 events).
 pub const DEFAULT_TRACE_CAPACITY: usize = 256;
+
+/// The unformatted detail of a trace event: a few plain words that the
+/// event's [`DetailWriter`] turns into text.
+pub type TracePayload = [u64; 4];
+
+/// Writes the detail text a [`TracePayload`] encodes. A plain `fn`, so
+/// a retained slot holds it without allocating or borrowing anything.
+pub type DetailWriter = fn(TracePayload, &mut String);
 
 /// One structured trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,24 +39,33 @@ pub struct TraceEvent {
     pub detail: String,
 }
 
-impl TraceEvent {
-    fn written(at_secs: u64, kind: &'static str, detail: impl FnOnce(&mut String)) -> Self {
-        let mut text = String::new();
-        detail(&mut text);
-        Self {
-            at_secs,
-            kind,
-            detail: text,
+/// A retained event before formatting.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    at_secs: u64,
+    kind: &'static str,
+    payload: TracePayload,
+    write: DetailWriter,
+}
+
+impl Slot {
+    fn event(&self) -> TraceEvent {
+        let mut detail = String::new();
+        (self.write)(self.payload, &mut detail);
+        TraceEvent {
+            at_secs: self.at_secs,
+            kind: self.kind,
+            detail,
         }
     }
 }
 
 #[derive(Debug)]
 struct TraceInner {
-    head: Vec<TraceEvent>,
+    head: Vec<Slot>,
     /// A ring of the latest events after the head; once full, `oldest`
     /// is the slot the next event overwrites.
-    tail: Vec<TraceEvent>,
+    tail: Vec<Slot>,
     oldest: usize,
     seen: u64,
     capacity: usize,
@@ -79,37 +99,51 @@ impl TraceBuffer {
         }
     }
 
-    /// Records one event whose detail text `detail` writes into the
-    /// buffer it is given. Once the tail ring is full, each event reuses
-    /// the slot, and the detail buffer, of the event it evicts, so it
-    /// allocates only when its detail outgrows that buffer. At capacity
-    /// 0 `detail` never runs. It runs under the buffer's lock, so it
-    /// must not record events.
-    pub fn record(&self, at_secs: u64, kind: &'static str, detail: impl FnOnce(&mut String)) {
+    /// Records one event whose detail `write` formats from `payload`.
+    /// Nothing is formatted here: the slot keeps the payload and the
+    /// writer, and [`snapshot`](Self::snapshot) runs the writer of each
+    /// retained event. Once the tail ring is full, each event overwrites
+    /// the slot of the event it evicts.
+    pub fn record(
+        &self,
+        at_secs: u64,
+        kind: &'static str,
+        payload: TracePayload,
+        write: DetailWriter,
+    ) {
+        let slot = Slot {
+            at_secs,
+            kind,
+            payload,
+            write,
+        };
         let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let inner = &mut *guard;
         inner.seen += 1;
         if inner.head.len() < inner.capacity {
-            inner.head.push(TraceEvent::written(at_secs, kind, detail));
+            inner.head.push(slot);
         } else if inner.tail.len() < inner.capacity {
-            inner.tail.push(TraceEvent::written(at_secs, kind, detail));
-        } else if let Some(slot) = inner.tail.get_mut(inner.oldest) {
-            slot.at_secs = at_secs;
-            slot.kind = kind;
-            slot.detail.clear();
-            detail(&mut slot.detail);
+            inner.tail.push(slot);
+        } else if let Some(evicted) = inner.tail.get_mut(inner.oldest) {
+            *evicted = slot;
             inner.oldest = (inner.oldest + 1) % inner.capacity;
         }
     }
 
-    /// Freezes the current contents.
+    /// Freezes the current contents, formatting the detail of each
+    /// retained event (and of no other). The writers run after the
+    /// buffer's lock is released.
     pub fn snapshot(&self) -> TraceSnapshot {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let (newer, older) = inner.tail.split_at(inner.oldest);
+        let (head, tail, seen) = {
+            let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            let (newer, older) = inner.tail.split_at(inner.oldest);
+            let tail: Vec<Slot> = older.iter().chain(newer).copied().collect();
+            (inner.head.clone(), tail, inner.seen)
+        };
         TraceSnapshot {
-            head: inner.head.clone(),
-            tail: older.iter().chain(newer).cloned().collect(),
-            seen: inner.seen,
+            head: head.iter().map(Slot::event).collect(),
+            tail: tail.iter().map(Slot::event).collect(),
+            seen,
         }
     }
 }
@@ -151,11 +185,14 @@ impl TraceSnapshot {
 mod tests {
     use super::*;
     use std::fmt::Write;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn write_index([i, ..]: TracePayload, d: &mut String) {
+        let _ = write!(d, "e{i}");
+    }
 
     fn record(b: &TraceBuffer, i: u64) {
-        b.record(i, "test", |d| {
-            let _ = write!(d, "e{i}");
-        });
+        b.record(i, "test", [i, 0, 0, 0], write_index);
     }
 
     #[test]
@@ -199,14 +236,49 @@ mod tests {
 
     #[test]
     fn capacity_zero_counts_without_writing() {
+        fn unreachable(_: TracePayload, _: &mut String) {
+            panic!("nothing is retained, so nothing is written")
+        }
         let b = TraceBuffer::with_capacity(0);
         for i in 0..5 {
-            b.record(i, "test", |_| {
-                panic!("nothing is retained, so nothing is written")
-            });
+            b.record(i, "test", [i, 0, 0, 0], unreachable);
         }
         let s = b.snapshot();
         assert!(s.head.is_empty() && s.tail.is_empty());
         assert_eq!((s.seen, s.dropped()), (5, 5));
+    }
+
+    #[test]
+    fn details_are_formatted_only_at_snapshot_time() {
+        static WRITES: AtomicUsize = AtomicUsize::new(0);
+        fn counted([i, ..]: TracePayload, d: &mut String) {
+            WRITES.fetch_add(1, Ordering::Relaxed);
+            let _ = write!(d, "e{i}");
+        }
+        let b = TraceBuffer::with_capacity(4);
+        for i in 0..10_000 {
+            b.record(i, "test", [i, 0, 0, 0], counted);
+        }
+        assert_eq!(
+            WRITES.load(Ordering::Relaxed),
+            0,
+            "recording formats nothing"
+        );
+        let s = b.snapshot();
+        assert_eq!(
+            WRITES.load(Ordering::Relaxed),
+            8,
+            "one write per retained event"
+        );
+        let details: Vec<&str> = s
+            .head
+            .iter()
+            .chain(&s.tail)
+            .map(|e| e.detail.as_str())
+            .collect();
+        assert_eq!(
+            details,
+            ["e0", "e1", "e2", "e3", "e9996", "e9997", "e9998", "e9999"]
+        );
     }
 }

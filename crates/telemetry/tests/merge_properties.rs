@@ -5,13 +5,17 @@
 //! registry ("--jobs 1").
 
 use dcnr_telemetry::metrics::{MetricsSnapshot, Registry};
-use dcnr_telemetry::trace::{TraceBuffer, TraceEvent, TraceSnapshot};
+use dcnr_telemetry::trace::{TraceBuffer, TraceEvent, TracePayload, TraceSnapshot};
 use proptest::prelude::*;
 use std::fmt::Write;
 
 const NAMES: [&str; 3] = ["dcnr_a_total", "dcnr_b_total", "dcnr_c_total"];
 const LABELS: [&str; 3] = ["x", "y", "z"];
 const BOUNDS: [u64; 3] = [10, 100, 1000];
+
+fn write_time([t, ..]: TracePayload, d: &mut String) {
+    let _ = write!(d, "t{t}");
+}
 
 /// One abstract instrumentation event, applied identically no matter
 /// which registry it lands on.
@@ -146,9 +150,7 @@ proptest! {
         let snap = |times: &[u64]| -> TraceSnapshot {
             let buf = TraceBuffer::with_capacity(capacity);
             for &t in times {
-                buf.record(t, "p", |d| {
-                    let _ = write!(d, "t{t}");
-                });
+                buf.record(t, "p", [t, 0, 0, 0], write_time);
             }
             buf.snapshot()
         };

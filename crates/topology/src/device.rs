@@ -45,6 +45,19 @@ pub enum DeviceType {
 }
 
 impl DeviceType {
+    /// Every type, in declaration order, so `t as usize` indexes it.
+    pub const ALL: [DeviceType; 9] = [
+        DeviceType::Core,
+        DeviceType::Csa,
+        DeviceType::Csw,
+        DeviceType::Esw,
+        DeviceType::Ssw,
+        DeviceType::Fsw,
+        DeviceType::Rsw,
+        DeviceType::Bbr,
+        DeviceType::Server,
+    ];
+
     /// All intra-datacenter types, in the paper's figure-legend order
     /// (Core, CSA, CSW, ESW, SSW, FSW, RSW).
     pub const INTRA_DC: [DeviceType; 7] = [
@@ -256,12 +269,17 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_every_type_in_declaration_order() {
+        for (i, t) in DeviceType::ALL.into_iter().enumerate() {
+            assert_eq!(t as usize, i, "{t}");
+        }
+        assert_eq!(DeviceType::ALL[..7], DeviceType::INTRA_DC);
+    }
+
+    #[test]
     fn prefixes_are_unique_and_lowercase() {
         let mut seen = std::collections::HashSet::new();
-        for t in DeviceType::INTRA_DC
-            .iter()
-            .chain([DeviceType::Bbr, DeviceType::Server].iter())
-        {
+        for t in DeviceType::ALL {
             let p = t.name_prefix();
             assert!(p.chars().all(|c| c.is_ascii_lowercase()));
             assert!(seen.insert(p), "duplicate prefix {p}");

@@ -65,6 +65,6 @@ pub use fabric::{FabricNetworkBuilder, FabricParams};
 pub use fleet::FleetPlan;
 pub use forwarding::{ForwardingState, ForwardingStats};
 pub use graph::{LinkId, Topology};
-pub use naming::{format_device_name, parse_device_type, NameError};
+pub use naming::{format_device_name, parse_device_type, DeviceName, NameError};
 pub use routing::{BlastRadius, BlastScratch, FailureSet};
 pub use zoo::{ParamSpec, TopologyModel, ZOO};

@@ -13,7 +13,7 @@
 //! intentionally tolerant of everything after the prefix: real SEV
 //! reports contain device names from several generations of conventions.
 
-use crate::device::DeviceType;
+use crate::device::{DeviceType, NetworkDesign};
 use std::fmt;
 
 /// Errors from [`parse_device_type`].
@@ -40,6 +40,7 @@ impl std::error::Error for NameError {}
 ///
 /// Matching is case-insensitive on the prefix only (SEV authors type
 /// names by hand in a hurry). The remainder of the name is not validated.
+/// Only an [`NameError::UnknownPrefix`] allocates.
 ///
 /// # Examples
 ///
@@ -59,23 +60,63 @@ pub fn parse_device_type(name: &str) -> Result<DeviceType, NameError> {
         // No dot at all: not the enforced convention.
         return Err(NameError::Malformed);
     }
-    let lower = prefix.to_ascii_lowercase();
-    for t in DeviceType::INTRA_DC
-        .iter()
-        .chain([DeviceType::Bbr, DeviceType::Server].iter())
-    {
-        if lower == t.name_prefix() {
-            return Ok(*t);
-        }
-    }
-    Err(NameError::UnknownPrefix(prefix.to_string()))
+    DeviceType::ALL
+        .into_iter()
+        .find(|t| prefix.eq_ignore_ascii_case(t.name_prefix()))
+        .ok_or_else(|| NameError::UnknownPrefix(prefix.to_string()))
 }
 
-/// Formats a canonical device name: `<type>.dc<dc:02>.<scope><scope_idx:03>.
-/// <unit_prefix><unit:04>` — e.g. `csw.dc02.c007.u0003`.
+/// A canonical device name, formatted only when displayed:
+/// `<type>.dc<dc:02>.<scope><scope_idx:03>.u<unit:04>` — e.g.
+/// `csw.dc02.c007.u0003`.
 ///
 /// The `scope` letter distinguishes clusters (`c`) from pods (`p`) and
 /// planes (`s`); callers pick what is meaningful for the type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeviceName {
+    device_type: DeviceType,
+    datacenter: u16,
+    scope: char,
+    scope_idx: u32,
+    unit: u32,
+}
+
+impl DeviceName {
+    /// The name of the fleet's `unit`-th device of a type: data centers
+    /// hold up to 4096 devices of a type, scopes up to 64, and the scope
+    /// letter follows the type's design (`c`luster, `p`od, or `x` for
+    /// the shared types).
+    pub fn of_unit(device_type: DeviceType, unit: u32) -> Self {
+        let scope = match device_type.design() {
+            NetworkDesign::Cluster => 'c',
+            NetworkDesign::Fabric => 'p',
+            NetworkDesign::Shared => 'x',
+        };
+        Self {
+            device_type,
+            datacenter: (unit / 4096) as u16,
+            scope,
+            scope_idx: (unit / 64) % 64,
+            unit,
+        }
+    }
+}
+
+impl fmt::Display for DeviceName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}.dc{:02}.{}{:03}.u{:04}",
+            self.device_type.name_prefix(),
+            self.datacenter,
+            self.scope,
+            self.scope_idx,
+            self.unit
+        )
+    }
+}
+
+/// Formats a canonical device name; see [`DeviceName`].
 pub fn format_device_name(
     device_type: DeviceType,
     datacenter: u16,
@@ -83,14 +124,14 @@ pub fn format_device_name(
     scope_idx: u32,
     unit: u32,
 ) -> String {
-    format!(
-        "{}.dc{:02}.{}{:03}.u{:04}",
-        device_type.name_prefix(),
+    DeviceName {
+        device_type,
         datacenter,
         scope,
         scope_idx,
-        unit
-    )
+        unit,
+    }
+    .to_string()
 }
 
 #[cfg(test)]
@@ -156,6 +197,15 @@ mod tests {
         let set: std::collections::HashSet<_> = [&a, &b, &c, &d].into_iter().collect();
         assert_eq!(set.len(), 4);
         assert_eq!(a, "rsw.dc01.c002.u0003");
+    }
+
+    #[test]
+    fn fleet_units_lay_out_by_datacenter_and_scope() {
+        let name = |t, unit| DeviceName::of_unit(t, unit).to_string();
+        assert_eq!(name(DeviceType::Csw, 0), "csw.dc00.c000.u0000");
+        assert_eq!(name(DeviceType::Fsw, 4096 + 65), "fsw.dc01.p001.u4161");
+        assert_eq!(name(DeviceType::Core, 64 * 64), "core.dc01.x000.u4096");
+        assert_eq!(name(DeviceType::Rsw, 12_345), "rsw.dc03.x000.u12345");
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn ablation_changes_only_the_escalation_side() {
     assert_eq!(base.outcomes().len(), ablated.outcomes().len());
     for (a, b) in base.outcomes().iter().zip(ablated.outcomes()) {
         assert_eq!(a.issue().at, b.issue().at, "issue timing must not shift");
-        assert_eq!(a.issue().device_name, b.issue().device_name);
+        assert_eq!(a.issue().device_name(), b.issue().device_name());
     }
 }
 

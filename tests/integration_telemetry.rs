@@ -7,10 +7,13 @@
 //! issue, repair and SEV it recorded.
 
 use dcnr_core::remediation::RemediationOutcome;
+use dcnr_core::sim::SimTime;
 use dcnr_core::telemetry::metrics::Key;
+use dcnr_core::telemetry::trace::TraceBuffer;
 use dcnr_core::telemetry::{installed, Telemetry};
 use dcnr_core::{phase_rows, run_sweep, RunContext, Scenario, ScenarioKind, SweepConfig};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 fn small(kind: ScenarioKind, seed: u64) -> Scenario {
     Scenario {
@@ -151,7 +154,12 @@ fn telemetry_off_records_nothing_and_costs_no_formatting() {
 
 #[test]
 fn intra_counters_and_trace_account_for_every_event_exactly() {
-    let handle = Telemetry::new_handle();
+    // Wide enough that the tail reaches back past the SEV events into
+    // the repair dispatches, so all four intra kinds are retained.
+    let handle = Arc::new(Telemetry {
+        metrics: Default::default(),
+        trace: TraceBuffer::with_capacity(4096),
+    });
     let ctx = RunContext::new(Scenario {
         scale: 0.25,
         ..Scenario::intra(0xACC7)
@@ -201,4 +209,46 @@ fn intra_counters_and_trace_account_for_every_event_exactly() {
     let (issues, sevs) = (study.outcomes().len(), study.db().len());
     assert!(auto_repaired > 0 && sevs > 0);
     assert_eq!(trace.seen, (issues + auto_repaired + 2 * sevs) as u64);
+
+    // Every retained event's detail, rebuilt from the same records and
+    // matched by time and kind (distinct events may share both).
+    let mut details: BTreeMap<(u64, &str), BTreeSet<String>> = BTreeMap::new();
+    let mut expect = |at: SimTime, kind, detail| {
+        details
+            .entry((at.as_secs(), kind))
+            .or_default()
+            .insert(detail);
+    };
+    for outcome in study.outcomes() {
+        let issue = outcome.issue();
+        let name = issue.device_name();
+        let cause = issue.root_cause;
+        expect(issue.at, "device_failure", format!("{name}: {cause}"));
+        if let RemediationOutcome::AutoRepaired(r) = outcome {
+            let (action, priority) = (r.action, r.priority);
+            let detail = format!("{name}: {action} (priority {priority})");
+            expect(issue.at, "repair_dispatch", detail);
+        }
+    }
+    for record in study.db().iter() {
+        let (sev, name) = (record.severity, &record.device_name);
+        let duration = record.resolved_at - record.opened_at;
+        expect(record.opened_at, "sev_open", format!("{sev} on {name}"));
+        let detail = format!("{sev} on {name} after {duration}");
+        expect(record.resolved_at, "sev_close", detail);
+    }
+    let mut kinds = BTreeSet::new();
+    for event in trace.head.iter().chain(&trace.tail) {
+        let expected = details.get(&(event.at_secs, event.kind));
+        assert!(
+            expected.is_some_and(|d| d.contains(&event.detail)),
+            "{event:?} matches no record; expected one of {expected:?}"
+        );
+        kinds.insert(event.kind);
+    }
+    assert!(trace.dropped() > 0, "the ring must have evicted events");
+    assert_eq!(
+        kinds,
+        BTreeSet::from(["device_failure", "repair_dispatch", "sev_close", "sev_open"])
+    );
 }
