@@ -23,6 +23,9 @@ dcnr_unsafe=$(grep -rl --include='*.rs' 'allow(unsafe_code)' crates tests exampl
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (warnings, such as broken intra-doc links, fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo test -q"
 cargo test -q
 

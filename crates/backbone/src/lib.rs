@@ -33,9 +33,6 @@
 //! * [`metrics`] — per-edge / per-vendor / per-continent MTBF & MTTR,
 //!   percentile curves, and least-squares exponential fits with R²
 //!   (Figs. 15–18, Table 4).
-//! * [`optical`] — the layer beneath links (§3.2): circuits made of
-//!   segments carrying wavelength channels, with partial-failure
-//!   capacity accounting.
 //! * [`planning`] — conditional-risk capacity planning: "We plan edge
 //!   and link capacity to tolerate the 99.99th percentile of conditional
 //!   risk" (§6.1).
@@ -48,7 +45,6 @@ pub mod failure_model;
 pub mod geo;
 pub mod metrics;
 pub mod models;
-pub mod optical;
 pub mod planning;
 pub mod sim;
 pub mod ticket;
@@ -61,7 +57,6 @@ pub use failure_model::EntityTargets;
 pub use geo::Continent;
 pub use metrics::{BackboneMetrics, ContinentRow};
 pub use models::PaperModels;
-pub use optical::LinkOptics;
 pub use sim::{BackboneSim, BackboneSimConfig};
 pub use ticket::{Ticket, TicketDb, TicketKind};
 pub use topo::{BackboneTopology, EdgeNodeId, FiberLinkId};

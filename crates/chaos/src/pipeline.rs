@@ -16,7 +16,7 @@
 //! once, waits out its backoff, and succeeds on a later attempt — the
 //! dead-letter queue is what makes the pipeline self-healing rather
 //! than merely lossy. Whatever cannot be healed is quarantined and
-//! handed to [`reconcile`](crate::reconcile::reconcile).
+//! handed to [`reconcile`].
 
 use crate::config::ChaosConfig;
 use crate::dead_letter::{DeadLetterQueue, QuarantineReason};

@@ -1,11 +1,12 @@
 //! The artifact registry: one descriptor per paper table/figure.
 //!
-//! Each [`Artifact`] names its experiment id, the study it pulls from,
-//! the paper's baseline values (as prose, for reports and docs), and a
-//! render function that reads the **shared** [`RunContext`] — never
-//! re-running a pipeline. The registry replaces the old 700-line
-//! `Experiment` enum-match: adding an artifact is now adding one row
-//! here, and the run-plan layer derives required studies from it.
+//! Each [`Artifact`] names its experiment id, key and title, the study
+//! it pulls from, the paper's baseline values (as prose, for reports and
+//! docs), and a render function that reads the **shared**
+//! [`RunContext`] — never re-running a pipeline. This is the one
+//! artifact list: adding an artifact is adding an [`Experiment`] variant
+//! and its row here, and the run-plan layer derives required studies
+//! from it.
 
 use crate::error::DcnrError;
 use crate::experiments::{Comparison, Experiment, ExperimentOutcome};
@@ -21,8 +22,15 @@ use std::fmt::Write as _;
 
 /// One paper artifact: identity, provenance, baseline, renderer.
 pub struct Artifact {
-    /// The experiment this artifact reproduces.
+    /// The experiment this artifact reproduces; `id as usize` is this
+    /// row's index in [`registry`].
     pub id: Experiment,
+    /// Short stable id (`fig15`, `surv.lifespan`): what `dcnr artifact`
+    /// and `/artifacts/{id}` resolve, and the prefix of flattened
+    /// comparison metric names.
+    pub key: &'static str,
+    /// Title line printed above the rendered artifact.
+    pub title: &'static str,
     /// Which study's cached output it reads.
     pub study: StudyKind,
     /// The paper's reported baseline, as prose.
@@ -31,18 +39,16 @@ pub struct Artifact {
     pub render: fn(&RunContext) -> ExperimentOutcome,
 }
 
-/// Every artifact, in paper order (same order as [`Experiment::ALL`]).
+/// Every artifact, in paper order (the [`Experiment`] declaration
+/// order).
 pub fn registry() -> &'static [Artifact; 25] {
     &REGISTRY
 }
 
-/// The descriptor for `e`. Every experiment is registered; the
-/// registry test enforces the bijection.
+/// The descriptor for `e`: row `e as usize` of the registry, which the
+/// registry test checks for every row.
 pub fn descriptor(e: Experiment) -> &'static Artifact {
-    REGISTRY
-        .iter()
-        .find(|a| a.id == e)
-        .expect("every experiment has exactly one registered artifact")
+    &REGISTRY[e as usize]
 }
 
 /// Resolves an artifact id (`fig15`, `surv.lifespan`). An unknown id is
@@ -52,10 +58,10 @@ pub fn descriptor(e: Experiment) -> &'static Artifact {
 pub fn lookup(id: &str) -> Result<Experiment, DcnrError> {
     REGISTRY
         .iter()
-        .find(|a| a.id.key() == id)
+        .find(|a| a.key == id)
         .map(|a| a.id)
         .ok_or_else(|| {
-            let valid: Vec<&str> = REGISTRY.iter().map(|a| a.id.key()).collect();
+            let valid: Vec<&str> = REGISTRY.iter().map(|a| a.key).collect();
             DcnrError::Usage(format!(
                 "unknown artifact {id:?} (valid: {})",
                 valid.join(", ")
@@ -107,6 +113,8 @@ pub fn render_block(out: &ExperimentOutcome) -> String {
 static REGISTRY: [Artifact; 25] = [
     Artifact {
         id: Experiment::Table1,
+        key: "table1",
+        title: "Table 1: automated repair ratio/priority/wait/repair time",
         study: StudyKind::Intra,
         paper_baseline: "automated repair ratio Core 75% / FSW 99.5% / RSW 99.7%; \
                          RSW avg wait 1 d, avg repair 2.91 s",
@@ -114,6 +122,8 @@ static REGISTRY: [Artifact; 25] = [
     },
     Artifact {
         id: Experiment::Table2,
+        key: "table2",
+        title: "Table 2: root causes of intra-DC incidents",
         study: StudyKind::Intra,
         paper_baseline: "maintenance 17%, hardware 13%, misconfiguration 13%, bug 12%, \
                          undetermined 29% of intra-DC SEVs",
@@ -121,6 +131,8 @@ static REGISTRY: [Artifact; 25] = [
     },
     Artifact {
         id: Experiment::Fig2,
+        key: "fig2",
+        title: "Fig. 2: root-cause distribution by device type",
         study: StudyKind::Intra,
         paper_baseline: "ESWs record no bug-rooted SEVs; core devices dominate \
                          maintenance-rooted SEVs",
@@ -128,6 +140,8 @@ static REGISTRY: [Artifact; 25] = [
     },
     Artifact {
         id: Experiment::Fig3,
+        key: "fig3",
+        title: "Fig. 3: incident rate per device type per year",
         study: StudyKind::Intra,
         paper_baseline: "CSA rate 1.7 (2013) and 1.5 (2014); Core/RSW 2017 rates \
                          anchored to MTBI calibration",
@@ -135,96 +149,128 @@ static REGISTRY: [Artifact; 25] = [
     },
     Artifact {
         id: Experiment::Fig4,
+        key: "fig4",
+        title: "Fig. 4: SEV levels by device type (2017)",
         study: StudyKind::Intra,
         paper_baseline: "2017 SEV shares: SEV3 82%, SEV2 13%, SEV1 5%",
         render: fig4,
     },
     Artifact {
         id: Experiment::Fig5,
+        key: "fig5",
+        title: "Fig. 5: SEV rate per device over time",
         study: StudyKind::Intra,
         paper_baseline: "SEV3 per-device rate peaks mid-study, not in 2017",
         render: fig5,
     },
     Artifact {
         id: Experiment::Fig6,
+        key: "fig6",
+        title: "Fig. 6: switches vs employees",
         study: StudyKind::Intra,
         paper_baseline: "switch count grows linearly with employees (Pearson r ≈ 1)",
         render: fig6,
     },
     Artifact {
         id: Experiment::Fig7,
+        key: "fig7",
+        title: "Fig. 7: fraction of incidents by device type",
         study: StudyKind::Intra,
         paper_baseline: "2017 incident shares: Core 66%, RSW 20%, FSW 8%, ESW 3%, SSW 2%",
         render: fig7,
     },
     Artifact {
         id: Experiment::Fig8,
+        key: "fig8",
+        title: "Fig. 8: incidents normalized to 2017 total",
         study: StudyKind::Intra,
         paper_baseline: "total SEVs grew 9.4× from 2011 to 2017",
         render: fig8,
     },
     Artifact {
         id: Experiment::Fig9,
+        key: "fig9",
+        title: "Fig. 9: incidents by network design",
         study: StudyKind::Intra,
         paper_baseline: "fabric incidents ≈ half of cluster incidents in 2017",
         render: fig9,
     },
     Artifact {
         id: Experiment::Fig10,
+        key: "fig10",
+        title: "Fig. 10: incidents per device by network design",
         study: StudyKind::Intra,
         paper_baseline: "cluster per-device incident rate ≈ 3.2× fabric in 2017",
         render: fig10,
     },
     Artifact {
         id: Experiment::Fig11,
+        key: "fig11",
+        title: "Fig. 11: population breakdown by device type",
         study: StudyKind::Intra,
         paper_baseline: "RSWs ≈ 90% of the 2017 fleet; no FSWs before the fabric rollout",
         render: fig11,
     },
     Artifact {
         id: Experiment::Fig12,
+        key: "fig12",
+        title: "Fig. 12: mean time between incidents",
         study: StudyKind::Intra,
         paper_baseline: "2017 MTBI: Core ≈ 39,495 h, RSW ≈ 9.5 Mh; fabric/cluster ≈ 3.2×",
         render: fig12,
     },
     Artifact {
         id: Experiment::Fig13,
+        key: "fig13",
+        title: "Fig. 13: p75 incident resolution time",
         study: StudyKind::Intra,
         paper_baseline: "p75 incident resolution time grew across device types 2011→2017",
         render: fig13,
     },
     Artifact {
         id: Experiment::Fig14,
+        key: "fig14",
+        title: "Fig. 14: p75IRT vs fleet size",
         study: StudyKind::Intra,
         paper_baseline: "p75IRT correlates positively with normalized fleet size",
         render: fig14,
     },
     Artifact {
         id: Experiment::Fig15,
+        key: "fig15",
+        title: "Fig. 15: edge MTBF percentile curve",
         study: StudyKind::Backbone,
         paper_baseline: "edge MTBF(p) = 462.88·e^{2.3408p} h, R² = 0.94",
         render: fig15,
     },
     Artifact {
         id: Experiment::Fig16,
+        key: "fig16",
+        title: "Fig. 16: edge MTTR percentile curve",
         study: StudyKind::Backbone,
         paper_baseline: "edge MTTR(p) = 1.23·e^{1.0741p} h, R² = 0.87",
         render: fig16,
     },
     Artifact {
         id: Experiment::Fig17,
+        key: "fig17",
+        title: "Fig. 17: vendor MTBF percentile curve",
         study: StudyKind::Backbone,
         paper_baseline: "vendor MTBF(p) = 336.51·e^{3.4371p} h, R² = 0.87",
         render: fig17,
     },
     Artifact {
         id: Experiment::Fig18,
+        key: "fig18",
+        title: "Fig. 18: vendor MTTR percentile curve",
         study: StudyKind::Backbone,
         paper_baseline: "vendor MTTR(p) = 2.32·e^{1.1072p} h, R² = 0.61",
         render: fig18,
     },
     Artifact {
         id: Experiment::Table4,
+        key: "table4",
+        title: "Table 4: edge reliability by continent",
         study: StudyKind::Backbone,
         paper_baseline: "edge share / MTBF / MTTR per continent; North America carries \
                          the largest edge share",
@@ -232,6 +278,8 @@ static REGISTRY: [Artifact; 25] = [
     },
     Artifact {
         id: Experiment::RoutesCapacity,
+        key: "routes.capacity",
+        title: "routes.capacity: ECMP capacity loss by device type",
         study: StudyKind::Routes,
         paper_baseline: "forwarding-state reachability exactly equals BFS; ECMP \
                          fractions sum to 1; scratch blast sweep matches the \
@@ -240,6 +288,8 @@ static REGISTRY: [Artifact; 25] = [
     },
     Artifact {
         id: Experiment::RoutesSeverityMix,
+        key: "routes.severity_mix",
+        title: "routes.severity_mix: emergent SEV mix vs Table 3 (82/13/5)",
         study: StudyKind::Routes,
         paper_baseline: "2017 SEV shares emerge as SEV3 82%, SEV2 13%, SEV1 5% \
                          (±0.05) with no Table 3 sampling on the intra-DC path",
@@ -247,6 +297,8 @@ static REGISTRY: [Artifact; 25] = [
     },
     Artifact {
         id: Experiment::RoutesWorkload,
+        key: "routes.workload",
+        title: "routes.workload: degradation under k failures (cf. arXiv:1808.06115)",
         study: StudyKind::Routes,
         paper_baseline: "job slowdown stays >= 1 and the failed-job fraction grows \
                          monotonically with concurrent failures (cf. arXiv:1808.06115 §5)",
@@ -254,6 +306,8 @@ static REGISTRY: [Artifact; 25] = [
     },
     Artifact {
         id: Experiment::SurvRanking,
+        key: "surv.ranking",
+        title: "surv.ranking: zoo survivability vs failed fraction (cf. arXiv:1510.02735)",
         study: StudyKind::Survivability,
         paper_baseline: "server-centric designs out-survive switch-centric ones under \
                          switch failures and the ranking inverts under server failures \
@@ -262,6 +316,8 @@ static REGISTRY: [Artifact; 25] = [
     },
     Artifact {
         id: Experiment::SurvLifespan,
+        key: "surv.lifespan",
+        title: "surv.lifespan: Monte-Carlo fleet lifespan (cf. arXiv:1401.7528)",
         study: StudyKind::Survivability,
         paper_baseline: "Monte-Carlo element lifetimes yield smoothly decaying fleet \
                          capacity with seed-to-seed bands (arXiv:1401.7528 §III)",
@@ -915,12 +971,18 @@ mod tests {
     }
 
     #[test]
-    fn every_experiment_has_exactly_one_artifact() {
-        for e in Experiment::ALL {
-            let matches = registry().iter().filter(|a| a.id == e).count();
-            assert_eq!(matches, 1, "{e} must have exactly one descriptor");
+    fn every_registry_key_resolves_to_its_own_row() {
+        for (i, a) in registry().iter().enumerate() {
+            assert_eq!(
+                a.id as usize, i,
+                "{} is declared out of registry order",
+                a.key
+            );
+            assert!(std::ptr::eq(descriptor(a.id), a), "{}", a.key);
+            assert_eq!(lookup(a.key).unwrap(), a.id, "{}", a.key);
+            let dups = registry().iter().filter(|b| b.key == a.key).count();
+            assert_eq!(dups, 1, "{} is the key of {dups} rows", a.key);
         }
-        assert_eq!(registry().len(), Experiment::ALL.len());
     }
 
     #[test]
@@ -932,12 +994,6 @@ mod tests {
                 a.id
             );
         }
-    }
-
-    #[test]
-    fn registry_order_matches_paper_order() {
-        let ids: Vec<Experiment> = registry().iter().map(|a| a.id).collect();
-        assert_eq!(ids, Experiment::ALL.to_vec());
     }
 
     #[test]

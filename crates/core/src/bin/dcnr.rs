@@ -437,9 +437,13 @@ fn cmd_sweep(
         faults: FaultPlan::from_env()?,
     };
 
+    // Reject bad settings before the progress line states them.
+    config.check().map_err(DcnrError::Config)?;
     logger::info(format!(
         "sweeping {} scenario: {} seeds on {} workers...",
-        config.base.kind, config.seeds, jobs
+        config.base.kind,
+        config.seeds,
+        config.jobs.min(config.seeds as usize)
     ));
     let started = Instant::now();
     let out = run_supervised(config, &sup)?;
@@ -591,7 +595,7 @@ fn cmd_artifact(mut argv: Vec<String>) -> Result<(), DcnrError> {
     if argv.first().map(String::as_str) == Some("--list") {
         ArgScanner::new(argv.split_off(1)).finish()?;
         for a in artifacts::registry() {
-            println!("{:<22} {}", a.id.key(), a.id.title());
+            println!("{:<22} {}", a.key, a.title);
             println!("{:<22} paper: {}", "", a.paper_baseline);
         }
         return Ok(());

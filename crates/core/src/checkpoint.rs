@@ -249,7 +249,8 @@ impl Manifest {
     /// `jobs` is caller-chosen (it never affects results). Fails with a
     /// named error when the rebuilt scenario's `Debug` rendering does
     /// not reproduce `scenario_debug` — the manifest predates a
-    /// scenario knob this build has.
+    /// scenario knob this build has — or when the stored settings fail
+    /// [`SweepConfig::check`].
     pub fn to_config(&self, jobs: usize) -> Result<SweepConfig, DcnrError> {
         let mut base = Scenario {
             kind: self.kind,
@@ -287,13 +288,22 @@ impl Manifest {
                     .into(),
             });
         }
-        Ok(SweepConfig {
+        let config = SweepConfig {
             base,
             seeds: self.seeds,
             jobs,
             resamples: self.resamples,
             confidence: self.confidence,
-        })
+        };
+        // The manifest stores no worker count: `jobs` is the caller's,
+        // and `run_supervised` checks it as a flag.
+        SweepConfig { jobs: 1, ..config }
+            .check()
+            .map_err(|message| DcnrError::Checkpoint {
+                path: "manifest.json".into(),
+                message,
+            })?;
+        Ok(config)
     }
 
     /// Requires `self` (the stored manifest) to describe the same sweep
@@ -517,6 +527,26 @@ mod tests {
         let err = alien.to_config(1).unwrap_err();
         assert_eq!(err.kind(), "checkpoint");
         assert!(err.to_string().contains("hypercube"), "{err}");
+    }
+
+    #[test]
+    fn manifest_settings_that_fail_the_sweep_check_are_checkpoint_errors() {
+        let good = Manifest::from_config(&SweepConfig::new(Scenario::backbone(3), 2, 1));
+        let mut zero_seeds = good.clone();
+        zero_seeds.seeds = 0;
+        let mut zero_resamples = good.clone();
+        zero_resamples.resamples = 0;
+        let mut wide = good.clone();
+        wide.confidence = 1.5;
+        let mut nan = good.clone();
+        nan.confidence = f64::NAN;
+        for bad in [zero_seeds, zero_resamples, wide, nan] {
+            let err = bad.to_config(2).unwrap_err();
+            assert_eq!(err.kind(), "checkpoint", "{err}");
+        }
+        // The worker count is the caller's, checked as a flag by the
+        // sweep runner, never blamed on the manifest.
+        assert_eq!(good.to_config(0).unwrap().jobs, 0);
     }
 
     #[test]

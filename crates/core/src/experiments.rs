@@ -1,24 +1,24 @@
 //! The per-experiment index: every table and figure as a named
 //! artifact identity with paper-vs-measured comparison rows.
 //!
-//! [`Experiment`] is pure metadata — the enum, paper order, and titles.
-//! How an artifact is *rendered* lives in the [`crate::artifacts`]
-//! registry, and what studies it needs is resolved by the scenario
-//! engine ([`crate::scenario`]); this module no longer runs anything.
+//! [`Experiment`] is the artifact identity: one variant per registry
+//! row, in paper order. Its key, title, study and renderer are columns
+//! of the [`crate::artifacts`] registry, and what studies it needs is
+//! resolved by the scenario engine ([`crate::scenario`]); this module
+//! runs nothing.
 
 use crate::artifacts;
-use crate::scenario::StudyKind;
 use std::fmt;
 
-/// One paper artifact (or ablation) to reproduce.
+/// One paper artifact to reproduce. Variants are declared in registry
+/// (paper) order, so `e as usize` is `e`'s row in
+/// [`artifacts::registry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Experiment {
     /// Table 1 — automated repair characteristics.
     Table1,
     /// Table 2 — root-cause distribution.
     Table2,
-    /// Table 4 — edge reliability by continent.
-    Table4,
     /// Fig. 2 — root causes by device type.
     Fig2,
     /// Fig. 3 — incident rate per device type per year.
@@ -53,6 +53,8 @@ pub enum Experiment {
     Fig17,
     /// Fig. 18 — vendor MTTR percentile curve and model.
     Fig18,
+    /// Table 4 — edge reliability by continent.
+    Table4,
     /// `routes.capacity` — ECMP capacity loss by device type.
     RoutesCapacity,
     /// `routes.severity_mix` — emergent SEV mix vs. Table 3's 82/13/5.
@@ -66,111 +68,16 @@ pub enum Experiment {
 }
 
 impl Experiment {
-    /// All experiments in paper order.
-    pub const ALL: [Experiment; 25] = [
-        Experiment::Table1,
-        Experiment::Table2,
-        Experiment::Fig2,
-        Experiment::Fig3,
-        Experiment::Fig4,
-        Experiment::Fig5,
-        Experiment::Fig6,
-        Experiment::Fig7,
-        Experiment::Fig8,
-        Experiment::Fig9,
-        Experiment::Fig10,
-        Experiment::Fig11,
-        Experiment::Fig12,
-        Experiment::Fig13,
-        Experiment::Fig14,
-        Experiment::Fig15,
-        Experiment::Fig16,
-        Experiment::Fig17,
-        Experiment::Fig18,
-        Experiment::Table4,
-        Experiment::RoutesCapacity,
-        Experiment::RoutesSeverityMix,
-        Experiment::RoutesWorkload,
-        Experiment::SurvRanking,
-        Experiment::SurvLifespan,
-    ];
-
-    /// Whether the experiment needs the intra-DC study (vs. backbone),
-    /// as declared by its registry descriptor.
-    pub fn is_intra(self) -> bool {
-        artifacts::descriptor(self).study == StudyKind::Intra
-    }
-
     /// Short stable key, used to qualify metric names when comparisons
     /// from many artifacts are flattened into one list (the backbone
     /// figures all emit "median (h)", "fit a", ... locally).
     pub fn key(self) -> &'static str {
-        match self {
-            Experiment::Table1 => "table1",
-            Experiment::Table2 => "table2",
-            Experiment::Table4 => "table4",
-            Experiment::Fig2 => "fig2",
-            Experiment::Fig3 => "fig3",
-            Experiment::Fig4 => "fig4",
-            Experiment::Fig5 => "fig5",
-            Experiment::Fig6 => "fig6",
-            Experiment::Fig7 => "fig7",
-            Experiment::Fig8 => "fig8",
-            Experiment::Fig9 => "fig9",
-            Experiment::Fig10 => "fig10",
-            Experiment::Fig11 => "fig11",
-            Experiment::Fig12 => "fig12",
-            Experiment::Fig13 => "fig13",
-            Experiment::Fig14 => "fig14",
-            Experiment::Fig15 => "fig15",
-            Experiment::Fig16 => "fig16",
-            Experiment::Fig17 => "fig17",
-            Experiment::Fig18 => "fig18",
-            Experiment::RoutesCapacity => "routes.capacity",
-            Experiment::RoutesSeverityMix => "routes.severity_mix",
-            Experiment::RoutesWorkload => "routes.workload",
-            Experiment::SurvRanking => "surv.ranking",
-            Experiment::SurvLifespan => "surv.lifespan",
-        }
+        artifacts::descriptor(self).key
     }
 
     /// Short title.
     pub fn title(self) -> &'static str {
-        match self {
-            Experiment::Table1 => "Table 1: automated repair ratio/priority/wait/repair time",
-            Experiment::Table2 => "Table 2: root causes of intra-DC incidents",
-            Experiment::Table4 => "Table 4: edge reliability by continent",
-            Experiment::Fig2 => "Fig. 2: root-cause distribution by device type",
-            Experiment::Fig3 => "Fig. 3: incident rate per device type per year",
-            Experiment::Fig4 => "Fig. 4: SEV levels by device type (2017)",
-            Experiment::Fig5 => "Fig. 5: SEV rate per device over time",
-            Experiment::Fig6 => "Fig. 6: switches vs employees",
-            Experiment::Fig7 => "Fig. 7: fraction of incidents by device type",
-            Experiment::Fig8 => "Fig. 8: incidents normalized to 2017 total",
-            Experiment::Fig9 => "Fig. 9: incidents by network design",
-            Experiment::Fig10 => "Fig. 10: incidents per device by network design",
-            Experiment::Fig11 => "Fig. 11: population breakdown by device type",
-            Experiment::Fig12 => "Fig. 12: mean time between incidents",
-            Experiment::Fig13 => "Fig. 13: p75 incident resolution time",
-            Experiment::Fig14 => "Fig. 14: p75IRT vs fleet size",
-            Experiment::Fig15 => "Fig. 15: edge MTBF percentile curve",
-            Experiment::Fig16 => "Fig. 16: edge MTTR percentile curve",
-            Experiment::Fig17 => "Fig. 17: vendor MTBF percentile curve",
-            Experiment::Fig18 => "Fig. 18: vendor MTTR percentile curve",
-            Experiment::RoutesCapacity => "routes.capacity: ECMP capacity loss by device type",
-            Experiment::RoutesSeverityMix => {
-                "routes.severity_mix: emergent SEV mix vs Table 3 (82/13/5)"
-            }
-            Experiment::RoutesWorkload => {
-                "routes.workload: degradation under k failures (cf. arXiv:1808.06115)"
-            }
-            Experiment::SurvRanking => {
-                "surv.ranking: zoo survivability vs failed fraction (cf. arXiv:1510.02735)"
-            }
-            Experiment::SurvLifespan => {
-                "surv.lifespan: Monte-Carlo fleet lifespan (cf. arXiv:1401.7528)"
-            }
-        }
+        artifacts::descriptor(self).title
     }
 }
 
@@ -223,13 +130,10 @@ mod tests {
 
     #[test]
     fn experiment_metadata() {
-        assert!(Experiment::Table1.is_intra());
-        assert!(!Experiment::Fig15.is_intra());
-        assert!(!Experiment::Table4.is_intra());
-        assert!(!Experiment::RoutesCapacity.is_intra());
-        assert!(!Experiment::SurvRanking.is_intra());
-        assert_eq!(Experiment::ALL.len(), 25);
+        assert_eq!(Experiment::Table4.key(), "table4");
+        assert_eq!(Experiment::SurvLifespan.key(), "surv.lifespan");
         assert!(Experiment::Fig12.title().contains("time between incidents"));
+        assert_eq!(Experiment::Fig12.to_string(), Experiment::Fig12.title());
     }
 
     #[test]

@@ -347,35 +347,6 @@ impl IntraDcStudy {
             .count_by_year(self.first_year(), self.last_year())
             .growth_factor()
     }
-
-    // ---------------- sensitivity analyses ----------------
-
-    /// Table 2 recomputed after passing every report through a noisy
-    /// review process (§5.1's misclassification concern): how far can
-    /// reviewer error move the root-cause distribution?
-    pub fn table2_with_review(&self, process: dcnr_sev::ReviewProcess) -> BTreeMap<RootCause, f64> {
-        let mut rng = dcnr_sim::stream_rng(self.config.seed, "core.review-sensitivity");
-        let reviewed = process.review_db(&mut rng, &self.db);
-        reviewed.query().fraction_by_root_cause()
-    }
-
-    /// Fig. 3 incident rates adjusted for hardware wear-out (§4.3.3's
-    /// "switch maturity" conflating factor): each type-year rate is
-    /// multiplied by the fleet's Weibull hazard multiplier at shape `k`.
-    /// `k = 1` returns the measured rates unchanged.
-    pub fn fig3_with_wearout(&self, k: f64) -> BTreeMap<DeviceType, YearSeries> {
-        let cohorts = dcnr_faults::CohortAgeModel::paper();
-        self.fig3_incident_rate()
-            .into_iter()
-            .map(|(t, series)| {
-                let mut adjusted = YearSeries::new(self.first_year(), self.last_year());
-                for (year, rate) in series.points() {
-                    adjusted.set(year, rate * cohorts.hazard_multiplier(t, year, k));
-                }
-                (t, adjusted)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -565,44 +536,5 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(a.db().records(), b.db().records());
-    }
-
-    #[test]
-    fn review_sensitivity_moves_table2_toward_undetermined() {
-        let s = study();
-        let baseline = s.table2_root_causes();
-        let noisy = s.table2_with_review(dcnr_sev::ReviewProcess::new(0.3, 1.0));
-        assert!(
-            noisy[&RootCause::Undetermined] > baseline[&RootCause::Undetermined] + 0.1,
-            "{} -> {}",
-            baseline[&RootCause::Undetermined],
-            noisy[&RootCause::Undetermined]
-        );
-        // Zero-error review is the identity.
-        let clean = s.table2_with_review(dcnr_sev::ReviewProcess::new(0.0, 0.5));
-        for (cause, share) in &baseline {
-            assert!((clean[cause] - share).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn wearout_adjustment_widens_fabric_cluster_gap() {
-        let s = study();
-        let base = s.fig3_incident_rate();
-        let worn = s.fig3_with_wearout(2.0);
-        // Identity at k = 1.
-        let identity = s.fig3_with_wearout(1.0);
-        for (t, series) in &base {
-            for (year, rate) in series.points() {
-                assert!((identity[t].get(year) - rate).abs() < 1e-12);
-            }
-        }
-        // Under wear-out, the old cluster CSWs get relatively worse
-        // versus the young fabric FSWs.
-        let ratio_base =
-            base[&DeviceType::Csw].get(2017) / base[&DeviceType::Fsw].get(2017).max(1e-9);
-        let ratio_worn =
-            worn[&DeviceType::Csw].get(2017) / worn[&DeviceType::Fsw].get(2017).max(1e-9);
-        assert!(ratio_worn > ratio_base, "{ratio_base} -> {ratio_worn}");
     }
 }

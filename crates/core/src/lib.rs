@@ -16,7 +16,7 @@
 //!   planning (Figures 15–18).
 //! * [`experiments`] — the per-experiment index: every table/figure as
 //!   a named experiment with its measured result and the paper's
-//!   reported value, powering EXPERIMENTS.md and the bench harness.
+//!   reported value, powering EXPERIMENTS.md.
 //! * [`scenario`] — the scenario engine: a [`Scenario`] (study kind +
 //!   scale + seed + hazard/backbone/chaos knobs) lowers to a
 //!   [`RunPlan`], and a [`RunContext`] executes each required study
@@ -35,8 +35,8 @@
 //!   Monte-Carlo fleet-lifespan replays (cf. arXiv:1401.7528).
 //! * [`sweep`] — the multi-seed sweep runner: N derived-seed replicas
 //!   on a supervised worker pool, folded into cross-seed confidence
-//!   bands ([`dcnr_stats::aggregate`]); byte-identical output for any
-//!   worker count.
+//!   bands ([`dcnr_stats::aggregate`](mod@dcnr_stats::aggregate));
+//!   byte-identical output for any worker count.
 //! * [`supervisor`] — the sweep supervision layer: panic-isolated
 //!   replica attempts, watchdog deadlines, bounded retry with fresh
 //!   derived seeds, quarantine, and fault injection for testing the

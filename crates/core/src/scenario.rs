@@ -6,7 +6,7 @@
 //! [`RunContext`] executes each required study **exactly once**,
 //! caching its output so every artifact pulls from the shared context
 //! instead of re-running pipelines. The CLI's `intra`, `backbone`, and
-//! `chaos` subcommands, the sweep runner, the bench harness, and the
+//! `chaos` subcommands, the sweep runner, the report server, and the
 //! examples all drive the same engine.
 //!
 //! Dataflow: `Scenario` → [`Scenario::plan`] → `RunPlan` →
@@ -317,7 +317,7 @@ pub struct RunPlan {
 /// and caches its output for every artifact that needs it.
 ///
 /// Thread-safe (`OnceLock` caches), so one context can be shared across
-/// a process — the bench harness keeps a `static` one.
+/// threads.
 pub struct RunContext {
     scenario: Scenario,
     intra: OnceLock<IntraDcStudy>,
@@ -338,22 +338,6 @@ impl RunContext {
             routes: OnceLock::new(),
             survivability: OnceLock::new(),
         }
-    }
-
-    /// A context seeded with pre-built studies (bench fixtures, tests).
-    /// The scenario is reconstructed from the studies' own configs; no
-    /// study will be re-run.
-    pub fn from_studies(intra: IntraDcStudy, inter: InterDcStudy) -> Self {
-        let scenario = Scenario {
-            scale: intra.config().scale,
-            hazard: intra.config().hazard,
-            backbone: inter.config().params,
-            ..Scenario::intra(intra.config().seed)
-        };
-        let ctx = Self::new(scenario);
-        let _ = ctx.intra.set(intra);
-        let _ = ctx.inter.set(inter);
-        ctx
     }
 
     /// The scenario this context executes.

@@ -37,7 +37,8 @@ pub struct SweepConfig {
     pub base: Scenario,
     /// Number of replica seeds.
     pub seeds: u32,
-    /// Worker-pool width. Clamped to at least 1; never affects results.
+    /// Worker-pool width: at least 1, capped at `seeds`; never affects
+    /// results.
     pub jobs: usize,
     /// Bootstrap resamples per metric.
     pub resamples: usize,
@@ -56,6 +57,31 @@ impl SweepConfig {
             resamples: 1000,
             confidence: 0.95,
         }
+    }
+
+    /// Checks the replication settings the report header states: at
+    /// least one seed, worker and bootstrap resample, and a confidence
+    /// level strictly between 0 and 1. Past these the header would be
+    /// false ("bootstrap 150% CI", "(0 resamples)") and every band's CI
+    /// would silently fall back to the replicas' min–max range.
+    pub fn check(&self) -> Result<(), String> {
+        if self.seeds == 0 {
+            return Err("sweep needs at least one seed".into());
+        }
+        if self.jobs == 0 {
+            return Err("sweep needs at least one worker (jobs 0)".into());
+        }
+        if self.resamples == 0 {
+            return Err("bootstrap needs at least one resample (resamples 0)".into());
+        }
+        // Written so NaN fails too.
+        if !(self.confidence > 0.0 && self.confidence < 1.0) {
+            return Err(format!(
+                "confidence must lie strictly between 0 and 1, got {}",
+                self.confidence
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -136,9 +162,9 @@ impl SweepOutcome {
 }
 
 /// Runs the sweep with the default supervision policy (no deadline, one
-/// retry, no checkpoint). Returns `Err` for zero seeds or an invalid
-/// base scenario; individual replica failures degrade the aggregate
-/// instead of failing the sweep.
+/// retry, no checkpoint). Returns `Err` for settings that fail
+/// [`SweepConfig::check`] or an invalid base scenario; individual
+/// replica failures degrade the aggregate instead of failing the sweep.
 pub fn run_sweep(config: SweepConfig) -> Result<SweepOutcome, DcnrError> {
     run_supervised(config, &SupervisorConfig::default())
 }
@@ -149,13 +175,11 @@ pub fn run_supervised(
     config: SweepConfig,
     sup: &SupervisorConfig,
 ) -> Result<SweepOutcome, DcnrError> {
-    if config.seeds == 0 {
-        return Err(DcnrError::Config("sweep needs at least one seed".into()));
-    }
+    config.check().map_err(DcnrError::Config)?;
     config.base.validate()?;
     let replica_seeds = seed_sequence(config.base.seed, "sweep.replica", config.seeds);
     let n = replica_seeds.len();
-    let jobs = config.jobs.max(1).min(n);
+    let jobs = config.jobs.min(n);
 
     // Checkpoint prologue: verify (or create) the manifest, then load
     // every valid shard so its replica is never re-executed.
@@ -247,7 +271,9 @@ pub fn run_supervised(
 /// as failed replicas (the report degrades exactly like a live sweep
 /// with those replicas quarantined). For a complete checkpoint the
 /// output is byte-identical to the sweep that wrote it — this is what
-/// the report server's `GET /sweeps/{dir}` serves.
+/// the report server's `GET /sweeps/{dir}` serves. A manifest whose
+/// settings fail [`SweepConfig::check`] is a checkpoint error, which
+/// the server answers with 404.
 pub fn report_from_checkpoint(dir: &std::path::Path) -> Result<String, DcnrError> {
     let manifest = checkpoint::read_manifest(dir)?.ok_or_else(|| DcnrError::Checkpoint {
         path: dir.display().to_string(),
@@ -436,6 +462,39 @@ mod tests {
         bad.scale = -1.0;
         let err = run_sweep(SweepConfig::new(bad, 2, 1)).unwrap_err();
         assert_eq!(err.kind(), "config");
+    }
+
+    #[test]
+    fn rejects_zero_jobs() {
+        let err =
+            run_sweep(SweepConfig::new(small_base(ScenarioKind::Backbone), 2, 0)).unwrap_err();
+        assert_eq!(err.kind(), "config");
+        assert!(err.to_string().contains("worker"), "{err}");
+    }
+
+    #[test]
+    fn rejects_zero_resamples() {
+        let mut config = SweepConfig::new(small_base(ScenarioKind::Backbone), 2, 1);
+        config.resamples = 0;
+        let err = run_sweep(config).unwrap_err();
+        assert_eq!(err.kind(), "config");
+        assert!(err.to_string().contains("resample"), "{err}");
+    }
+
+    #[test]
+    fn rejects_confidence_outside_the_open_unit_interval() {
+        for confidence in [1.5, f64::NAN, -1.0, 0.0, 1.0] {
+            let mut config = SweepConfig::new(small_base(ScenarioKind::Backbone), 2, 1);
+            config.confidence = confidence;
+            let err = run_sweep(config).unwrap_err();
+            assert_eq!(err.kind(), "config", "{confidence}");
+            assert!(err.to_string().contains("confidence"), "{err}");
+        }
+        let mut config = SweepConfig::new(small_base(ScenarioKind::Backbone), 2, 1);
+        for confidence in [0.5, 0.9, 0.999] {
+            config.confidence = confidence;
+            assert_eq!(config.check(), Ok(()), "{confidence}");
+        }
     }
 
     #[test]

@@ -24,10 +24,6 @@
 //!   issue rates into a deterministic, seeded stream of
 //!   [`generator::RawIssue`] events over the study window.
 //!
-//! * [`wearout`] — the "switch maturity" conflating factor (§4.3.3):
-//!   installation cohorts and Weibull hazard multipliers for
-//!   sensitivity analysis of the memorylessness assumption.
-//!
 //! The boundary between this crate and `dcnr-remediation` mirrors §4.1's
 //! incident definition: this crate produces *issues*; remediation decides
 //! which become *incidents* (SEVs).
@@ -40,10 +36,8 @@ pub mod generator;
 pub mod growth;
 pub mod hazard;
 pub mod root_cause;
-pub mod wearout;
 
 pub use generator::{device_name_of_word, IssueGenerator, RawIssue};
 pub use growth::FleetGrowth;
 pub use hazard::HazardModel;
 pub use root_cause::{RootCause, RootCauseModel};
-pub use wearout::CohortAgeModel;

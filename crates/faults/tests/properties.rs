@@ -1,7 +1,7 @@
 //! Property-based tests for the fault models.
 
 use dcnr_faults::hazard::HazardConfig;
-use dcnr_faults::{CohortAgeModel, FleetGrowth, HazardModel, IssueGenerator, RootCauseModel};
+use dcnr_faults::{FleetGrowth, HazardModel, IssueGenerator, RootCauseModel};
 use dcnr_sim::StudyCalendar;
 use dcnr_topology::{parse_device_type, DeviceType};
 use proptest::prelude::*;
@@ -91,27 +91,5 @@ proptest! {
             prop_assert!(window.contains(issue.at));
             prop_assert_eq!(parse_device_type(&issue.device_name().to_string()).unwrap(), issue.device_type);
         }
-    }
-
-    #[test]
-    fn cohort_multiplier_identity_at_shape_one(t in any_type(), year in 2011i32..=2017) {
-        let m = CohortAgeModel::paper();
-        prop_assert_eq!(m.hazard_multiplier(t, year, 1.0), 1.0);
-    }
-
-    #[test]
-    fn cohort_multiplier_nonnegative(t in any_type(), year in 2011i32..=2017, k in 0.3..3.0f64) {
-        let m = CohortAgeModel::paper();
-        let v = m.hazard_multiplier(t, year, k);
-        prop_assert!(v.is_finite());
-        prop_assert!(v >= 0.0);
-    }
-
-    #[test]
-    fn mean_age_bounded_by_study_span(t in any_type(), year in 2011i32..=2017) {
-        let m = CohortAgeModel::paper();
-        let age = m.mean_age(t, year);
-        prop_assert!(age >= 0.0);
-        prop_assert!(age <= (year - 2011) as f64 + 0.5);
     }
 }

@@ -16,9 +16,6 @@
 //! * [`policy`] — per-device-type repair policy: coverage, repair ratio,
 //!   priority assignment (0 = highest .. 3 = lowest), and the wait/exec
 //!   time models behind Table 1's "4 m / 30.1 s" style numbers.
-//! * [`monitor`] — heartbeat-based failure detection ("a skipped
-//!   heartbeat ... raises alarms", §3.1): the delay between an issue
-//!   occurring and the repair system noticing it.
 //! * [`queue`] — a deterministic priority repair queue: repairs wait
 //!   longer the lower their priority, matching "repairs assigned a lower
 //!   priority wait longer than repairs assigned a higher priority".
@@ -33,14 +30,12 @@
 
 pub mod action;
 pub mod engine;
-pub mod monitor;
 pub mod policy;
 pub mod queue;
 pub mod report;
 
 pub use action::RemediationAction;
 pub use engine::{RemediationEngine, RemediationOutcome, RepairRecord};
-pub use monitor::DetectionModel;
 pub use policy::RepairPolicy;
 pub use queue::{QueuedRepair, RepairQueue};
 pub use report::{DeviceRepairStats, Table1Report};

@@ -2,7 +2,7 @@
 
 use dcnr_faults::{HazardModel, RawIssue, RootCause};
 use dcnr_remediation::{
-    DetectionModel, RemediationEngine, RemediationOutcome, RepairPolicy, RepairQueue, Table1Report,
+    RemediationEngine, RemediationOutcome, RepairPolicy, RepairQueue, Table1Report,
 };
 use dcnr_sim::{SimDuration, SimTime};
 use dcnr_topology::DeviceType;
@@ -109,22 +109,5 @@ proptest! {
             prop_assert!(row.avg_exec_secs >= 0.0);
             prop_assert!(row.device_type.has_automated_repair());
         }
-    }
-
-    #[test]
-    fn detection_samples_at_least_the_miss_window(
-        heartbeat in 1.0..120.0f64,
-        misses in 1u32..6,
-        pipeline in 0.0..60.0f64,
-        seed in any::<u64>(),
-    ) {
-        use rand::SeedableRng;
-        let m = DetectionModel::new(heartbeat, misses, pipeline);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let (lo, _) = m.bounds_secs();
-        for _ in 0..30 {
-            prop_assert!(m.sample_secs(&mut rng) >= lo);
-        }
-        prop_assert!(m.mean_secs() >= lo);
     }
 }

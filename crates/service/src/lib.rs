@@ -16,12 +16,15 @@
 //!   concrete request-failure rate and lost-capacity figure, which maps
 //!   to a severity rubric. Used by the examples and the TOR-redundancy
 //!   ablation (§5.4's one-TOR-per-rack discussion).
-//! * [`severity`] + [`resolution`] — the **statistical** models used by
-//!   the fleet-scale study: severity mixes calibrated per device type
-//!   (Fig. 4) and year-dependent log-normal resolution times (Fig. 13).
+//! * [`emergent`] + [`resolution`] — the models used by the fleet-scale
+//!   study: per-type severity mixes derived from forwarding-state path
+//!   losses over an ensemble of operating conditions (Fig. 4, checked
+//!   against Table 3's 82/13/5), and year-dependent log-normal
+//!   resolution times (Fig. 13).
 //! * [`sevgen`] — the bridge from remediation escalations to SEV
 //!   reports: every escalated issue becomes a [`dcnr_sev::SevRecord`]
-//!   with a sampled severity, resolution time, and impact summary.
+//!   with an emergent severity, a sampled resolution time, and an
+//!   impact summary.
 //! * [`drill`] — §5.7's fault-injection and disaster-recovery testing:
 //!   single-failure sweeps per tier and disconnect-a-datacenter drills.
 
@@ -33,7 +36,6 @@ pub mod emergent;
 pub mod impact;
 pub mod placement;
 pub mod resolution;
-pub mod severity;
 pub mod sevgen;
 
 pub use drill::{disaster_drill, DisasterDrillReport, FaultInjectionDrill, TierDrillReport};
@@ -41,5 +43,4 @@ pub use emergent::{reference_conditions, EmergentSeverityModel, OperatingConditi
 pub use impact::{ImpactAssessment, ImpactEngine, ImpactModel};
 pub use placement::{Placement, ServiceKind};
 pub use resolution::ResolutionModel;
-pub use severity::SeverityModel;
 pub use sevgen::SevGenerator;

@@ -1,6 +1,6 @@
 //! Property-based tests for the service impact layer.
 
-use dcnr_service::{ImpactModel, Placement, ResolutionModel, SeverityModel};
+use dcnr_service::{ImpactModel, Placement, ResolutionModel};
 use dcnr_sev::SevLevel;
 use dcnr_topology::{ClusterNetworkBuilder, ClusterParams, FailureSet, Topology};
 use proptest::prelude::*;
@@ -57,22 +57,6 @@ proptest! {
         let b = hot.assess(&topo, &placement, victim, &FailureSet::new(&topo));
         prop_assert!(b.request_failure_rate + 1e-12 >= a.request_failure_rate);
         prop_assert!(b.severity.number() <= a.severity.number(), "hot must be at least as severe");
-    }
-
-    #[test]
-    fn severity_model_distributes_correctly(seed in any::<u64>()) {
-        use rand::SeedableRng;
-        let model = SeverityModel::paper();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        for t in dcnr_topology::DeviceType::INTRA_DC {
-            let mix = model.expected_mix(t);
-            prop_assert!((mix.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-            // Samples are valid levels.
-            for _ in 0..20 {
-                let level = model.sample(&mut rng, t);
-                prop_assert!(SevLevel::ALL.contains(&level));
-            }
-        }
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //! * [`query`] — composable filters and group-bys over the store
 //!   (by year, severity, device type, network design, root cause) — the
 //!   operations every figure of §5 reduces to.
-//! * [`review`] — the §4.2 review process and §5.1's misclassification
-//!   noise channel, for sensitivity analysis of Table 2.
 //! * [`metrics`] — incident rates (Fig. 3), MTBI (Fig. 12), p75 incident
 //!   resolution time (Fig. 13), and per-device SEV rates (Fig. 5).
 //!   Population-dependent metrics take the population as a closure so
@@ -30,7 +28,6 @@ pub mod document;
 pub mod metrics;
 pub mod query;
 pub mod record;
-pub mod review;
 pub mod severity;
 pub mod store;
 
@@ -38,6 +35,5 @@ pub use document::{prevention_checklist, render_postmortem};
 pub use metrics::MetricsExt;
 pub use query::SevQuery;
 pub use record::SevRecord;
-pub use review::ReviewProcess;
 pub use severity::SevLevel;
 pub use store::SevDb;

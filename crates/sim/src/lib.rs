@@ -1,7 +1,7 @@
 //! # dcnr-sim
 //!
-//! Deterministic discrete-event simulation engine for the `dcnr`
-//! reliability study.
+//! Simulated time and seeded randomness for the `dcnr` reliability
+//! study.
 //!
 //! The paper analyzes seven years (2011–2018) of intra-datacenter
 //! service-level events and eighteen months (October 2016 – April 2018)
@@ -12,19 +12,9 @@
 //!   2011-01-01T00:00Z) and [`time::SimDuration`], plus a
 //!   civil calendar so events can be bucketed by calendar year exactly as
 //!   the paper's SQL queries bucket SEVs.
-//! * [`event`] — a deterministic [`event::EventQueue`]:
-//!   min-heap ordered by `(time, insertion sequence)`, so simultaneous
-//!   events dispatch in scheduling order and runs are reproducible.
-//! * [`engine`] — the [`engine::Simulation`] driver loop with
-//!   a handler-scheduler split that lets handlers schedule follow-up
-//!   events while the queue is borrowed.
 //! * [`rng`] — seed derivation ([`rng::derive_seed`]) giving
 //!   every subsystem an independent, stable random stream from one master
 //!   seed: adding draws to one component never perturbs another.
-//!
-//! Following the guidance in the Rust networking guides bundled with this
-//! repository (and the Tokio tutorial's own advice), the engine is fully
-//! synchronous: the workload is CPU-bound Monte-Carlo, not I/O.
 //!
 //! Design rule: **no wall-clock access anywhere** — all time comes from
 //! the simulated clock, all randomness from seeded streams.
@@ -32,12 +22,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod event;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Scheduler, Simulation};
-pub use event::EventQueue;
 pub use rng::{derive_indexed_seed, derive_seed, seed_sequence, stream_rng};
 pub use time::{SimDuration, SimTime, StudyCalendar};

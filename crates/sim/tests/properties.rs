@@ -1,32 +1,10 @@
-//! Property-based tests for the simulation engine: deterministic
-//! ordering, calendar correctness, stream separation.
+//! Property-based tests for simulated time and seeding: calendar
+//! correctness, time arithmetic, stream separation.
 
-use dcnr_sim::{derive_seed, EventQueue, SimDuration, SimTime, Simulation, StudyCalendar};
+use dcnr_sim::{derive_seed, SimDuration, SimTime, StudyCalendar};
 use proptest::prelude::*;
 
 proptest! {
-    #[test]
-    fn event_queue_pops_in_time_then_seq_order(
-        times in proptest::collection::vec(0u64..1_000_000, 1..200)
-    ) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_secs(t), i);
-        }
-        let mut popped = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            popped.push((t, i));
-        }
-        prop_assert_eq!(popped.len(), times.len());
-        // Non-decreasing times; equal times in insertion order.
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1);
-            }
-        }
-    }
-
     #[test]
     fn civil_date_roundtrip(y in 2011i32..2100, m in 1u32..=12, d in 1u32..=28) {
         let t = SimTime::from_date(y, m, d).unwrap();
@@ -66,58 +44,5 @@ proptest! {
     fn derived_seeds_separate_tags(master in any::<u64>(), a in "[a-z]{1,12}", b in "[a-z]{1,12}") {
         prop_assume!(a != b);
         prop_assert_ne!(derive_seed(master, &a), derive_seed(master, &b));
-    }
-
-    #[test]
-    fn simulation_dispatches_every_scheduled_event(
-        times in proptest::collection::vec(0u64..100_000, 0..100)
-    ) {
-        let mut sim = Simulation::new(SimTime::EPOCH);
-        for &t in &times {
-            sim.schedule_at(SimTime::from_secs(t), t);
-        }
-        let mut seen = 0usize;
-        let n = sim.run_to_completion(|_, _| seen += 1);
-        prop_assert_eq!(n as usize, times.len());
-        prop_assert_eq!(seen, times.len());
-        prop_assert_eq!(sim.pending(), 0);
-    }
-
-    #[test]
-    fn simulation_clock_never_goes_backwards(
-        times in proptest::collection::vec(0u64..100_000, 1..100)
-    ) {
-        let mut sim = Simulation::new(SimTime::EPOCH);
-        for &t in &times {
-            sim.schedule_at(SimTime::from_secs(t), ());
-        }
-        let mut last = SimTime::EPOCH;
-        sim.run_to_completion(|s, _| {
-            assert!(s.now() >= last);
-            last = s.now();
-        });
-    }
-
-    #[test]
-    fn horizon_split_is_equivalent_to_single_run(
-        times in proptest::collection::vec(0u64..10_000, 0..60),
-        split in 0u64..10_000
-    ) {
-        // Running to `split` then to completion dispatches the same
-        // multiset of events as one run.
-        let build = || {
-            let mut sim = Simulation::new(SimTime::EPOCH);
-            for &t in &times {
-                sim.schedule_at(SimTime::from_secs(t), t);
-            }
-            sim
-        };
-        let mut one = Vec::new();
-        build().run_to_completion(|_, e| one.push(e));
-        let mut two = Vec::new();
-        let mut sim = build();
-        sim.run_until(SimTime::from_secs(split), |_, e| two.push(e));
-        sim.run_to_completion(|_, e| two.push(e));
-        prop_assert_eq!(one, two);
     }
 }

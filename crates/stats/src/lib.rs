@@ -32,7 +32,7 @@
 //! * **Kaplan–Meier survival estimation** ([`kaplan`]) — the principled
 //!   treatment of right-censored time-to-failure data (entities that
 //!   never failed inside the observation window).
-//! * **Cross-replica aggregation** ([`aggregate`]) — folding per-seed
+//! * **Cross-replica aggregation** ([`aggregate`](mod@aggregate)) — folding per-seed
 //!   sweep measurements into mean/σ/percentile bands with bootstrap
 //!   confidence intervals for the mean, so paper point estimates can be
 //!   compared against a measured band instead of a single realization.

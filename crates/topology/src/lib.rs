@@ -33,8 +33,6 @@
 //!   surviving path fractions instead of blast-radius heuristics.
 //! * [`datacenter`] — assembling devices into data centers and regions
 //!   with edges (BBR sites), mirroring Fig. 1's two-region layout.
-//! * [`fleet`] — year-parameterized representative deployments whose
-//!   cluster/fabric mix follows the paper's 2011–2017 timeline.
 //! * [`zoo`] — the topology zoo: a static registry of named,
 //!   parameterized generators (cluster, fabric, k-ary fat-tree,
 //!   F16-style multi-plane, BCube, DCell) behind one
@@ -48,7 +46,6 @@ pub mod cluster;
 pub mod datacenter;
 pub mod device;
 pub mod fabric;
-pub mod fleet;
 pub mod forwarding;
 pub mod graph;
 pub mod naming;
@@ -62,7 +59,6 @@ pub use cluster::{ClusterNetworkBuilder, ClusterParams};
 pub use datacenter::{DataCenter, Region, RegionBuilder};
 pub use device::{Device, DeviceId, DeviceType, HardwareSource, NetworkDesign};
 pub use fabric::{FabricNetworkBuilder, FabricParams};
-pub use fleet::FleetPlan;
 pub use forwarding::{ForwardingState, ForwardingStats};
 pub use graph::{LinkId, Topology};
 pub use naming::{format_device_name, parse_device_type, DeviceName, NameError};

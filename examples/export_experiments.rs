@@ -5,7 +5,7 @@
 //! cargo run --release --example export_experiments > EXPERIMENTS.md
 //! ```
 
-use dcnr_core::{Experiment, IntraDcStudy, RunContext, Scenario, StudyConfig};
+use dcnr_core::{artifacts, IntraDcStudy, RunContext, Scenario, StudyConfig};
 
 fn main() {
     // One shared context serves all 25 artifacts; each study runs once.
@@ -42,10 +42,10 @@ fn main() {
          deviations are expected and why."
     );
 
-    for e in Experiment::ALL {
-        let out = ctx.artifact(e);
+    for a in artifacts::registry() {
+        let out = ctx.artifact(a.id);
         println!();
-        println!("## {}", e.title());
+        println!("## {}", a.title);
         println!();
         println!("```text");
         print!("{}", out.rendered);

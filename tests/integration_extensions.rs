@@ -1,17 +1,13 @@
 //! Integration tests for the extension modules (DESIGN.md §5a): WAN
-//! rerouting, cross-DC planes, optical layer, drills, review
-//! sensitivity, wear-out sensitivity, and Kaplan–Meier cross-checks —
+//! rerouting, cross-DC planes, drills, and Kaplan–Meier cross-checks —
 //! each exercised against a full study run.
 
-use dcnr_core::backbone::optical;
 use dcnr_core::backbone::topo::BackboneParams;
 use dcnr_core::backbone::wan::{self, RerouteImpact};
 use dcnr_core::backbone::{BackboneSimConfig, CrossDcPlanes};
-use dcnr_core::faults::RootCause;
 use dcnr_core::service::{disaster_drill, FaultInjectionDrill, ImpactModel, Placement};
-use dcnr_core::sev::ReviewProcess;
 use dcnr_core::topology::Region;
-use dcnr_core::{InterDcStudy, IntraDcStudy, StudyConfig};
+use dcnr_core::InterDcStudy;
 use std::collections::HashSet;
 
 fn inter() -> InterDcStudy {
@@ -84,25 +80,6 @@ fn cross_dc_planes_survive_three_plane_loss() {
 }
 
 #[test]
-fn optical_layer_capacity_reconciles_with_links() {
-    let s = inter();
-    let topo = &s.output().topology;
-    let all = optical::derive_all(topo);
-    assert_eq!(all.len(), topo.links().len());
-    for (lo, link) in all.iter().zip(topo.links()) {
-        assert_eq!(lo.link, link.id);
-        assert_eq!(lo.circuits.len(), link.circuits.max(1) as usize);
-        // Severing every circuit at its first segment downs the link.
-        let cuts: Vec<(u8, u8)> = lo.circuits.iter().map(|c| (c.index, 0)).collect();
-        assert!(lo.is_down(&cuts));
-        // Severing all but one leaves capacity.
-        if cuts.len() > 1 {
-            assert!(!lo.is_down(&cuts[1..]));
-        }
-    }
-}
-
-#[test]
 fn drills_agree_with_impact_model() {
     let region = Region::mixed_reference();
     let placement = Placement::default_mix(&region.topology);
@@ -116,40 +93,6 @@ fn drills_agree_with_impact_model() {
         lost += disaster_drill(&region, &placement, &model, dc).racks_lost;
     }
     assert_eq!(lost, placement.total_racks());
-}
-
-#[test]
-fn review_noise_cannot_create_determined_causes_from_nothing() {
-    let study = IntraDcStudy::run(StudyConfig {
-        scale: 1.0,
-        seed: 0xAA,
-        ..Default::default()
-    });
-    // Full error, all-undetermined review: everything collapses.
-    let wiped = study.table2_with_review(ReviewProcess::new(1.0, 1.0));
-    assert!((wiped[&RootCause::Undetermined] - 1.0).abs() < 1e-9);
-    for cause in RootCause::ALL {
-        if cause != RootCause::Undetermined {
-            assert_eq!(wiped.get(&cause).copied().unwrap_or(0.0), 0.0, "{cause}");
-        }
-    }
-}
-
-#[test]
-fn wearout_sensitivity_preserves_rsw_anchor() {
-    let study = IntraDcStudy::run(StudyConfig {
-        scale: 2.0,
-        seed: 0xAB,
-        ..Default::default()
-    });
-    let base = study.fig3_incident_rate();
-    let worn = study.fig3_with_wearout(2.0);
-    // The multiplier is normalized to the RSW 2017 fleet, so the RSW
-    // 2017 anchor is preserved exactly.
-    use dcnr_core::topology::DeviceType;
-    let b = base[&DeviceType::Rsw].get(2017);
-    let w = worn[&DeviceType::Rsw].get(2017);
-    assert!((b - w).abs() < 1e-12, "{b} vs {w}");
 }
 
 #[test]
@@ -175,18 +118,4 @@ fn kaplan_meier_cross_check_is_consistent() {
     // Survival is a proper tail function.
     assert!(km.survival_at(0.0) <= 1.0);
     assert!(km.survival_at(1e9) >= 0.0);
-}
-
-#[test]
-fn detection_model_contributes_realistic_delays() {
-    use dcnr_core::remediation::DetectionModel;
-    let m = DetectionModel::paper();
-    // Detection (≈40 s) is negligible against Table 1's wait times
-    // (minutes to days) — which is why the paper reports wait/repair
-    // and not detection.
-    assert!(m.mean_secs() < 60.0);
-    let rsw_wait =
-        dcnr_core::faults::calibration::repair_wait_secs(dcnr_core::topology::DeviceType::Rsw)
-            .unwrap() as f64;
-    assert!(m.mean_secs() < rsw_wait / 100.0);
 }

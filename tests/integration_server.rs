@@ -246,6 +246,22 @@ fn sweeps_route_serves_the_checkpoint_report_byte_identically() {
     assert_eq!(get(&server, "/sweeps/..").status, 400);
     assert_eq!(get(&server, "/sweeps/a%2F..%2Fb").status, 400);
     assert_eq!(get(&server, "/sweeps/absent").status, 404);
+    // So is a manifest whose settings would print a false header.
+    let edited = root.join("edited");
+    std::fs::create_dir_all(&edited).unwrap();
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+    assert!(manifest.contains("\"resamples\": 1000"), "{manifest}");
+    std::fs::write(
+        edited.join("manifest.json"),
+        manifest.replace("\"resamples\": 1000", "\"resamples\": 0"),
+    )
+    .unwrap();
+    let resp = get(&server, "/sweeps/edited");
+    assert_eq!(resp.status, 404);
+    assert!(
+        String::from_utf8(resp.body).unwrap().contains("resample"),
+        "the 404 names the bad setting"
+    );
 
     server.shutdown_and_join();
     std::fs::remove_dir_all(&root).ok();

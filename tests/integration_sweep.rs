@@ -89,3 +89,58 @@ fn different_master_seeds_give_different_replica_sets() {
     assert_ne!(a.replica_seeds, b.replica_seeds);
     assert_ne!(a.rendered, b.rendered);
 }
+
+#[test]
+fn sweep_settings_that_would_print_a_false_header_exit_1() {
+    let dcnr = env!("CARGO_BIN_EXE_dcnr");
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(dcnr)
+            .args(["sweep", "--scenario", "backbone", "--seeds", "2"])
+            .args(args)
+            .output()
+            .expect("run dcnr");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        stderr
+    };
+    for args in [
+        ["--confidence", "1.5"],
+        ["--confidence", "nan"],
+        ["--confidence", "-1"],
+        ["--confidence", "0"],
+        ["--resamples", "0"],
+        ["--jobs", "0"],
+    ] {
+        let stderr = run(&args);
+        assert!(
+            stderr.contains("invalid configuration"),
+            "{args:?}: {stderr}"
+        );
+    }
+
+    // A resumed manifest edited to zero resamples is a checkpoint error.
+    let dir = std::env::temp_dir().join(format!("dcnr-false-header-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut config = SweepConfig::new(small(ScenarioKind::Backbone, 5), 2, 1);
+    config.resamples = 200;
+    dcnr_core::checkpoint::write_manifest(&dir, &dcnr_core::Manifest::from_config(&config))
+        .unwrap();
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    assert!(text.contains("\"resamples\": 200"), "{text}");
+    std::fs::write(
+        &manifest,
+        text.replace("\"resamples\": 200", "\"resamples\": 0"),
+    )
+    .unwrap();
+    let out = std::process::Command::new(dcnr)
+        .args(["sweep", "--resume", dir.to_str().unwrap()])
+        .output()
+        .expect("run dcnr");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(stderr.contains("checkpoint"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
