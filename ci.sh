@@ -84,7 +84,10 @@ done
 cargo run --release -q --example validate_telemetry -- /tmp/dcnr_intra_metrics.prom
 
 echo "==> profile smoke (quarter scale, parseable BENCH_profile.json)"
-( cd /tmp && /root/repo/target/release/dcnr \
+# Run from /tmp so nothing lands in the checkout, but with the
+# checkout's own binary.
+dcnr_bin="$(pwd)/target/release/dcnr"
+( cd /tmp && "$dcnr_bin" \
     --metrics /tmp/dcnr_profile_metrics.prom \
     profile --scale 0.25 --json /tmp/dcnr_profile_smoke.json >/dev/null 2>&1 )
 # The profile must attribute issue generation per device type and
@@ -207,6 +210,10 @@ DCNR_ADDR=$(cat /tmp/dcnr_serve_port)
     --clients 4 --requests 6 --verify \
     --artifacts fig15,fig16,table4 --scale 0.25 --edges 40 --vendors 16 \
     >/dev/null
+# Every scenario flag reaches the server: with --topology the verified
+# surv.lifespan bodies must be the dcell render, not the default's.
+./target/release/dcnr -q loadgen --addr "$DCNR_ADDR" --verify \
+    --artifacts surv.lifespan --scale 0.25 --topology dcell >/dev/null
 # /metrics must pass the strict Prometheus validator and report traffic.
 ./target/release/dcnr -q fetch "$DCNR_ADDR" /metrics --validate \
     >/tmp/dcnr_serve_metrics.prom

@@ -4,15 +4,15 @@
 //! it pulls from, the paper's baseline values (as prose, for reports and
 //! docs), and a render function that reads the **shared**
 //! [`RunContext`] — never re-running a pipeline. This is the one
-//! artifact list: adding an artifact is adding an [`Experiment`] variant
-//! and its row here, and the run-plan layer derives required studies
-//! from it.
+//! artifact list and the one map from a study to its artifacts: adding
+//! an artifact is adding an [`Experiment`] variant and its row here, and
+//! [`RunContext::execute`] renders every row of the scenario's study.
 
 use crate::error::DcnrError;
 use crate::experiments::{Comparison, Experiment, ExperimentOutcome};
 use crate::report;
 use crate::routes;
-use crate::scenario::{RunContext, ScenarioKind, StudyKind};
+use crate::scenario::{RunContext, StudyKind};
 use crate::survivability;
 use dcnr_backbone::PaperModels;
 use dcnr_faults::{calibration, RootCause};
@@ -31,7 +31,8 @@ pub struct Artifact {
     pub key: &'static str,
     /// Title line printed above the rendered artifact.
     pub title: &'static str,
-    /// Which study's cached output it reads.
+    /// Which study's cached output it reads; also the study whose CLI
+    /// default scenario `dcnr artifact` and `/artifacts/{id}` start from.
     pub study: StudyKind,
     /// The paper's reported baseline, as prose.
     pub paper_baseline: &'static str,
@@ -67,19 +68,6 @@ pub fn lookup(id: &str) -> Result<Experiment, DcnrError> {
                 valid.join(", ")
             ))
         })
-}
-
-/// The scenario kind whose default configuration produces `e` — the
-/// base the CLI `dcnr artifact` command and the report server's
-/// `/artifacts/{id}` endpoint both start from before applying flags.
-pub fn base_kind(e: Experiment) -> ScenarioKind {
-    match descriptor(e).study {
-        StudyKind::Intra => ScenarioKind::Intra,
-        StudyKind::Backbone => ScenarioKind::Backbone,
-        StudyKind::Chaos => ScenarioKind::Chaos,
-        StudyKind::Routes => ScenarioKind::Routes,
-        StudyKind::Survivability => ScenarioKind::Survivability,
-    }
 }
 
 /// Renders one artifact's report block: separator, title, separator,
@@ -956,7 +944,7 @@ fn surv_lifespan(ctx: &RunContext) -> ExperimentOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Scenario, ScenarioKind};
+    use crate::scenario::Scenario;
 
     fn quarter_scale_context() -> RunContext {
         RunContext::new(Scenario {
@@ -1041,7 +1029,7 @@ mod tests {
     #[test]
     fn headline_comparisons_within_tolerance() {
         let ctx = RunContext::new(Scenario {
-            kind: ScenarioKind::Intra,
+            kind: StudyKind::Intra,
             scale: 2.0,
             backbone: dcnr_backbone::topo::BackboneParams {
                 edges: 60,

@@ -6,14 +6,14 @@
 //! watchdog deadlines, checkpoint/resume) and prints cross-seed
 //! confidence bands.
 
-use dcnr_core::cli::{parse_loadgen_args, parse_serve_args};
+use dcnr_core::cli::{parse_loadgen_args, parse_scenario_kind, parse_serve_args};
 use dcnr_core::telemetry::metrics::MetricsSnapshot;
 use dcnr_core::telemetry::trace::TraceSnapshot;
 use dcnr_core::telemetry::{logger, Telemetry};
 use dcnr_core::{
     apply_scenario_flags, artifacts, checkpoint, loadgen, parse_sweep_args, phase_rows,
     render_profile_json, render_profile_table, run_supervised, serve, telemetry_io, ArgScanner,
-    DcnrError, FaultPlan, InterDcStudy, RunContext, Scenario, ScenarioKind, SupervisorConfig,
+    DcnrError, FaultPlan, InterDcStudy, RunContext, Scenario, StudyKind, SupervisorConfig,
     SweepConfig,
 };
 use std::process::ExitCode;
@@ -130,7 +130,7 @@ USAGE:
                    scripts; SIGINT drains too. --addr with port 0 picks
                    an ephemeral port, written to --port-file.
                    Transport chaos (deterministic, seeded; off unless a
-                   --chaos-* flag or DCNR_CHAOS is set; zero rates are
+                   --chaos-* flag is set; zero rates are
                    byte-identical to off): --chaos-seed S plus
                    --chaos-{accept,read,write}-delay-rate R,
                    --chaos-delay-ms MS, --chaos-reset-rate R,
@@ -203,10 +203,9 @@ USAGE:
                    otherwise. Conflicts with --chaos, --verify,
                    --clients, and --requests.
     dcnr artifact  ID [scenario flags]
-                   Render one registry artifact (table1, fig2, ...,
-                   fig18, table4, routes.capacity, routes.severity_mix,
-                   routes.workload) for the scenario — the same bytes
-                   `dcnr serve` returns for /artifacts/ID.
+                   Render one registry artifact (every ID is listed by
+                   `dcnr artifact --list`) for the scenario — the same
+                   bytes `dcnr serve` returns for /artifacts/ID.
     dcnr artifact  --list
                    List every registry artifact id with its title and
                    the paper baseline it reproduces, in registry order.
@@ -231,11 +230,6 @@ Environment:
     DCNR_FAULT_REPLICA=idx[:panic|panic-once|hang][,...]
                    Test hook: force sweep replica idx to panic or hang,
                    exercising the supervision path end to end.
-    DCNR_CHAOS=key=value[,key=value...]
-                   Base transport fault plan for `dcnr serve` (same
-                   keys as the --chaos-* flags without the prefix,
-                   e.g. DCNR_CHAOS=\"seed=7,reset-rate=0.1\"); any
-                   --chaos-* flag overrides its key.
 ";
 
 /// The global flags every command accepts, stripped from argv before
@@ -296,26 +290,6 @@ fn main() -> ExitCode {
     let mut replica_telemetry: Option<(MetricsSnapshot, TraceSnapshot)> = None;
 
     let mut result = match command.as_str() {
-        "intra" => cmd_scenario(
-            Scenario::cli_default(ScenarioKind::Intra),
-            ArgScanner::new(argv),
-        ),
-        "backbone" => cmd_scenario(
-            Scenario::cli_default(ScenarioKind::Backbone),
-            ArgScanner::new(argv),
-        ),
-        "chaos" => cmd_scenario(
-            Scenario::cli_default(ScenarioKind::Chaos),
-            ArgScanner::new(argv),
-        ),
-        "routes" => cmd_scenario(
-            Scenario::cli_default(ScenarioKind::Routes),
-            ArgScanner::new(argv),
-        ),
-        "survivability" => cmd_scenario(
-            Scenario::cli_default(ScenarioKind::Survivability),
-            ArgScanner::new(argv),
-        ),
         "topology" => cmd_topology(argv),
         "sweep" => cmd_sweep(ArgScanner::new(argv), &mut replica_telemetry),
         "serve" => cmd_serve(ArgScanner::new(argv)),
@@ -329,9 +303,12 @@ fn main() -> ExitCode {
             print!("{USAGE}");
             Ok(())
         }
-        other => Err(DcnrError::Usage(format!(
-            "unknown command {other:?}\n\n{USAGE}"
-        ))),
+        other => match StudyKind::parse(other) {
+            Some(kind) => cmd_scenario(Scenario::cli_default(kind), ArgScanner::new(argv)),
+            None => Err(DcnrError::Usage(format!(
+                "unknown command {other:?}\n\n{USAGE}"
+            ))),
+        },
     };
 
     // Telemetry epilogue: fold replica snapshots into the main
@@ -369,8 +346,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Shared driver for `intra` / `backbone` / `chaos`: flags → scenario →
-/// engine → printed report.
+/// Shared driver for the study commands (`intra`, `backbone`, `chaos`,
+/// `routes`, `survivability`): flags → scenario → engine → printed
+/// report.
 fn cmd_scenario(base: Scenario, mut args: ArgScanner) -> Result<(), DcnrError> {
     let scenario = apply_scenario_flags(&mut args, base)?;
     args.finish()?;
@@ -415,7 +393,7 @@ fn cmd_sweep(
             (manifest.to_config(jobs)?, Some(dir.clone()))
         }
         None => {
-            let kind = parsed.scenario.unwrap_or(ScenarioKind::Intra);
+            let kind = parsed.scenario.unwrap_or(StudyKind::Intra);
             let base = apply_scenario_flags(&mut args, Scenario::cli_default(kind))?;
             args.finish()?;
             let mut config = SweepConfig::new(base, parsed.seeds.unwrap_or(8), jobs);
@@ -521,14 +499,7 @@ fn cmd_profile(
     mut args: ArgScanner,
     handle: Option<&dcnr_core::telemetry::TelemetryHandle>,
 ) -> Result<(), DcnrError> {
-    let kind = match args.value::<String>("--scenario")? {
-        Some(name) => ScenarioKind::parse(&name).ok_or_else(|| {
-            DcnrError::Usage(format!(
-                "unknown scenario {name:?} (intra, backbone, chaos, routes, or survivability)"
-            ))
-        })?,
-        None => ScenarioKind::Intra,
-    };
+    let kind = parse_scenario_kind(&mut args)?.unwrap_or(StudyKind::Intra);
     let base = Scenario::cli_default(kind);
     let json_path = args
         .value::<String>("--json")?
@@ -602,14 +573,13 @@ fn cmd_artifact(mut argv: Vec<String>) -> Result<(), DcnrError> {
     }
     if argv.is_empty() || argv[0].starts_with('-') {
         return Err(DcnrError::Usage(
-            "usage: dcnr artifact ID [scenario flags] (IDs: table1, fig2, ..., fig18, \
-             table4, routes.capacity, ...) or dcnr artifact --list"
+            "usage: dcnr artifact ID [scenario flags] (`dcnr artifact --list` lists every ID)"
                 .into(),
         ));
     }
     let experiment = artifacts::lookup(&argv.remove(0))?;
     let mut args = ArgScanner::new(argv);
-    let base = Scenario::cli_default(artifacts::base_kind(experiment));
+    let base = Scenario::cli_default(artifacts::descriptor(experiment).study);
     let scenario = apply_scenario_flags(&mut args, base)?;
     args.finish()?;
     print!("{}", serve::render_artifact_text(&scenario, experiment)?);

@@ -23,7 +23,7 @@
 use crate::error::DcnrError;
 use crate::experiments::Comparison;
 use crate::json::{self, Json};
-use crate::scenario::{Scenario, ScenarioKind};
+use crate::scenario::{Scenario, StudyKind};
 use crate::sweep::SweepConfig;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -186,7 +186,7 @@ fn parse_shard(text: &str, replica: usize) -> Result<ReplicaRecord, String> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// Scenario kind (CLI name).
-    pub kind: ScenarioKind,
+    pub kind: StudyKind,
     /// The sweep's master seed.
     pub master_seed: u64,
     /// Number of replicas.
@@ -408,7 +408,7 @@ fn parse_manifest(text: &str) -> Result<Manifest, String> {
         ));
     }
     let kind_name = v.get("scenario")?.as_str()?;
-    let kind = ScenarioKind::parse(kind_name)
+    let kind = StudyKind::parse(kind_name)
         .ok_or_else(|| format!("unknown scenario kind {kind_name:?}"))?;
     let mut chaos_rates = [0.0; 6];
     for (i, name) in CHAOS_RATE_FIELDS.iter().enumerate() {

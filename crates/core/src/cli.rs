@@ -4,7 +4,9 @@
 //! module is the single [`ArgScanner`] they all share, plus
 //! [`apply_scenario_flags`] — the one place scenario knobs (`--seed`,
 //! `--scale`, `--edges`, chaos rates, hazard ablations) are mapped onto
-//! a [`Scenario`] — and [`parse_sweep_args`], which owns the sweep's
+//! a [`Scenario`], and the one list of them (the report server's query
+//! strings and `dcnr loadgen` go through it too) — [`parse_scenario_kind`]
+//! for `--scenario`, and [`parse_sweep_args`], which owns the sweep's
 //! replication and supervision flags (including the `--resume` /
 //! fresh-sweep conflict rules).
 //!
@@ -14,7 +16,7 @@
 //! left over so typos fail loudly instead of being silently ignored.
 
 use crate::error::DcnrError;
-use crate::scenario::{Scenario, ScenarioKind};
+use crate::scenario::{Scenario, StudyKind};
 use std::path::PathBuf;
 
 /// Order-insensitive flag scanner over a subcommand's arguments.
@@ -147,7 +149,7 @@ pub fn apply_scenario_flags(args: &mut ArgScanner, base: Scenario) -> Result<Sce
 #[derive(Debug)]
 pub struct SweepArgs {
     /// `--scenario intra|backbone|chaos|routes|survivability`.
-    pub scenario: Option<ScenarioKind>,
+    pub scenario: Option<StudyKind>,
     /// `--seeds N`.
     pub seeds: Option<u32>,
     /// `--jobs J`.
@@ -171,6 +173,20 @@ pub struct SweepArgs {
     pub bench_json: Option<String>,
 }
 
+/// Consumes `--scenario NAME`, the study `sweep` and `profile` run. An
+/// unknown name is a usage error.
+pub fn parse_scenario_kind(args: &mut ArgScanner) -> Result<Option<StudyKind>, DcnrError> {
+    args.value::<String>("--scenario")?
+        .map(|name| {
+            StudyKind::parse(&name).ok_or_else(|| {
+                DcnrError::Usage(format!(
+                    "unknown scenario {name:?} (intra, backbone, chaos, routes, or survivability)"
+                ))
+            })
+        })
+        .transpose()
+}
+
 /// Parses the sweep-only flags off `args`, leaving the shared scenario
 /// flags for [`apply_scenario_flags`]. Enforces the resume conflict
 /// rules: a resumed sweep's definition lives in the checkpoint
@@ -178,16 +194,8 @@ pub struct SweepArgs {
 /// re-define it (`--scenario`, `--seeds`, `--resamples`,
 /// `--confidence`, or a second `--checkpoint` directory).
 pub fn parse_sweep_args(args: &mut ArgScanner) -> Result<SweepArgs, DcnrError> {
-    let scenario = match args.value::<String>("--scenario")? {
-        Some(name) => Some(ScenarioKind::parse(&name).ok_or_else(|| {
-            DcnrError::Usage(format!(
-                "unknown scenario {name:?} (intra, backbone, chaos, routes, or survivability)"
-            ))
-        })?),
-        None => None,
-    };
     let parsed = SweepArgs {
-        scenario,
+        scenario: parse_scenario_kind(args)?,
         seeds: args.value("--seeds")?,
         jobs: args.value("--jobs")?,
         resamples: args.value("--resamples")?,
@@ -229,10 +237,8 @@ pub fn parse_sweep_args(args: &mut ArgScanner) -> Result<SweepArgs, DcnrError> {
 /// scenario flags there is no partial application here: the scanner
 /// must be empty afterwards, so the caller runs [`ArgScanner::finish`].
 ///
-/// `--workers 0` means "auto-detect available parallelism". The
-/// transport fault plan starts from the `DCNR_CHAOS` environment spec
-/// (if set) and any `--chaos-*` flag overrides that base — passing any
-/// chaos flag enables the shim even without the variable.
+/// `--workers 0` means "auto-detect available parallelism". Passing
+/// any `--chaos-*` flag enables the transport fault shim.
 pub fn parse_serve_args(args: &mut ArgScanner) -> Result<crate::serve::ServeOptions, DcnrError> {
     let mut opts = crate::serve::ServeOptions::default();
     if let Some(addr) = args.value::<String>("--addr")? {
@@ -307,13 +313,12 @@ pub fn parse_serve_args(args: &mut ArgScanner) -> Result<crate::serve::ServeOpti
     Ok(opts)
 }
 
-/// The `--chaos-*` flag family, layered over a `DCNR_CHAOS` env base.
-/// Returns `None` (shim disabled) when neither is present.
+/// The `--chaos-*` flag family. Returns `None` (shim disabled) when no
+/// chaos flag is present.
 fn parse_chaos_flags(
     args: &mut ArgScanner,
 ) -> Result<Option<dcnr_server::chaos::FaultPlan>, DcnrError> {
-    let mut plan = dcnr_server::chaos::FaultPlan::from_env()
-        .map_err(|e| DcnrError::Usage(format!("DCNR_CHAOS: {e}")))?;
+    let mut plan: Option<dcnr_server::chaos::FaultPlan> = None;
     for key in [
         "seed",
         "accept-delay-rate",
@@ -342,9 +347,9 @@ fn parse_chaos_flags(
 /// Parses the `dcnr loadgen` flags. Scenario flags (`--seed`,
 /// `--scale`, ...) are deliberately *not* consumed here: the caller
 /// passes the scanner's remainder as `scenario_args`, and
-/// [`crate::loadgen`] replays them through [`apply_scenario_flags`] on
-/// each study's CLI-default base — the same path `serve` and `artifact`
-/// use, so the two surfaces can never drift.
+/// [`crate::loadgen`] sends them as each request's query string, which
+/// both the server and the local `--verify` render resolve through
+/// [`crate::serve::scenario_for_artifact`], so the two can never drift.
 pub fn parse_loadgen_args(
     args: &mut ArgScanner,
 ) -> Result<crate::loadgen::LoadgenOptions, DcnrError> {
@@ -712,7 +717,7 @@ mod tests {
         ]);
         let s = parse_sweep_args(&mut a).unwrap();
         a.finish().unwrap();
-        assert_eq!(s.scenario, Some(ScenarioKind::Backbone));
+        assert_eq!(s.scenario, Some(StudyKind::Backbone));
         assert_eq!(s.seeds, Some(6));
         assert_eq!(s.jobs, Some(3));
         assert_eq!(s.deadline, Some(30.0));

@@ -3,9 +3,9 @@
 //!
 //! [`Experiment`] is the artifact identity: one variant per registry
 //! row, in paper order. Its key, title, study and renderer are columns
-//! of the [`crate::artifacts`] registry, and what studies it needs is
-//! resolved by the scenario engine ([`crate::scenario`]); this module
-//! runs nothing.
+//! of the [`crate::artifacts`] registry, which the scenario engine
+//! ([`crate::scenario`]) renders study by study; this module runs
+//! nothing.
 
 use crate::artifacts;
 use std::fmt;

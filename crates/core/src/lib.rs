@@ -17,13 +17,14 @@
 //! * [`experiments`] — the per-experiment index: every table/figure as
 //!   a named experiment with its measured result and the paper's
 //!   reported value, powering EXPERIMENTS.md.
-//! * [`scenario`] — the scenario engine: a [`Scenario`] (study kind +
-//!   scale + seed + hazard/backbone/chaos knobs) lowers to a
-//!   [`RunPlan`], and a [`RunContext`] executes each required study
-//!   exactly once, caching its output for every artifact.
+//! * [`scenario`] — the scenario engine: a [`Scenario`] (a
+//!   [`StudyKind`] + scale + seed + hazard/backbone/chaos knobs) runs
+//!   in a [`RunContext`], which executes its study exactly once and
+//!   caches the output for every artifact.
 //! * [`artifacts`] — the artifact registry: one descriptor per paper
-//!   table/figure (id, required study, paper baseline, render fn), all
-//!   pulling from the shared [`RunContext`].
+//!   table/figure (id, study, paper baseline, render fn), all pulling
+//!   from the shared [`RunContext`]; the one map from a study to its
+//!   artifacts.
 //! * [`routes`] — the forwarding-state study behind the `routes.*`
 //!   artifacts: per-device ECMP path sets with incremental
 //!   invalidation, capacity loss derived from surviving path fractions,
@@ -47,7 +48,8 @@
 //! * [`error`] — the [`DcnrError`] taxonomy every fallible layer of the
 //!   engine reports through (config, usage, I/O, checkpoint, panic,
 //!   deadline, failed-acceptance).
-//! * [`cli`] — the shared flag scanner behind every `dcnr` subcommand.
+//! * [`cli`] — the shared flag scanner behind every `dcnr` subcommand,
+//!   and the one list of scenario flags.
 //! * [`report`] — plain-text rendering of tables and figure series in
 //!   the same rows/columns the paper prints.
 //! * [`telemetry_io`] — JSON and Prometheus-text serialization of
@@ -125,7 +127,7 @@ pub use loadgen::{LoadReport, LoadgenOptions, OpenLoopOptions, OverloadReport};
 pub use profile::{phase_rows, render_profile_json, render_profile_table, PhaseRow};
 pub use resilience::{resilient_get, FetchResult, Outcome, RetryCauses, RetryPolicy};
 pub use routes::{RoutesConfig, RoutesStudy};
-pub use scenario::{RunContext, RunPlan, Scenario, ScenarioKind, ScenarioOutcome, StudyKind};
+pub use scenario::{RunContext, Scenario, ScenarioOutcome, StudyKind};
 pub use serve::{RunningServer, ServeOptions};
 pub use supervisor::{
     FaultMode, FaultPlan, FaultSpec, ReplicaOutcome, ReplicaStatus, SupervisorConfig, FAULT_ENV,

@@ -36,7 +36,7 @@ use dcnr_server::client;
 use dcnr_sim::rng::derive_indexed_seed;
 use dcnr_sim::{seed_sequence, stream_rng};
 use rand::Rng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -58,9 +58,9 @@ pub struct LoadgenOptions {
     pub scenario_seeds: usize,
     /// The artifacts in the mix.
     pub artifacts: Vec<Experiment>,
-    /// Extra scenario flags (`--scale 0.25 ...`) applied to every
-    /// artifact's CLI-default base before minting seeds — the same
-    /// parser the `serve`/`artifact` subcommands use.
+    /// Scenario flags (`--scale 0.25 ...`), sent with every request as
+    /// query parameters (`--seed` replaced by each minted seed) and
+    /// parsed by the server's own query path.
     pub scenario_args: Vec<String>,
     /// Compare every body against a locally rendered expectation.
     pub verify: bool,
@@ -258,8 +258,11 @@ impl ClientTally {
 }
 
 /// Builds the deterministic request mix: every artifact crossed with
-/// `scenario_seeds` derived seeds, each a `with_seed` rebind of that
-/// artifact's flag-adjusted CLI-default base.
+/// `scenario_seeds` seeds minted from its base scenario's seed. Each
+/// target's query is the user's own scenario flags with `seed`
+/// replaced by the minted seed, and each entry's scenario is what the
+/// server resolves that query to, so `--verify` compares against the
+/// server's own render for every scenario flag.
 fn build_mix(opts: &LoadgenOptions) -> Result<Vec<MixEntry>, DcnrError> {
     if opts.artifacts.is_empty() {
         return Err(DcnrError::Usage("loadgen: artifact list is empty".into()));
@@ -269,43 +272,50 @@ fn build_mix(opts: &LoadgenOptions) -> Result<Vec<MixEntry>, DcnrError> {
             "loadgen: --clients, --requests, and --scenario-seeds must be positive".into(),
         ));
     }
-    // One flag-adjusted base per study kind, parsed exactly once.
-    let mut bases: HashMap<&'static str, Scenario> = HashMap::new();
+    let seeds = u32::try_from(opts.scenario_seeds)
+        .map_err(|_| DcnrError::Usage("loadgen: --scenario-seeds too large".into()))?;
+    let pairs = query_pairs(&opts.scenario_args)?;
+    let user_query = pairs.join("&");
+    let unseeded: String = pairs
+        .iter()
+        .filter(|p| p.split('=').next() != Some("seed"))
+        .map(|p| format!("&{p}"))
+        .collect();
     let mut mix = Vec::new();
     for &e in &opts.artifacts {
-        let kind = crate::artifacts::base_kind(e);
-        let base = match bases.entry(kind.name()) {
-            std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let mut scan = crate::cli::ArgScanner::new(opts.scenario_args.clone());
-                let s = crate::cli::apply_scenario_flags(&mut scan, Scenario::cli_default(kind))?;
-                scan.finish()
-                    .map_err(|msg| DcnrError::Usage(format!("loadgen: {msg}")))?;
-                s.validate()?;
-                *v.insert(s)
-            }
-        };
-        let seeds = seed_sequence(
-            base.seed,
-            "loadgen.scenario",
-            u32::try_from(opts.scenario_seeds)
-                .map_err(|_| DcnrError::Usage("loadgen: --scenario-seeds too large".into()))?,
-        );
-        for seed in seeds {
-            let scenario = base.with_seed(seed);
-            let target = format!(
-                "/artifacts/{}?{}",
-                e.key(),
-                serve::scenario_query(&scenario)
-            );
+        let base = serve::scenario_for_artifact(e, &user_query)?;
+        for seed in seed_sequence(base.seed, "loadgen.scenario", seeds) {
+            let query = format!("seed={seed}{unseeded}");
             mix.push(MixEntry {
                 experiment: e,
-                scenario,
-                target,
+                scenario: serve::scenario_for_artifact(e, &query)?,
+                target: format!("/artifacts/{}?{query}", e.key()),
             });
         }
     }
     Ok(mix)
+}
+
+/// Rewrites scenario flags into query pairs, the inverse of the rewrite
+/// [`serve::scenario_from_query`] applies: `--k v` and `--k=v` become
+/// `k=v`, and a bare `--k` becomes `k`. As in [`crate::cli::ArgScanner`],
+/// a flag takes the next argument as its value unless that starts with
+/// `--`.
+fn query_pairs(args: &[String]) -> Result<Vec<String>, DcnrError> {
+    let mut pairs = Vec::new();
+    let mut args = args.iter().peekable();
+    while let Some(arg) = args.next() {
+        let flag = arg.strip_prefix("--").ok_or_else(|| {
+            DcnrError::Usage(format!(
+                "loadgen: unrecognized argument {arg:?} (run `dcnr help` for the flag list)"
+            ))
+        })?;
+        match args.next_if(|v| !flag.contains('=') && !v.starts_with("--")) {
+            Some(value) => pairs.push(format!("{flag}={value}")),
+            None => pairs.push(flag.to_string()),
+        }
+    }
+    Ok(pairs)
 }
 
 /// Runs the closed loop against `opts.addr` and returns the aggregate.
@@ -1191,6 +1201,47 @@ mod tests {
             ..LoadgenOptions::default()
         };
         assert_eq!(build_mix(&bad).unwrap_err().kind(), "usage");
+    }
+
+    #[test]
+    fn mix_targets_carry_every_scenario_flag() {
+        let opts = LoadgenOptions {
+            artifacts: vec![Experiment::SurvLifespan, Experiment::Fig15],
+            scenario_args: ["--topology", "dcell", "--scale=0.25", "--no-drain"]
+                .map(String::from)
+                .to_vec(),
+            ..LoadgenOptions::default()
+        };
+        let mix = build_mix(&opts).unwrap();
+        for m in &mix {
+            let (_, query) = m.target.split_once('?').unwrap();
+            assert!(query.starts_with("seed="), "{query}");
+            assert!(query.ends_with("&topology=dcell&scale=0.25&no-drain"));
+            let served = serve::scenario_for_artifact(m.experiment, query).unwrap();
+            assert_eq!(format!("{:?}", m.scenario), format!("{served:?}"));
+        }
+        assert!(mix
+            .iter()
+            .filter(|m| m.experiment == Experiment::SurvLifespan)
+            .all(|m| m.scenario.topology == "dcell"));
+        // A user --seed is replaced by the seeds minted from it.
+        let seeded = LoadgenOptions {
+            scenario_args: ["--seed", "7"].map(String::from).to_vec(),
+            ..LoadgenOptions::default()
+        };
+        let mix = build_mix(&seeded).unwrap();
+        for (m, seed) in mix.iter().zip(seed_sequence(7, "loadgen.scenario", 2)) {
+            assert_eq!(m.scenario.seed, seed);
+            assert_eq!(m.target.matches("seed=").count(), 1, "{}", m.target);
+        }
+        // A stray positional is a usage error naming it.
+        let stray = LoadgenOptions {
+            scenario_args: vec!["dcell".into()],
+            ..LoadgenOptions::default()
+        };
+        let err = build_mix(&stray).unwrap_err();
+        assert_eq!(err.kind(), "usage");
+        assert!(err.to_string().contains("\"dcell\""), "{err}");
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! The scenario engine: one run-plan layer behind every study driver.
+//! The scenario engine behind every study driver.
 //!
 //! A [`Scenario`] names a workload (study kind + scale + seed +
-//! hazard/backbone/chaos knobs). It lowers to a [`RunPlan`] — which
-//! studies must execute and which artifacts they feed — and a
-//! [`RunContext`] executes each required study **exactly once**,
-//! caching its output so every artifact pulls from the shared context
-//! instead of re-running pipelines. The CLI's `intra`, `backbone`, and
-//! `chaos` subcommands, the sweep runner, the report server, and the
-//! examples all drive the same engine.
+//! hazard/backbone/chaos knobs). A [`RunContext`] runs the scenario's
+//! study **exactly once**, caching its output so every artifact pulls
+//! from the shared context instead of re-running pipelines, and renders
+//! the artifact registry's rows for that study. The CLI's study
+//! subcommands, the sweep runner, the report server, and the examples
+//! all drive the same engine.
 //!
-//! Dataflow: `Scenario` → [`Scenario::plan`] → `RunPlan` →
-//! [`RunContext::execute`] → [`ScenarioOutcome`].
+//! Dataflow: `Scenario` → [`RunContext::execute`] → [`ScenarioOutcome`].
 
 use crate::artifacts;
 use crate::error::{panic_message, DcnrError};
@@ -26,29 +24,17 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
-/// A study pipeline a scenario may require.
+/// Which study a scenario runs. The artifact registry maps each study
+/// to the artifacts it renders ([`artifacts::Artifact::study`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StudyKind {
-    /// The seven-year intra-DC study (§5).
+    /// The seven-year intra-DC study (§5): Tables 1–2 and Figures 2–14.
     Intra,
-    /// The eighteen-month backbone study (§6).
+    /// The eighteen-month backbone study (§6): Figures 15–18 and
+    /// Table 4.
     Backbone,
-    /// The two-arm chaos-ingestion study (clean vs. fault-injected).
-    Chaos,
-    /// The forwarding-state routes study (`routes.*` artifacts).
-    Routes,
-    /// The topology-zoo survivability study (`surv.*` artifacts).
-    Survivability,
-}
-
-/// Which workload a scenario runs — the former three drivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ScenarioKind {
-    /// Tables 1–2 and Figures 2–14 from the intra-DC study.
-    Intra,
-    /// Figures 15–18 and Table 4 from the backbone study.
-    Backbone,
-    /// The chaos-ingestion drill with clean-vs-perturbed deviations.
+    /// The two-arm chaos-ingestion drill (clean vs. fault-injected)
+    /// with clean-vs-perturbed deviations; it renders no artifacts.
     Chaos,
     /// The forwarding-state study: ECMP capacity loss, emergent
     /// severity mix, and the workload-degradation curve.
@@ -58,8 +44,8 @@ pub enum ScenarioKind {
     Survivability,
 }
 
-impl ScenarioKind {
-    /// Parses a CLI scenario name.
+impl StudyKind {
+    /// Parses a CLI study name.
     pub fn parse(name: &str) -> Option<Self> {
         match name {
             "intra" => Some(Self::Intra),
@@ -83,7 +69,7 @@ impl ScenarioKind {
     }
 }
 
-impl fmt::Display for ScenarioKind {
+impl fmt::Display for StudyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
@@ -93,8 +79,8 @@ impl fmt::Display for ScenarioKind {
 /// execution strategy (single run vs. sweep, thread count).
 #[derive(Debug, Clone, Copy)]
 pub struct Scenario {
-    /// Which workload to run.
-    pub kind: ScenarioKind,
+    /// Which study to run.
+    pub kind: StudyKind,
     /// Master seed. Every derived stream — intra, backbone, chaos
     /// injection — is a stable function of this one value.
     pub seed: u64,
@@ -120,7 +106,7 @@ impl Scenario {
     /// The intra-DC scenario at the paper-default scale.
     pub fn intra(seed: u64) -> Self {
         Self {
-            kind: ScenarioKind::Intra,
+            kind: StudyKind::Intra,
             seed,
             scale: 10.0,
             hazard: HazardConfig::default(),
@@ -135,7 +121,7 @@ impl Scenario {
     /// The backbone scenario at the paper-default topology.
     pub fn backbone(seed: u64) -> Self {
         Self {
-            kind: ScenarioKind::Backbone,
+            kind: StudyKind::Backbone,
             ..Self::intra(seed)
         }
     }
@@ -143,7 +129,7 @@ impl Scenario {
     /// The chaos drill scenario (drill fault mix, default tolerances).
     pub fn chaos(seed: u64) -> Self {
         Self {
-            kind: ScenarioKind::Chaos,
+            kind: StudyKind::Chaos,
             ..Self::intra(seed)
         }
     }
@@ -153,7 +139,7 @@ impl Scenario {
     /// multiplier, so the default is 1.0).
     pub fn routes(seed: u64) -> Self {
         Self {
-            kind: ScenarioKind::Routes,
+            kind: StudyKind::Routes,
             scale: 1.0,
             ..Self::intra(seed)
         }
@@ -163,7 +149,7 @@ impl Scenario {
     /// lifespan replay on the default fat-tree member.
     pub fn survivability(seed: u64) -> Self {
         Self {
-            kind: ScenarioKind::Survivability,
+            kind: StudyKind::Survivability,
             scale: 1.0,
             ..Self::intra(seed)
         }
@@ -173,13 +159,13 @@ impl Scenario {
     /// `kind` when no `--seed` is given. One definition, so
     /// `dcnr artifact fig15` and `GET /artifacts/fig15` agree byte for
     /// byte on what the unparameterized workload is.
-    pub fn cli_default(kind: ScenarioKind) -> Self {
+    pub fn cli_default(kind: StudyKind) -> Self {
         match kind {
-            ScenarioKind::Intra => Self::intra(0xDC_2018),
-            ScenarioKind::Backbone => Self::backbone(0xB0_E5),
-            ScenarioKind::Chaos => Self::chaos(0xC4_05),
-            ScenarioKind::Routes => Self::routes(0x70_07E5),
-            ScenarioKind::Survivability => Self::survivability(0x5012_0735),
+            StudyKind::Intra => Self::intra(0xDC_2018),
+            StudyKind::Backbone => Self::backbone(0xB0_E5),
+            StudyKind::Chaos => Self::chaos(0xC4_05),
+            StudyKind::Routes => Self::routes(0x70_07E5),
+            StudyKind::Survivability => Self::survivability(0x5012_0735),
         }
     }
 
@@ -204,7 +190,7 @@ impl Scenario {
                 dcnr_topology::zoo::id_list()
             )));
         }
-        if self.kind == ScenarioKind::Survivability && self.scale > 100.0 {
+        if self.kind == StudyKind::Survivability && self.scale > 100.0 {
             return Err(DcnrError::Usage(format!(
                 "survivability scale {} is out of range (zoo builders accept 0 < scale <= 100)",
                 self.scale
@@ -218,48 +204,6 @@ impl Scenario {
         self.chaos
             .validate()
             .map_err(|e| DcnrError::Config(format!("chaos: {e}")))
-    }
-
-    /// Lowers the scenario to its run plan.
-    pub fn plan(&self) -> RunPlan {
-        let artifacts: Vec<Experiment> = match self.kind {
-            ScenarioKind::Intra => artifacts::registry()
-                .iter()
-                .filter(|a| a.study == StudyKind::Intra)
-                .map(|a| a.id)
-                .collect(),
-            ScenarioKind::Backbone => artifacts::registry()
-                .iter()
-                .filter(|a| a.study == StudyKind::Backbone)
-                .map(|a| a.id)
-                .collect(),
-            ScenarioKind::Routes => artifacts::registry()
-                .iter()
-                .filter(|a| a.study == StudyKind::Routes)
-                .map(|a| a.id)
-                .collect(),
-            ScenarioKind::Survivability => artifacts::registry()
-                .iter()
-                .filter(|a| a.study == StudyKind::Survivability)
-                .map(|a| a.id)
-                .collect(),
-            ScenarioKind::Chaos => Vec::new(),
-        };
-        let mut studies: Vec<StudyKind> = Vec::new();
-        if self.kind == ScenarioKind::Chaos {
-            studies.push(StudyKind::Chaos);
-        }
-        for e in &artifacts {
-            let s = artifacts::descriptor(*e).study;
-            if !studies.contains(&s) {
-                studies.push(s);
-            }
-        }
-        RunPlan {
-            scenario: *self,
-            studies,
-            artifacts,
-        }
     }
 
     /// The intra-DC study configuration this scenario implies.
@@ -298,19 +242,6 @@ impl Scenario {
             topology: self.topology,
         }
     }
-}
-
-/// What a scenario resolves to before anything runs: the studies it
-/// needs (each executed exactly once) and the artifacts they feed.
-#[derive(Debug, Clone)]
-pub struct RunPlan {
-    /// The scenario this plan was lowered from.
-    pub scenario: Scenario,
-    /// Required studies, deduplicated, in execution order.
-    pub studies: Vec<StudyKind>,
-    /// Artifacts to render, in paper order (empty for chaos, whose
-    /// output is the deviation report rather than paper artifacts).
-    pub artifacts: Vec<Experiment>,
 }
 
 /// The shared execution context: runs each required study exactly once
@@ -380,27 +311,6 @@ impl RunContext {
             .get_or_init(|| SurvivabilityStudy::run(self.scenario.survivability_config()))
     }
 
-    /// Ensures `kind` has executed (idempotent).
-    pub fn ensure(&self, kind: StudyKind) {
-        match kind {
-            StudyKind::Intra => {
-                self.intra();
-            }
-            StudyKind::Backbone => {
-                self.inter();
-            }
-            StudyKind::Chaos => {
-                self.chaos();
-            }
-            StudyKind::Routes => {
-                self.routes();
-            }
-            StudyKind::Survivability => {
-                self.survivability();
-            }
-        }
-    }
-
     /// Renders one artifact from the cached studies via its registry
     /// descriptor.
     pub fn artifact(&self, e: Experiment) -> ExperimentOutcome {
@@ -425,26 +335,21 @@ impl RunContext {
         )
     }
 
-    /// Executes the scenario's full plan and renders the report.
+    /// Executes the scenario and renders the report: the chaos drill's
+    /// deviation report, or else every registry artifact of the
+    /// scenario's study, in registry order. The dataset line runs the
+    /// study; each artifact then reads the cached output.
     pub fn execute(&self) -> ScenarioOutcome {
-        let plan = self.scenario.plan();
-        for kind in &plan.studies {
-            self.ensure(*kind);
+        if self.scenario.kind == StudyKind::Chaos {
+            return self.execute_chaos();
         }
-        match self.scenario.kind {
-            ScenarioKind::Intra
-            | ScenarioKind::Backbone
-            | ScenarioKind::Routes
-            | ScenarioKind::Survivability => self.execute_artifacts(&plan),
-            ScenarioKind::Chaos => self.execute_chaos(),
-        }
-    }
-
-    fn execute_artifacts(&self, plan: &RunPlan) -> ScenarioOutcome {
         let mut rendered = String::new();
         let _ = writeln!(rendered, "{}", self.dataset_line());
-        let artifacts: Vec<ExperimentOutcome> =
-            plan.artifacts.iter().map(|&e| self.artifact(e)).collect();
+        let artifacts: Vec<ExperimentOutcome> = artifacts::registry()
+            .iter()
+            .filter(|a| a.study == self.scenario.kind)
+            .map(|a| (a.render)(self))
+            .collect();
         let mut comparisons = Vec::new();
         for out in &artifacts {
             let _ = writeln!(rendered);
@@ -535,7 +440,7 @@ impl RunContext {
 
     fn dataset_line(&self) -> String {
         match self.scenario.kind {
-            ScenarioKind::Intra => {
+            StudyKind::Intra => {
                 let s = self.intra();
                 format!(
                     "dataset: {} issues -> {} SEVs (2011-2017)",
@@ -543,7 +448,7 @@ impl RunContext {
                     s.db().len()
                 )
             }
-            ScenarioKind::Backbone => {
+            StudyKind::Backbone => {
                 let s = self.inter();
                 format!(
                     "dataset: {} e-mails -> {} tickets (Oct 2016 - Apr 2018)",
@@ -551,7 +456,7 @@ impl RunContext {
                     s.tickets().len()
                 )
             }
-            ScenarioKind::Routes => {
+            StudyKind::Routes => {
                 let s = self.routes();
                 let stats = s.forwarding_stats();
                 format!(
@@ -564,7 +469,7 @@ impl RunContext {
                     stats.devices_recomputed
                 )
             }
-            ScenarioKind::Survivability => {
+            StudyKind::Survivability => {
                 let s = self.survivability();
                 format!(
                     "dataset: {} zoo members x {} element classes, {} samples; \
@@ -577,7 +482,7 @@ impl RunContext {
                     s.lifespan_links()
                 )
             }
-            ScenarioKind::Chaos => String::new(),
+            StudyKind::Chaos => String::new(),
         }
     }
 }
@@ -587,9 +492,9 @@ impl RunContext {
 pub struct ScenarioOutcome {
     /// The scenario that ran.
     pub scenario: Scenario,
-    /// Rendered artifacts in plan order (empty for chaos).
+    /// Rendered artifacts in registry order (empty for chaos).
     pub artifacts: Vec<ExperimentOutcome>,
-    /// Every comparison row, flattened in plan order. For chaos these
+    /// Every comparison row, flattened in registry order. For chaos these
     /// are the deviation drifts (paper value 0.0 = no drift).
     pub comparisons: Vec<Comparison>,
     /// The full plain-text report (what the CLI prints).
@@ -603,7 +508,7 @@ pub struct ScenarioOutcome {
 mod tests {
     use super::*;
 
-    fn small(kind: ScenarioKind) -> Scenario {
+    fn small(kind: StudyKind) -> Scenario {
         Scenario {
             kind,
             scale: 1.0,
@@ -618,30 +523,29 @@ mod tests {
 
     #[test]
     fn plan_requires_exactly_the_needed_studies() {
-        let p = small(ScenarioKind::Intra).plan();
-        assert_eq!(p.studies, vec![StudyKind::Intra]);
-        assert_eq!(p.artifacts.len(), 15, "Tables 1-2 + Figs 2-14");
-        let p = small(ScenarioKind::Backbone).plan();
-        assert_eq!(p.studies, vec![StudyKind::Backbone]);
-        assert_eq!(p.artifacts.len(), 5, "Figs 15-18 + Table 4");
-        let p = small(ScenarioKind::Routes).plan();
-        assert_eq!(p.studies, vec![StudyKind::Routes]);
-        assert_eq!(
-            p.artifacts.len(),
-            3,
-            "routes.{{capacity,severity_mix,workload}}"
-        );
-        let p = small(ScenarioKind::Survivability).plan();
-        assert_eq!(p.studies, vec![StudyKind::Survivability]);
-        assert_eq!(p.artifacts.len(), 2, "surv.{{ranking,lifespan}}");
-        let p = small(ScenarioKind::Chaos).plan();
-        assert_eq!(p.studies, vec![StudyKind::Chaos]);
-        assert!(p.artifacts.is_empty());
+        // Each study renders exactly its registry rows; chaos has none.
+        for (kind, rows, what) in [
+            (StudyKind::Intra, 15, "Tables 1-2 + Figs 2-14"),
+            (StudyKind::Backbone, 5, "Figs 15-18 + Table 4"),
+            (
+                StudyKind::Routes,
+                3,
+                "routes.{capacity,severity_mix,workload}",
+            ),
+            (StudyKind::Survivability, 2, "surv.{ranking,lifespan}"),
+            (StudyKind::Chaos, 0, "the drill renders no artifacts"),
+        ] {
+            let n = artifacts::registry()
+                .iter()
+                .filter(|a| a.study == kind)
+                .count();
+            assert_eq!(n, rows, "{kind}: {what}");
+        }
     }
 
     #[test]
     fn context_runs_each_study_once_and_caches() {
-        let ctx = RunContext::new(small(ScenarioKind::Intra));
+        let ctx = RunContext::new(small(StudyKind::Intra));
         let a = ctx.intra() as *const IntraDcStudy;
         let b = ctx.intra() as *const IntraDcStudy;
         assert_eq!(a, b, "second access must hit the cache");
@@ -649,7 +553,7 @@ mod tests {
 
     #[test]
     fn intra_execution_does_not_touch_the_backbone() {
-        let ctx = RunContext::new(small(ScenarioKind::Intra));
+        let ctx = RunContext::new(small(StudyKind::Intra));
         let out = ctx.execute();
         assert!(out.passed);
         assert!(ctx.inter.get().is_none(), "backbone must stay unrun");
@@ -661,7 +565,7 @@ mod tests {
 
     #[test]
     fn backbone_execution_does_not_touch_intra() {
-        let ctx = RunContext::new(small(ScenarioKind::Backbone));
+        let ctx = RunContext::new(small(StudyKind::Backbone));
         let out = ctx.execute();
         assert!(ctx.intra.get().is_none(), "intra must stay unrun");
         assert_eq!(out.artifacts.len(), 5);
@@ -670,7 +574,7 @@ mod tests {
 
     #[test]
     fn routes_execution_stays_inside_the_routes_study() {
-        let mut s = small(ScenarioKind::Routes);
+        let mut s = small(StudyKind::Routes);
         s.scale = 0.25;
         let ctx = RunContext::new(s);
         let out = ctx.execute();
@@ -684,7 +588,7 @@ mod tests {
 
     #[test]
     fn chaos_execution_produces_drift_comparisons() {
-        let ctx = RunContext::new(small(ScenarioKind::Chaos));
+        let ctx = RunContext::new(small(StudyKind::Chaos));
         let out = ctx.execute();
         // The verdict must agree with the study's own tolerance check
         // (whether it passes depends on topology size and seed).
@@ -699,7 +603,7 @@ mod tests {
 
     #[test]
     fn with_seed_rederives_chaos_seed() {
-        let a = small(ScenarioKind::Chaos);
+        let a = small(StudyKind::Chaos);
         let b = a.with_seed(a.seed + 1);
         assert_ne!(a.chaos.seed, b.chaos.seed);
         assert_eq!(a.chaos.corrupt_rate, b.chaos.corrupt_rate);
@@ -710,41 +614,41 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_knobs() {
-        let mut s = small(ScenarioKind::Intra);
+        let mut s = small(StudyKind::Intra);
         s.scale = 0.0;
         assert!(s.validate().is_err());
-        let mut s = small(ScenarioKind::Backbone);
+        let mut s = small(StudyKind::Backbone);
         s.backbone.edges = 1;
         assert!(s.validate().is_err());
-        let mut s = small(ScenarioKind::Chaos);
+        let mut s = small(StudyKind::Chaos);
         s.chaos.loss_rate = 2.0;
         assert!(s.validate().is_err());
-        assert!(small(ScenarioKind::Intra).validate().is_ok());
+        assert!(small(StudyKind::Intra).validate().is_ok());
     }
 
     #[test]
     fn validate_rejects_unknown_topologies_as_usage_errors() {
-        let mut s = small(ScenarioKind::Survivability);
+        let mut s = small(StudyKind::Survivability);
         s.topology = "hypercube";
         let err = s.validate().unwrap_err();
         assert_eq!(err.kind(), "usage");
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("dcell"), "lists valid ids: {err}");
         // Out-of-range zoo scale is also a usage error for survivability.
-        let mut s = small(ScenarioKind::Survivability);
+        let mut s = small(StudyKind::Survivability);
         s.scale = 101.0;
         let err = s.validate().unwrap_err();
         assert_eq!(err.kind(), "usage");
         // ...but other scenario kinds accept large scales unchanged.
-        let mut s = small(ScenarioKind::Intra);
+        let mut s = small(StudyKind::Intra);
         s.scale = 101.0;
         assert!(s.validate().is_ok());
-        assert!(small(ScenarioKind::Survivability).validate().is_ok());
+        assert!(small(StudyKind::Survivability).validate().is_ok());
     }
 
     #[test]
     fn try_execute_rejects_invalid_scenarios_without_running() {
-        let mut s = small(ScenarioKind::Intra);
+        let mut s = small(StudyKind::Intra);
         s.scale = f64::NAN;
         let ctx = RunContext::new(s);
         let err = ctx.try_execute().unwrap_err();
@@ -754,7 +658,7 @@ mod tests {
 
     #[test]
     fn try_execute_matches_execute_on_valid_scenarios() {
-        let ctx = RunContext::new(small(ScenarioKind::Chaos));
+        let ctx = RunContext::new(small(StudyKind::Chaos));
         let out = ctx.try_execute().unwrap();
         assert_eq!(out.rendered, ctx.execute().rendered);
     }
@@ -762,14 +666,14 @@ mod tests {
     #[test]
     fn kind_parse_roundtrip() {
         for k in [
-            ScenarioKind::Intra,
-            ScenarioKind::Backbone,
-            ScenarioKind::Chaos,
-            ScenarioKind::Routes,
-            ScenarioKind::Survivability,
+            StudyKind::Intra,
+            StudyKind::Backbone,
+            StudyKind::Chaos,
+            StudyKind::Routes,
+            StudyKind::Survivability,
         ] {
-            assert_eq!(ScenarioKind::parse(k.name()), Some(k));
+            assert_eq!(StudyKind::parse(k.name()), Some(k));
         }
-        assert_eq!(ScenarioKind::parse("bogus"), None);
+        assert_eq!(StudyKind::parse("bogus"), None);
     }
 }

@@ -675,7 +675,7 @@ fn sweep_response(state: &ServeState, name: &str) -> Response {
 /// for the artifact's study, adjusted by the query string through the
 /// same flag path the CLI uses.
 pub fn scenario_for_artifact(e: Experiment, query: &str) -> Result<Scenario, DcnrError> {
-    scenario_from_query(Scenario::cli_default(artifacts::base_kind(e)), query)
+    scenario_from_query(Scenario::cli_default(artifacts::descriptor(e).study), query)
 }
 
 /// Rewrites query pairs (`seed=7&no-automation`) into the CLI's flag
@@ -704,24 +704,6 @@ pub fn scenario_from_query(base: Scenario, query: &str) -> Result<Scenario, Dcnr
     scan.finish()
         .map_err(|e| DcnrError::Usage(format!("query string: {e}")))?;
     Ok(scenario)
-}
-
-/// The query string that reproduces `scenario` against a default base —
-/// the inverse of [`scenario_from_query`] for the knobs `dcnr loadgen`
-/// varies. Always names seed/scale/edges/vendors explicitly so a cached
-/// response can never be confused across seeds.
-pub fn scenario_query(s: &Scenario) -> String {
-    let mut q = format!(
-        "seed={}&scale={}&edges={}&vendors={}",
-        s.seed, s.scale, s.backbone.edges, s.backbone.vendors
-    );
-    if !s.hazard.automation_enabled {
-        q.push_str("&no-automation");
-    }
-    if !s.hazard.drain_policy_enabled {
-        q.push_str("&no-drain");
-    }
-    q
 }
 
 /// The result-cache key for (`scenario`, `artifact`): kind + master
@@ -760,7 +742,7 @@ pub fn render_artifact_text(scenario: &Scenario, e: Experiment) -> Result<String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioKind;
+    use crate::scenario::StudyKind;
 
     fn small_query() -> &'static str {
         "seed=11&scale=0.25&edges=40&vendors=16"
@@ -768,26 +750,16 @@ mod tests {
 
     #[test]
     fn query_round_trips_through_the_cli_flag_parser() {
-        let s = scenario_from_query(Scenario::cli_default(ScenarioKind::Backbone), small_query())
-            .unwrap();
+        let s =
+            scenario_from_query(Scenario::cli_default(StudyKind::Backbone), small_query()).unwrap();
         assert_eq!(s.seed, 11);
         assert_eq!(s.scale, 0.25);
         assert_eq!(s.backbone.edges, 40);
-        assert_eq!(
-            scenario_from_query(
-                Scenario::cli_default(ScenarioKind::Backbone),
-                &scenario_query(&s)
-            )
-            .unwrap()
-            .seed,
-            11,
-            "scenario_query must be parseable by scenario_from_query"
-        );
     }
 
     #[test]
     fn query_errors_are_usage_errors_naming_the_parameter() {
-        let base = Scenario::cli_default(ScenarioKind::Intra);
+        let base = Scenario::cli_default(StudyKind::Intra);
         let err = scenario_from_query(base, "seed=banana").unwrap_err();
         assert_eq!(err.kind(), "usage");
         assert!(err.to_string().contains("--seed"), "{err}");
@@ -799,7 +771,7 @@ mod tests {
 
     #[test]
     fn cache_key_distinguishes_every_knob() {
-        let a = Scenario::cli_default(ScenarioKind::Backbone);
+        let a = Scenario::cli_default(StudyKind::Backbone);
         let b = a.with_seed(a.seed + 1);
         let mut c = a;
         c.backbone.edges += 1;
@@ -815,8 +787,7 @@ mod tests {
     #[test]
     fn render_artifact_text_matches_the_full_report_block() {
         let scenario =
-            scenario_from_query(Scenario::cli_default(ScenarioKind::Backbone), small_query())
-                .unwrap();
+            scenario_from_query(Scenario::cli_default(StudyKind::Backbone), small_query()).unwrap();
         let text = render_artifact_text(&scenario, Experiment::Fig15).unwrap();
         let full = RunContext::new(scenario).execute();
         assert!(
@@ -827,7 +798,7 @@ mod tests {
 
     #[test]
     fn render_artifact_text_rejects_invalid_scenarios() {
-        let mut s = Scenario::cli_default(ScenarioKind::Backbone);
+        let mut s = Scenario::cli_default(StudyKind::Backbone);
         s.scale = -1.0;
         assert_eq!(
             render_artifact_text(&s, Experiment::Fig15)

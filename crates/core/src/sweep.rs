@@ -428,9 +428,9 @@ fn render(
 mod tests {
     use super::*;
     use crate::experiments::Comparison;
-    use crate::scenario::ScenarioKind;
+    use crate::scenario::StudyKind;
 
-    fn small_base(kind: ScenarioKind) -> Scenario {
+    fn small_base(kind: StudyKind) -> Scenario {
         Scenario {
             kind,
             scale: 0.5,
@@ -455,10 +455,9 @@ mod tests {
 
     #[test]
     fn rejects_zero_seeds_and_bad_scenarios() {
-        let err =
-            run_sweep(SweepConfig::new(small_base(ScenarioKind::Backbone), 0, 1)).unwrap_err();
+        let err = run_sweep(SweepConfig::new(small_base(StudyKind::Backbone), 0, 1)).unwrap_err();
         assert_eq!(err.kind(), "config");
-        let mut bad = small_base(ScenarioKind::Intra);
+        let mut bad = small_base(StudyKind::Intra);
         bad.scale = -1.0;
         let err = run_sweep(SweepConfig::new(bad, 2, 1)).unwrap_err();
         assert_eq!(err.kind(), "config");
@@ -466,15 +465,14 @@ mod tests {
 
     #[test]
     fn rejects_zero_jobs() {
-        let err =
-            run_sweep(SweepConfig::new(small_base(ScenarioKind::Backbone), 2, 0)).unwrap_err();
+        let err = run_sweep(SweepConfig::new(small_base(StudyKind::Backbone), 2, 0)).unwrap_err();
         assert_eq!(err.kind(), "config");
         assert!(err.to_string().contains("worker"), "{err}");
     }
 
     #[test]
     fn rejects_zero_resamples() {
-        let mut config = SweepConfig::new(small_base(ScenarioKind::Backbone), 2, 1);
+        let mut config = SweepConfig::new(small_base(StudyKind::Backbone), 2, 1);
         config.resamples = 0;
         let err = run_sweep(config).unwrap_err();
         assert_eq!(err.kind(), "config");
@@ -484,13 +482,13 @@ mod tests {
     #[test]
     fn rejects_confidence_outside_the_open_unit_interval() {
         for confidence in [1.5, f64::NAN, -1.0, 0.0, 1.0] {
-            let mut config = SweepConfig::new(small_base(ScenarioKind::Backbone), 2, 1);
+            let mut config = SweepConfig::new(small_base(StudyKind::Backbone), 2, 1);
             config.confidence = confidence;
             let err = run_sweep(config).unwrap_err();
             assert_eq!(err.kind(), "config", "{confidence}");
             assert!(err.to_string().contains("confidence"), "{err}");
         }
-        let mut config = SweepConfig::new(small_base(ScenarioKind::Backbone), 2, 1);
+        let mut config = SweepConfig::new(small_base(StudyKind::Backbone), 2, 1);
         for confidence in [0.5, 0.9, 0.999] {
             config.confidence = confidence;
             assert_eq!(config.check(), Ok(()), "{confidence}");
@@ -569,7 +567,7 @@ mod tests {
 
     #[test]
     fn backbone_sweep_bands_cover_their_own_mean() {
-        let out = run_sweep(SweepConfig::new(small_base(ScenarioKind::Backbone), 3, 2)).unwrap();
+        let out = run_sweep(SweepConfig::new(small_base(StudyKind::Backbone), 3, 2)).unwrap();
         assert_eq!(out.replica_seeds.len(), 3);
         assert!(!out.rows.is_empty());
         for row in &out.rows {
@@ -585,14 +583,14 @@ mod tests {
 
     #[test]
     fn chaos_sweep_counts_replica_verdicts() {
-        let out = run_sweep(SweepConfig::new(small_base(ScenarioKind::Chaos), 2, 2)).unwrap();
+        let out = run_sweep(SweepConfig::new(small_base(StudyKind::Chaos), 2, 2)).unwrap();
         assert_eq!(out.passed_replicas, 2, "drill rates stay in tolerance");
         assert!(out.rows.iter().all(|r| r.paper == 0.0));
     }
 
     #[test]
     fn gate_enforces_max_failures() {
-        let out = run_sweep(SweepConfig::new(small_base(ScenarioKind::Backbone), 2, 2)).unwrap();
+        let out = run_sweep(SweepConfig::new(small_base(StudyKind::Backbone), 2, 2)).unwrap();
         assert!(out.gate(0).is_ok(), "healthy run passes a zero budget");
         let mut degraded = out;
         degraded.failed_replicas = 2;

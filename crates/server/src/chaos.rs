@@ -78,8 +78,8 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// The rate fields with their spec/flag names, for parsing and
-    /// display.
+    /// The rate fields with their keys (the `--chaos-*` flag names
+    /// without the prefix), for validation and display.
     fn rates(&self) -> [(&'static str, f64); 7] {
         [
             ("accept-delay-rate", self.accept_delay_rate),
@@ -107,7 +107,8 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Sets one field by its spec key (`seed`, `reset-rate`, ...).
+    /// Sets one field by its key (`seed`, `reset-rate`, ...): the
+    /// `--chaos-*` flag name without the prefix.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
         let num = |v: &str| {
             v.parse::<f64>()
@@ -131,28 +132,6 @@ impl FaultPlan {
             other => return Err(format!("unknown chaos key {other:?}")),
         }
         Ok(())
-    }
-
-    /// Parses a `key=value,key=value` spec (the `DCNR_CHAOS` format;
-    /// keys are the `--chaos-*` flag names without the prefix).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut plan = Self::default();
-        for pair in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("chaos spec entry {pair:?} is not key=value"))?;
-            plan.set(key.trim(), value.trim())?;
-        }
-        plan.validate()?;
-        Ok(plan)
-    }
-
-    /// Reads a plan from the `DCNR_CHAOS` environment variable, if set.
-    pub fn from_env() -> Result<Option<Self>, String> {
-        match std::env::var("DCNR_CHAOS") {
-            Ok(spec) if !spec.trim().is_empty() => Self::parse(&spec).map(Some),
-            _ => Ok(None),
-        }
     }
 
     /// One-line human summary (for the serve startup log).
@@ -691,21 +670,33 @@ mod tests {
 
     #[test]
     fn spec_parsing_round_trips_and_rejects_garbage() {
-        let plan = FaultPlan::parse("seed=9, reset-rate=0.25, delay-ms=5, stall-ms=100").unwrap();
+        let mut plan = FaultPlan::default();
+        for (key, value) in [
+            ("seed", "9"),
+            ("reset-rate", "0.25"),
+            ("delay-ms", "5"),
+            ("stall-ms", "100"),
+        ] {
+            plan.set(key, value).unwrap();
+        }
+        plan.validate().unwrap();
         assert_eq!(plan.seed, 9);
         assert_eq!(plan.reset_rate, 0.25);
         assert_eq!(plan.delay_ms, 5);
         assert_eq!(plan.stall_ms, 100);
-        assert!(FaultPlan::parse("bogus=1").is_err());
-        assert!(FaultPlan::parse("reset-rate=2.0").is_err(), "rate > 1");
-        assert!(FaultPlan::parse("reset-rate=banana").is_err());
-        assert!(FaultPlan::parse("reset-rate").is_err(), "missing =");
-        assert!(FaultPlan::parse("").unwrap().is_zero());
+        assert!(plan.set("bogus", "1").is_err());
+        assert!(plan.set("reset-rate", "banana").is_err());
+        assert!(plan.set("seed", "0.5").is_err(), "seed is an integer");
+        plan.set("reset-rate", "2.0").unwrap();
+        assert!(plan.validate().is_err(), "rate > 1");
+        assert!(FaultPlan::default().is_zero());
     }
 
     #[test]
     fn describe_names_only_the_active_rates() {
-        let plan = FaultPlan::parse("seed=3,corrupt-rate=0.1").unwrap();
+        let mut plan = FaultPlan::default();
+        plan.set("seed", "3").unwrap();
+        plan.set("corrupt-rate", "0.1").unwrap();
         let text = plan.describe();
         assert!(text.contains("seed=3"), "{text}");
         assert!(text.contains("corrupt-rate=0.1"), "{text}");

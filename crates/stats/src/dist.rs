@@ -8,10 +8,6 @@
 //! * [`Exponential`] — inter-failure times of Poisson failure processes
 //!   (the paper finds time-to-failure "closely follows exponential
 //!   functions", §6).
-//! * [`Weibull`] — hardware wear-out hazards with shape ≠ 1 (used for
-//!   ablations on the memorylessness assumption).
-//! * [`LogNormal`] — repair / resolution durations, which are
-//!   multiplicative and heavy-tailed (p75IRT analysis, §5.6).
 //! * [`Categorical`] — discrete mixes: root causes (Table 2), remediation
 //!   actions (§4.1.3), severity levels (Fig. 4).
 
@@ -68,103 +64,6 @@ impl Sampler for Exponential {
 
     fn mean(&self) -> f64 {
         self.mean
-    }
-}
-
-/// Weibull distribution with scale `λ` and shape `k`.
-///
-/// `k = 1` degenerates to the exponential; `k > 1` models wear-out
-/// (increasing hazard), `k < 1` infant mortality (decreasing hazard).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    scale: f64,
-    shape: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` or `shape` are not strictly positive and finite.
-    pub fn new(scale: f64, shape: f64) -> Self {
-        assert!(
-            scale > 0.0 && scale.is_finite(),
-            "weibull scale must be positive"
-        );
-        assert!(
-            shape > 0.0 && shape.is_finite(),
-            "weibull shape must be positive"
-        );
-        Self { scale, shape }
-    }
-
-    /// Scale parameter `λ`.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// Shape parameter `k`.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-}
-
-impl Sampler for Weibull {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen();
-        self.scale * (-(1.0 - u).ln()).powf(1.0 / self.shape)
-    }
-
-    fn mean(&self) -> f64 {
-        self.scale * gamma(1.0 + 1.0 / self.shape)
-    }
-}
-
-/// Log-normal distribution parameterized by the underlying normal's
-/// `mu` and `sigma` (i.e. `exp(N(mu, sigma²))`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates a log-normal from the underlying normal parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative or either parameter is non-finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(mu.is_finite(), "lognormal mu must be finite");
-        assert!(
-            sigma >= 0.0 && sigma.is_finite(),
-            "lognormal sigma must be non-negative"
-        );
-        Self { mu, sigma }
-    }
-
-    /// Creates a log-normal with the given *distribution* mean and a
-    /// multiplicative spread `sigma` of the underlying normal. This is
-    /// the convenient form for "repairs take about `m` hours, give or
-    /// take a factor of `e^sigma`".
-    pub fn with_mean(mean: f64, sigma: f64) -> Self {
-        assert!(
-            mean > 0.0 && mean.is_finite(),
-            "lognormal mean must be positive"
-        );
-        let mu = mean.ln() - sigma * sigma / 2.0;
-        Self::new(mu, sigma)
-    }
-}
-
-impl Sampler for LogNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        (self.mu + self.sigma * standard_normal(rng)).exp()
-    }
-
-    fn mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
     }
 }
 
@@ -225,46 +124,6 @@ impl Categorical {
     }
 }
 
-/// Standard normal via Box–Muller (polar form avoided for determinism of
-/// exactly two uniforms per sample).
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-/// Lanczos approximation of the gamma function, sufficient for Weibull
-/// means (relative error < 1e-10 over the parameter ranges we use).
-fn gamma(x: f64) -> f64 {
-    // Coefficients for g = 7, n = 9 (Lanczos), kept verbatim from the
-    // published table even where they exceed f64 precision.
-    const G: f64 = 7.0;
-    #[allow(clippy::excessive_precision)]
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_93,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_13,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_571_6e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = COEF[0];
-        let t = x + G + 0.5;
-        for (i, &c) in COEF.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,39 +158,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn exponential_rejects_zero_mean() {
         let _ = Exponential::new(0.0);
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let w = Weibull::new(5.0, 1.0);
-        assert!((w.mean() - 5.0).abs() < 1e-9);
-        let m = sample_mean(&w, 200_000);
-        assert!((m - 5.0).abs() / 5.0 < 0.02, "mean = {m}");
-    }
-
-    #[test]
-    fn weibull_mean_shape_two() {
-        // mean = λ·Γ(1.5) = λ·(√π)/2
-        let w = Weibull::new(2.0, 2.0);
-        let expected = 2.0 * (std::f64::consts::PI).sqrt() / 2.0;
-        assert!((w.mean() - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lognormal_with_mean_has_that_mean() {
-        let d = LogNormal::with_mean(10.0, 1.2);
-        assert!((d.mean() - 10.0).abs() < 1e-9);
-        let m = sample_mean(&d, 400_000);
-        assert!((m - 10.0).abs() / 10.0 < 0.05, "mean = {m}");
-    }
-
-    #[test]
-    fn lognormal_samples_positive() {
-        let d = LogNormal::with_mean(3.0, 2.0);
-        let mut r = rng();
-        for _ in 0..1000 {
-            assert!(d.sample(&mut r) > 0.0);
-        }
     }
 
     #[test]
@@ -372,13 +198,5 @@ mod tests {
         for _ in 0..10_000 {
             assert_ne!(c.sample_index(&mut r), 1);
         }
-    }
-
-    #[test]
-    fn gamma_known_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(2.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(3.0) - 2.0).abs() < 1e-10);
-        assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-10);
     }
 }

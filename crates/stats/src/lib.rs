@@ -21,9 +21,8 @@
 //! * **Linear fitting and correlation** ([`linfit`]) — used for the
 //!   switches-vs-employees proportionality claim (Fig. 6) and the
 //!   p75IRT-vs-fleet-size correlation (Fig. 14).
-//! * **Samplers** ([`dist`]) — exponential, Weibull, log-normal, and
-//!   categorical samplers used by the failure generators.
-//! * **Histograms** ([`histogram`]) — linear- and log-binned counting.
+//! * **Samplers** ([`dist`]) — exponential and categorical samplers
+//!   used by the failure generators.
 //! * **Time series helpers** ([`timeseries`]) — yearly bucketing used by
 //!   every longitudinal figure (Figs. 3, 5, 7–13).
 //! * **Renewal-process estimators** ([`renewal`]) — MTBF/MTTR estimation
@@ -48,7 +47,6 @@ pub mod bootstrap;
 pub mod dist;
 pub mod ecdf;
 pub mod expfit;
-pub mod histogram;
 pub mod kaplan;
 pub mod linfit;
 pub mod renewal;
@@ -57,10 +55,9 @@ pub mod timeseries;
 
 pub use aggregate::{aggregate, aggregate_partial, bootstrap_mean, fold, Band, PartialBand};
 pub use bootstrap::{bootstrap_exponential_fit, BootstrapFit, ParamInterval};
-pub use dist::{Categorical, Exponential, LogNormal, Sampler, Weibull};
+pub use dist::{Categorical, Exponential, Sampler};
 pub use ecdf::{Ecdf, QuantileCurve};
 pub use expfit::{fit_exponential, ExpFit};
-pub use histogram::{Histogram, LogHistogram};
 pub use kaplan::{KaplanMeier, Observation};
 pub use linfit::{fit_linear, pearson_correlation, LinFit};
 pub use renewal::{RenewalEstimate, RenewalLog};

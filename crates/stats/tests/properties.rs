@@ -1,8 +1,8 @@
 //! Property-based tests for the statistics foundation.
 
 use dcnr_stats::{
-    fit_exponential, fit_linear, Categorical, Ecdf, Exponential, Histogram, LogHistogram,
-    QuantileCurve, RenewalLog, Summary, YearSeries,
+    fit_exponential, fit_linear, Categorical, Ecdf, Exponential, QuantileCurve, RenewalLog,
+    Summary, YearSeries,
 };
 use proptest::prelude::*;
 
@@ -108,26 +108,6 @@ proptest! {
         let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
         prop_assert!(d.quantile(lo) <= d.quantile(hi));
         prop_assert!(d.quantile(lo) >= 0.0);
-    }
-
-    #[test]
-    fn histogram_conserves_count(values in proptest::collection::vec(-100.0..200.0f64, 0..100)) {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for &v in &values {
-            h.record(v);
-        }
-        prop_assert_eq!(h.total() as usize, values.len());
-        let binned: u64 = h.counts().iter().sum();
-        prop_assert_eq!(binned + h.underflow + h.overflow, values.len() as u64);
-    }
-
-    #[test]
-    fn log_histogram_conserves_count(values in proptest::collection::vec(1.0e-7..1.0e3f64, 0..100)) {
-        let mut h = LogHistogram::new(-5, 2, 2);
-        for &v in &values {
-            h.record(v);
-        }
-        prop_assert_eq!(h.total() as usize, values.len());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use dcnr_core::faults::hazard::HazardConfig;
 use dcnr_core::faults::{HazardModel, IssueGenerator};
 use dcnr_core::remediation::{RemediationEngine, RemediationOutcome};
 use dcnr_core::sim::StudyCalendar;
-use dcnr_core::{IntraDcStudy, RunContext, Scenario, ScenarioKind, StudyConfig};
+use dcnr_core::{IntraDcStudy, RunContext, Scenario, StudyConfig, StudyKind};
 
 #[test]
 fn incident_boundary_only_escalations_become_sevs() {
@@ -200,7 +200,7 @@ fn full_experiment_suite_runs_on_shared_context() {
     let intra_out = RunContext::new(scenario).execute();
     assert_eq!(intra_out.artifacts.len(), 15);
     let backbone_out = RunContext::new(Scenario {
-        kind: ScenarioKind::Backbone,
+        kind: StudyKind::Backbone,
         ..scenario
     })
     .execute();

@@ -7,7 +7,7 @@
 
 use dcnr_core::serve::{self, ServeOptions};
 use dcnr_core::telemetry::prometheus;
-use dcnr_core::{Experiment, Scenario, ScenarioKind, SupervisorConfig, SweepConfig};
+use dcnr_core::{Experiment, Scenario, StudyKind, SupervisorConfig, SweepConfig};
 use dcnr_server::client;
 use std::sync::Arc;
 use std::time::Duration;
@@ -220,7 +220,7 @@ fn sweeps_route_serves_the_checkpoint_report_byte_identically() {
             vendors: 16,
             min_links_per_edge: 3,
         },
-        ..Scenario::cli_default(ScenarioKind::Backbone)
+        ..Scenario::cli_default(StudyKind::Backbone)
     };
     let sup = SupervisorConfig {
         checkpoint: Some(dir.clone()),
@@ -265,6 +265,29 @@ fn sweeps_route_serves_the_checkpoint_report_byte_identically() {
 
     server.shutdown_and_join();
     std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn loadgen_verify_requests_every_scenario_flag_it_renders_locally() {
+    // --verify compares each body against a local render of the mix
+    // entry's scenario; a flag the request left out (here --topology)
+    // would make the server render a different artifact.
+    let server = small_server(false);
+    let report = dcnr_core::loadgen::run(&dcnr_core::LoadgenOptions {
+        addr: server.addr().to_string(),
+        clients: 2,
+        requests: 4,
+        artifacts: vec![Experiment::SurvLifespan],
+        scenario_args: ["--scale", "0.25", "--topology", "dcell"]
+            .map(String::from)
+            .to_vec(),
+        verify: true,
+        ..dcnr_core::LoadgenOptions::default()
+    })
+    .expect("every body matches its local render");
+    assert_eq!(report.verify_failures, 0);
+    assert_eq!(report.ok + report.retried_ok, 8, "{}", report.rendered);
+    server.shutdown_and_join();
 }
 
 #[test]

@@ -4,13 +4,13 @@
 
 use dcnr_core::{
     checkpoint, run_supervised, run_sweep, FaultMode, FaultPlan, FaultSpec, ReplicaStatus,
-    Scenario, ScenarioKind, SupervisorConfig, SweepConfig,
+    Scenario, StudyKind, SupervisorConfig, SweepConfig,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-fn small(kind: ScenarioKind, seed: u64) -> Scenario {
+fn small(kind: StudyKind, seed: u64) -> Scenario {
     Scenario {
         kind,
         scale: 0.5,
@@ -41,7 +41,7 @@ fn fault(replica: usize, mode: FaultMode, once: bool) -> FaultSpec {
 
 #[test]
 fn panic_and_hang_degrade_the_sweep_without_moving_survivors() {
-    let base = small(ScenarioKind::Backbone, 0xFA_57);
+    let base = small(StudyKind::Backbone, 0xFA_57);
     let config = SweepConfig::new(base, 4, 4);
     let healthy = run_sweep(config).unwrap();
 
@@ -96,7 +96,7 @@ fn panic_and_hang_degrade_the_sweep_without_moving_survivors() {
 
 #[test]
 fn transient_panic_is_retried_on_a_fresh_seed_and_succeeds() {
-    let base = small(ScenarioKind::Backbone, 0x7E57);
+    let base = small(StudyKind::Backbone, 0x7E57);
     let config = SweepConfig::new(base, 3, 2);
     let sup = SupervisorConfig {
         faults: FaultPlan::new(vec![fault(0, FaultMode::Panic, true)]),
@@ -127,7 +127,7 @@ fn transient_panic_is_retried_on_a_fresh_seed_and_succeeds() {
 
 #[test]
 fn zero_retries_quarantines_on_first_panic() {
-    let base = small(ScenarioKind::Backbone, 0xBEEF);
+    let base = small(StudyKind::Backbone, 0xBEEF);
     let config = SweepConfig::new(base, 2, 2);
     let sup = SupervisorConfig {
         retries: 0,
@@ -146,7 +146,7 @@ fn zero_retries_quarantines_on_first_panic() {
 
 #[test]
 fn checkpointed_sweep_resumes_byte_identically_and_only_reruns_missing() {
-    let base = small(ScenarioKind::Backbone, 0xC0DE);
+    let base = small(StudyKind::Backbone, 0xC0DE);
     let config = SweepConfig::new(base, 4, 2);
     let dir = temp_dir("resume");
 
@@ -186,7 +186,7 @@ fn checkpoint_shards_from_a_degraded_run_serve_a_healthy_resume() {
     // A sweep with one deterministic panic, checkpointed; re-running
     // without the fault completes only the quarantined replica and
     // produces the same bytes as a never-faulted checkpointed run.
-    let base = small(ScenarioKind::Backbone, 0xD1CE);
+    let base = small(StudyKind::Backbone, 0xD1CE);
     let config = SweepConfig::new(base, 3, 2);
     let dir = temp_dir("degraded");
 
@@ -221,9 +221,9 @@ fn checkpoint_dir_rejects_a_different_sweep() {
         checkpoint: Some(dir.clone()),
         ..SupervisorConfig::default()
     };
-    let a = SweepConfig::new(small(ScenarioKind::Backbone, 1), 2, 1);
+    let a = SweepConfig::new(small(StudyKind::Backbone, 1), 2, 1);
     run_supervised(a, &sup).unwrap();
-    let b = SweepConfig::new(small(ScenarioKind::Backbone, 2), 2, 1);
+    let b = SweepConfig::new(small(StudyKind::Backbone, 2), 2, 1);
     let err = run_supervised(b, &sup).unwrap_err();
     assert_eq!(err.kind(), "checkpoint");
     assert!(err.to_string().contains("master seed"), "{err}");
@@ -233,7 +233,7 @@ fn checkpoint_dir_rejects_a_different_sweep() {
 #[test]
 fn manifest_round_trips_through_resume_config() {
     let dir = temp_dir("manifest");
-    let config = SweepConfig::new(small(ScenarioKind::Chaos, 0xABCD), 2, 2);
+    let config = SweepConfig::new(small(StudyKind::Chaos, 0xABCD), 2, 2);
     let sup = SupervisorConfig {
         checkpoint: Some(dir.clone()),
         ..SupervisorConfig::default()
@@ -255,7 +255,7 @@ fn hostile_chaos_sweep_survives_under_supervision() {
     // The supervisor against the repo's own chaos machinery: a fault
     // mix hostile enough that replicas fail their tolerance gate, yet
     // the sweep still completes, aggregates, and reports honestly.
-    let mut base = small(ScenarioKind::Chaos, 0x0DD5);
+    let mut base = small(StudyKind::Chaos, 0x0DD5);
     base.chaos = dcnr_core::chaos::ChaosConfig::hostile(base.chaos.seed);
     let out = run_sweep(SweepConfig::new(base, 2, 2)).unwrap();
     assert_eq!(out.failed_replicas, 0, "failing acceptance is not a crash");

@@ -5,9 +5,9 @@
 //! or eight execute the replicas, and the aggregated bands are a
 //! function of (scenario, seeds) alone.
 
-use dcnr_core::{run_sweep, RunContext, Scenario, ScenarioKind, SweepConfig};
+use dcnr_core::{run_sweep, RunContext, Scenario, StudyKind, SweepConfig};
 
-fn small(kind: ScenarioKind, seed: u64) -> Scenario {
+fn small(kind: StudyKind, seed: u64) -> Scenario {
     Scenario {
         kind,
         scale: 0.5,
@@ -24,11 +24,7 @@ fn small(kind: ScenarioKind, seed: u64) -> Scenario {
 fn scenario_report_is_identical_across_repeat_executions() {
     // The engine itself is deterministic: two fresh contexts over the
     // same scenario render byte-identical reports.
-    for kind in [
-        ScenarioKind::Intra,
-        ScenarioKind::Backbone,
-        ScenarioKind::Chaos,
-    ] {
+    for kind in [StudyKind::Intra, StudyKind::Backbone, StudyKind::Chaos] {
         let a = RunContext::new(small(kind, 77)).execute();
         let b = RunContext::new(small(kind, 77)).execute();
         assert_eq!(a.rendered, b.rendered, "{kind}");
@@ -38,7 +34,7 @@ fn scenario_report_is_identical_across_repeat_executions() {
 
 #[test]
 fn sweep_report_is_byte_identical_for_any_worker_count() {
-    let base = small(ScenarioKind::Backbone, 0xFA_57);
+    let base = small(StudyKind::Backbone, 0xFA_57);
     let serial = run_sweep(SweepConfig::new(base, 4, 1)).unwrap();
     let parallel = run_sweep(SweepConfig::new(base, 4, 8)).unwrap();
     assert_eq!(serial.rendered, parallel.rendered);
@@ -52,7 +48,7 @@ fn sweep_report_is_byte_identical_for_any_worker_count() {
 
 #[test]
 fn intra_sweep_aggregate_is_independent_of_worker_count() {
-    let base = small(ScenarioKind::Intra, 0x1A_77);
+    let base = small(StudyKind::Intra, 0x1A_77);
     let a = run_sweep(SweepConfig::new(base, 3, 1)).unwrap();
     let b = run_sweep(SweepConfig::new(base, 3, 3)).unwrap();
     assert_eq!(a.rendered, b.rendered);
@@ -60,12 +56,7 @@ fn intra_sweep_aggregate_is_independent_of_worker_count() {
 
 #[test]
 fn sweep_bands_quantify_cross_seed_spread() {
-    let out = run_sweep(SweepConfig::new(
-        small(ScenarioKind::Backbone, 0xBA_4D),
-        4,
-        2,
-    ))
-    .unwrap();
+    let out = run_sweep(SweepConfig::new(small(StudyKind::Backbone, 0xBA_4D), 4, 2)).unwrap();
     assert_eq!(out.passed_replicas, 4);
     // Every metric was measured in all four replicas and has a CI.
     for row in &out.rows {
@@ -84,8 +75,8 @@ fn sweep_bands_quantify_cross_seed_spread() {
 
 #[test]
 fn different_master_seeds_give_different_replica_sets() {
-    let a = run_sweep(SweepConfig::new(small(ScenarioKind::Backbone, 1), 3, 2)).unwrap();
-    let b = run_sweep(SweepConfig::new(small(ScenarioKind::Backbone, 2), 3, 2)).unwrap();
+    let a = run_sweep(SweepConfig::new(small(StudyKind::Backbone, 1), 3, 2)).unwrap();
+    let b = run_sweep(SweepConfig::new(small(StudyKind::Backbone, 2), 3, 2)).unwrap();
     assert_ne!(a.replica_seeds, b.replica_seeds);
     assert_ne!(a.rendered, b.rendered);
 }
@@ -122,7 +113,7 @@ fn sweep_settings_that_would_print_a_false_header_exit_1() {
     // A resumed manifest edited to zero resamples is a checkpoint error.
     let dir = std::env::temp_dir().join(format!("dcnr-false-header-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let mut config = SweepConfig::new(small(ScenarioKind::Backbone, 5), 2, 1);
+    let mut config = SweepConfig::new(small(StudyKind::Backbone, 5), 2, 1);
     config.resamples = 200;
     dcnr_core::checkpoint::write_manifest(&dir, &dcnr_core::Manifest::from_config(&config))
         .unwrap();

@@ -11,11 +11,11 @@ use dcnr_core::sim::SimTime;
 use dcnr_core::telemetry::metrics::Key;
 use dcnr_core::telemetry::trace::TraceBuffer;
 use dcnr_core::telemetry::{installed, Telemetry};
-use dcnr_core::{phase_rows, run_sweep, RunContext, Scenario, ScenarioKind, SweepConfig};
+use dcnr_core::{phase_rows, run_sweep, RunContext, Scenario, StudyKind, SweepConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-fn small(kind: ScenarioKind, seed: u64) -> Scenario {
+fn small(kind: StudyKind, seed: u64) -> Scenario {
     Scenario {
         kind,
         scale: 0.5,
@@ -30,11 +30,7 @@ fn small(kind: ScenarioKind, seed: u64) -> Scenario {
 
 #[test]
 fn scenario_reports_are_byte_identical_with_telemetry_on() {
-    for kind in [
-        ScenarioKind::Intra,
-        ScenarioKind::Backbone,
-        ScenarioKind::Chaos,
-    ] {
+    for kind in [StudyKind::Intra, StudyKind::Backbone, StudyKind::Chaos] {
         let plain = RunContext::new(small(kind, 0x7E1E)).execute();
         let handle = Telemetry::new_handle();
         let observed = {
@@ -53,7 +49,7 @@ fn scenario_reports_are_byte_identical_with_telemetry_on() {
 
 #[test]
 fn sweep_output_is_byte_identical_with_telemetry_on() {
-    let base = small(ScenarioKind::Backbone, 0xBEE5);
+    let base = small(StudyKind::Backbone, 0xBEE5);
     let plain = run_sweep(SweepConfig::new(base, 3, 2)).unwrap();
     let handle = Telemetry::new_handle();
     let observed = {
@@ -75,7 +71,7 @@ fn sweep_output_is_byte_identical_with_telemetry_on() {
 
 #[test]
 fn merged_sweep_totals_are_independent_of_worker_count() {
-    let base = small(ScenarioKind::Intra, 0x90B5);
+    let base = small(StudyKind::Intra, 0x90B5);
     let run_with_jobs = |jobs: usize| {
         let handle = Telemetry::new_handle();
         let out = {
@@ -114,7 +110,7 @@ fn profile_names_issue_generation_per_device_type() {
     let handle = Telemetry::new_handle();
     {
         let _guard = installed(handle.clone());
-        RunContext::new(small(ScenarioKind::Intra, 0x1DEA)).execute();
+        RunContext::new(small(StudyKind::Intra, 0x1DEA)).execute();
     }
     let (metrics, _) = handle.snapshots();
     let rows = phase_rows(&metrics);
@@ -144,7 +140,7 @@ fn profile_names_issue_generation_per_device_type() {
 fn telemetry_off_records_nothing_and_costs_no_formatting() {
     // With no collector on this thread, a full study leaves no global
     // residue: a later install starts from an empty registry.
-    RunContext::new(small(ScenarioKind::Intra, 0x0FF)).execute();
+    RunContext::new(small(StudyKind::Intra, 0x0FF)).execute();
     let handle = Telemetry::new_handle();
     let _guard = installed(handle.clone());
     let (metrics, trace) = handle.snapshots();
