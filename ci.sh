@@ -4,9 +4,12 @@ set -eu
 
 # Every smoke that backgrounds a server registers it here; the trap
 # keeps a failed step from leaving an orphan holding its port (and
-# this script's stdout pipe) open.
+# this script's stdout pipe) open. Every temporary file goes under one
+# private directory, so two runs on one host never read each other's
+# outputs, and the trap removes it.
 DCNR_BG_PIDS=""
-trap 'for p in $DCNR_BG_PIDS; do kill "$p" 2>/dev/null || true; done' EXIT
+DCNR_TMP=$(mktemp -d)
+trap 'for p in $DCNR_BG_PIDS; do kill "$p" 2>/dev/null || true; done; rm -rf "$DCNR_TMP"' EXIT
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -32,16 +35,16 @@ cargo test -q
 echo "==> sweep smoke (release, byte-identity across worker counts)"
 cargo build --release --bin dcnr
 ./target/release/dcnr sweep --scenario backbone --seeds 2 --jobs 2 \
-    --resamples 200 --bench-json /tmp/dcnr_sweep_smoke.json >/dev/null
-grep -q '"identical_output": true' /tmp/dcnr_sweep_smoke.json
+    --resamples 200 --bench-json "$DCNR_TMP/sweep_smoke.json" >/dev/null
+grep -q '"identical_output": true' "$DCNR_TMP/sweep_smoke.json"
 
 echo "==> supervision smoke (1 forced panic of 4 replicas)"
 # With a failure budget of 1 the degraded sweep must still exit zero
 # and report the quarantine...
 DCNR_FAULT_REPLICA=1:panic ./target/release/dcnr sweep --scenario backbone \
     --seeds 4 --jobs 2 --resamples 200 --retries 0 --max-failures 1 \
-    >/dev/null 2>/tmp/dcnr_supervision_smoke.log
-grep -q 'quarantined' /tmp/dcnr_supervision_smoke.log
+    >/dev/null 2>"$DCNR_TMP/supervision_smoke.log"
+grep -q 'quarantined' "$DCNR_TMP/supervision_smoke.log"
 # ...and with a zero budget the same sweep must exit nonzero.
 if DCNR_FAULT_REPLICA=1:panic ./target/release/dcnr sweep --scenario backbone \
     --seeds 4 --jobs 2 --resamples 200 --retries 0 --max-failures 0 \
@@ -54,48 +57,44 @@ echo "==> telemetry smoke (sweep bytes identical with --metrics/--trace on)"
 # The hard invariant: telemetry must not perturb a single RNG draw, so
 # the sweep report is byte-for-byte the same with and without it.
 ./target/release/dcnr sweep --scenario backbone --seeds 2 --jobs 2 \
-    --resamples 200 >/tmp/dcnr_sweep_plain.out 2>/dev/null
-./target/release/dcnr --metrics /tmp/dcnr_metrics.prom --trace /tmp/dcnr_trace.json \
+    --resamples 200 >"$DCNR_TMP/sweep_plain.out" 2>/dev/null
+./target/release/dcnr --metrics "$DCNR_TMP/metrics.prom" --trace "$DCNR_TMP/trace.json" \
     sweep --scenario backbone --seeds 2 --jobs 2 \
-    --resamples 200 >/tmp/dcnr_sweep_telem.out 2>/dev/null
-cmp /tmp/dcnr_sweep_plain.out /tmp/dcnr_sweep_telem.out
+    --resamples 200 >"$DCNR_TMP/sweep_telem.out" 2>/dev/null
+cmp "$DCNR_TMP/sweep_plain.out" "$DCNR_TMP/sweep_telem.out"
 # The metrics file must be valid Prometheus text with the replica
 # series folded in, and the trace must carry events.
-grep -q '^# TYPE dcnr_backbone_fiber_cuts_total counter' /tmp/dcnr_metrics.prom
-grep -q '^dcnr_backbone_fiber_cuts_total ' /tmp/dcnr_metrics.prom
-grep -q '^# TYPE dcnr_phase_duration_micros histogram' /tmp/dcnr_metrics.prom
-grep -q '"kind": "fiber_cut"' /tmp/dcnr_trace.json
+grep -q '^# TYPE dcnr_backbone_fiber_cuts_total counter' "$DCNR_TMP/metrics.prom"
+grep -q '^dcnr_backbone_fiber_cuts_total ' "$DCNR_TMP/metrics.prom"
+grep -q '^# TYPE dcnr_phase_duration_micros histogram' "$DCNR_TMP/metrics.prom"
+grep -q '"kind": "fiber_cut"' "$DCNR_TMP/trace.json"
 
 echo "==> intra telemetry smoke (report identical with --metrics/--trace on, all intra trace kinds)"
 # The intra trace sites record unformatted payloads that are written
 # out only when the trace is snapshotted. At scale 0.15 the retained
 # head and tail hold all four kinds (from 0.2 up the tail holds only
 # SEV events), so every intra detail writer runs here.
-./target/release/dcnr intra --scale 0.15 --seed 7 >/tmp/dcnr_intra_plain.out 2>/dev/null
-./target/release/dcnr --metrics /tmp/dcnr_intra_metrics.prom --trace /tmp/dcnr_intra_trace.json \
-    intra --scale 0.15 --seed 7 >/tmp/dcnr_intra_telem.out 2>/dev/null
-cmp /tmp/dcnr_intra_plain.out /tmp/dcnr_intra_telem.out
+./target/release/dcnr intra --scale 0.15 --seed 7 >"$DCNR_TMP/intra_plain.out" 2>/dev/null
+./target/release/dcnr --metrics "$DCNR_TMP/intra_metrics.prom" --trace "$DCNR_TMP/intra_trace.json" \
+    intra --scale 0.15 --seed 7 >"$DCNR_TMP/intra_telem.out" 2>/dev/null
+cmp "$DCNR_TMP/intra_plain.out" "$DCNR_TMP/intra_telem.out"
 for dcnr_kind in device_failure repair_dispatch sev_open sev_close; do
-    grep -q "\"kind\": \"$dcnr_kind\"" /tmp/dcnr_intra_trace.json || {
+    grep -q "\"kind\": \"$dcnr_kind\"" "$DCNR_TMP/intra_trace.json" || {
         echo "intra trace holds no $dcnr_kind event" >&2
         exit 1
     }
 done
-cargo run --release -q --example validate_telemetry -- /tmp/dcnr_intra_metrics.prom
+cargo run --release -q --example validate_telemetry -- "$DCNR_TMP/intra_metrics.prom"
 
-echo "==> profile smoke (quarter scale, parseable BENCH_profile.json)"
-# Run from /tmp so nothing lands in the checkout, but with the
-# checkout's own binary.
-dcnr_bin="$(pwd)/target/release/dcnr"
-( cd /tmp && "$dcnr_bin" \
-    --metrics /tmp/dcnr_profile_metrics.prom \
-    profile --scale 0.25 --json /tmp/dcnr_profile_smoke.json >/dev/null 2>&1 )
+echo "==> profile smoke (quarter scale, parseable profile JSON)"
+./target/release/dcnr --metrics "$DCNR_TMP/profile_metrics.prom" \
+    profile --scale 0.25 --json "$DCNR_TMP/profile_smoke.json" >/dev/null 2>&1
 # The profile must attribute issue generation per device type and
 # parse as JSON; the metrics file must pass the strict validator.
-grep -q '"phase": "intra.issue_gen.rsw"' /tmp/dcnr_profile_smoke.json
-grep -q '"phase": "intra.remediation"' /tmp/dcnr_profile_smoke.json
+grep -q '"phase": "intra.issue_gen.rsw"' "$DCNR_TMP/profile_smoke.json"
+grep -q '"phase": "intra.remediation"' "$DCNR_TMP/profile_smoke.json"
 cargo run --release -q --example validate_telemetry -- \
-    /tmp/dcnr_profile_metrics.prom /tmp/dcnr_profile_smoke.json
+    "$DCNR_TMP/profile_metrics.prom" "$DCNR_TMP/profile_smoke.json"
 
 echo "==> telemetry tax gate (intra benchmark: collector_ms <= 1.5 x latency_ms)"
 # The benchmark's intra workload runs every seed with no collector and
@@ -103,12 +102,12 @@ echo "==> telemetry tax gate (intra benchmark: collector_ms <= 1.5 x latency_ms)
 # replica wall with a collector may cost at most 1.5x the plain one.
 cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
     --workload intra --seed 1 --seconds 10 --trace 0 \
-    >/tmp/dcnr_telemetry_tax.out 2>/dev/null || {
+    >"$DCNR_TMP/telemetry_tax.out" 2>/dev/null || {
     echo "intra benchmark failed:" >&2
-    tail -n 1 /tmp/dcnr_telemetry_tax.out >&2
+    tail -n 1 "$DCNR_TMP/telemetry_tax.out" >&2
     exit 1
 }
-dcnr_tax=$(tail -n 1 /tmp/dcnr_telemetry_tax.out)
+dcnr_tax=$(tail -n 1 "$DCNR_TMP/telemetry_tax.out")
 echo "$dcnr_tax" | grep -q '"correct":true'
 dcnr_metric() {
     echo "$dcnr_tax" | sed -n "s/.*\"$1\":{\"value\":\([0-9.eE+-]*\).*/\1/p"
@@ -122,87 +121,88 @@ awk -v c="$dcnr_collector_ms" -v l="$dcnr_plain_ms" 'BEGIN { exit !(c != "" && l
 
 echo "==> routes smoke (quarter scale, emergent severity, byte-identity)"
 # The artifact listing must enumerate the registry (stable order, exit 0).
-./target/release/dcnr artifact --list >/tmp/dcnr_artifact_list.out
-grep -q '^routes.severity_mix' /tmp/dcnr_artifact_list.out
-grep -q '^table1' /tmp/dcnr_artifact_list.out
+./target/release/dcnr artifact --list >"$DCNR_TMP/artifact_list.out"
+grep -q '^routes.severity_mix' "$DCNR_TMP/artifact_list.out"
+grep -q '^table1' "$DCNR_TMP/artifact_list.out"
 # All three routes artifacts render at quarter scale, with the severity
 # mix emergent (derived from forwarding-state losses, not sampled).
-./target/release/dcnr routes --scale 0.25 >/tmp/dcnr_routes_smoke.out
-grep -q 'BFS' /tmp/dcnr_routes_smoke.out
-grep -q 'no Table 3 sampling' /tmp/dcnr_routes_smoke.out
-grep -q 'mean slowdown' /tmp/dcnr_routes_smoke.out
+./target/release/dcnr routes --scale 0.25 >"$DCNR_TMP/routes_smoke.out"
+grep -q 'BFS' "$DCNR_TMP/routes_smoke.out"
+grep -q 'no Table 3 sampling' "$DCNR_TMP/routes_smoke.out"
+grep -q 'mean slowdown' "$DCNR_TMP/routes_smoke.out"
 # Sweep byte-identity: --jobs 1 and --jobs 2 must render the same bytes.
 ./target/release/dcnr sweep --scenario routes --seeds 2 --jobs 1 \
-    --resamples 200 --scale 0.25 >/tmp/dcnr_routes_jobs1.out 2>/dev/null
+    --resamples 200 --scale 0.25 >"$DCNR_TMP/routes_jobs1.out" 2>/dev/null
 ./target/release/dcnr sweep --scenario routes --seeds 2 --jobs 2 \
-    --resamples 200 --scale 0.25 >/tmp/dcnr_routes_jobs2.out 2>/dev/null
-cmp /tmp/dcnr_routes_jobs1.out /tmp/dcnr_routes_jobs2.out
+    --resamples 200 --scale 0.25 >"$DCNR_TMP/routes_jobs2.out" 2>/dev/null
+cmp "$DCNR_TMP/routes_jobs1.out" "$DCNR_TMP/routes_jobs2.out"
 # The routes profile must time the forwarding-table build + invalidation
 # (and the allocating-vs-scratch blast sweep) at scale 1. It goes to
-# /tmp so the committed BENCH_routes.json stays untouched.
+# the temporary directory so the committed BENCH_routes.json stays
+# untouched.
 ./target/release/dcnr profile --scenario routes --scale 1 \
-    --json /tmp/dcnr_routes_profile.json >/dev/null
-grep -q '"phase": "routes.forwarding.build"' /tmp/dcnr_routes_profile.json
-grep -q '"phase": "routes.forwarding.invalidate"' /tmp/dcnr_routes_profile.json
-grep -q '"phase": "routes.blast.alloc_per_candidate"' /tmp/dcnr_routes_profile.json
-grep -q '"phase": "routes.blast.scratch_reuse"' /tmp/dcnr_routes_profile.json
+    --json "$DCNR_TMP/routes_profile.json" >/dev/null
+grep -q '"phase": "routes.forwarding.build"' "$DCNR_TMP/routes_profile.json"
+grep -q '"phase": "routes.forwarding.invalidate"' "$DCNR_TMP/routes_profile.json"
+grep -q '"phase": "routes.blast.alloc_per_candidate"' "$DCNR_TMP/routes_profile.json"
+grep -q '"phase": "routes.blast.scratch_reuse"' "$DCNR_TMP/routes_profile.json"
 
 echo "==> survivability smoke (topology zoo, ranking flip, byte-identity)"
 # The topology listing must enumerate the zoo (stable order, exit 0),
 # and the artifact registry must carry the surv.* family.
-./target/release/dcnr topology --list >/tmp/dcnr_topology_list.out
-grep -q '^fat-tree' /tmp/dcnr_topology_list.out
-grep -q '^dcell' /tmp/dcnr_topology_list.out
-grep -q '^surv.ranking' /tmp/dcnr_artifact_list.out
-grep -q '^surv.lifespan' /tmp/dcnr_artifact_list.out
+./target/release/dcnr topology --list >"$DCNR_TMP/topology_list.out"
+grep -q '^fat-tree' "$DCNR_TMP/topology_list.out"
+grep -q '^dcell' "$DCNR_TMP/topology_list.out"
+grep -q '^surv.ranking' "$DCNR_TMP/artifact_list.out"
+grep -q '^surv.lifespan' "$DCNR_TMP/artifact_list.out"
 # An unknown topology id is a usage error (exit 2) naming the menu.
 dcnr_topo_status=0
 ./target/release/dcnr survivability --topology hypercube \
-    >/dev/null 2>/tmp/dcnr_topology_err.log || dcnr_topo_status=$?
+    >/dev/null 2>"$DCNR_TMP/topology_err.log" || dcnr_topo_status=$?
 [ "$dcnr_topo_status" -eq 2 ] || {
     echo "expected exit 2 for an unknown topology, got $dcnr_topo_status" >&2
     exit 1
 }
-grep -q 'valid ids' /tmp/dcnr_topology_err.log
+grep -q 'valid ids' "$DCNR_TMP/topology_err.log"
 # Both surv artifacts render at quarter scale with the headline lines:
 # per-class zoo rankings, the dcell/fat-tree flip, and lifespan bands.
-./target/release/dcnr survivability --scale 0.25 >/tmp/dcnr_surv_smoke.out
-grep -q 'survivability ranking @30% switch loss' /tmp/dcnr_surv_smoke.out
+./target/release/dcnr survivability --scale 0.25 >"$DCNR_TMP/surv_smoke.out"
+grep -q 'survivability ranking @30% switch loss' "$DCNR_TMP/surv_smoke.out"
 grep -q 'ranking flip (dcell vs fat-tree, switch loss vs server loss): true' \
-    /tmp/dcnr_surv_smoke.out
-grep -q 'lifespan band \[lo hi\]' /tmp/dcnr_surv_smoke.out
+    "$DCNR_TMP/surv_smoke.out"
+grep -q 'lifespan band \[lo hi\]' "$DCNR_TMP/surv_smoke.out"
 # Sweep byte-identity on a zoo member: --jobs 1 and --jobs 2 must
 # render the same cross-seed bands.
 ./target/release/dcnr sweep --scenario survivability --seeds 2 --jobs 1 \
     --resamples 200 --scale 0.25 --topology dcell \
-    >/tmp/dcnr_surv_jobs1.out 2>/dev/null
+    >"$DCNR_TMP/surv_jobs1.out" 2>/dev/null
 ./target/release/dcnr sweep --scenario survivability --seeds 2 --jobs 2 \
     --resamples 200 --scale 0.25 --topology dcell \
-    >/tmp/dcnr_surv_jobs2.out 2>/dev/null
-cmp /tmp/dcnr_surv_jobs1.out /tmp/dcnr_surv_jobs2.out
+    >"$DCNR_TMP/surv_jobs2.out" 2>/dev/null
+cmp "$DCNR_TMP/surv_jobs1.out" "$DCNR_TMP/surv_jobs2.out"
 # The survivability profile must time the zoo sweep + lifespan replay
-# at scale 1. It goes to /tmp so the committed BENCH_survivability.json
-# stays untouched.
+# at scale 1. It goes to the temporary directory so the committed
+# BENCH_survivability.json stays untouched.
 ./target/release/dcnr profile --scenario survivability --scale 1 \
-    --json /tmp/dcnr_surv_profile.json >/dev/null
-grep -q '"phase": "surv.ranking.sweep"' /tmp/dcnr_surv_profile.json
-grep -q '"phase": "surv.lifespan.replay"' /tmp/dcnr_surv_profile.json
+    --json "$DCNR_TMP/surv_profile.json" >/dev/null
+grep -q '"phase": "surv.ranking.sweep"' "$DCNR_TMP/surv_profile.json"
+grep -q '"phase": "surv.lifespan.replay"' "$DCNR_TMP/surv_profile.json"
 
 echo "==> serve smoke (ephemeral port, loadgen, byte-identity, graceful drain)"
 # Start the report server on an ephemeral port in admin (test) mode.
-rm -f /tmp/dcnr_serve_port
+rm -f "$DCNR_TMP/serve_port"
 ./target/release/dcnr -q serve --addr 127.0.0.1:0 --admin \
-    --port-file /tmp/dcnr_serve_port &
+    --port-file "$DCNR_TMP/serve_port" &
 DCNR_SERVE_PID=$!
 DCNR_BG_PIDS="$DCNR_BG_PIDS $DCNR_SERVE_PID"
 # Wait for the port file (the server writes it after binding).
 i=0
-while [ ! -s /tmp/dcnr_serve_port ]; do
+while [ ! -s "$DCNR_TMP/serve_port" ]; do
     i=$((i + 1))
     [ "$i" -le 100 ] || { echo "server never bound" >&2; exit 1; }
     sleep 0.1
 done
-DCNR_ADDR=$(cat /tmp/dcnr_serve_port)
+DCNR_ADDR=$(cat "$DCNR_TMP/serve_port")
 # Liveness, then a verified closed-loop load run: every response body is
 # compared byte-for-byte against a local render of the same scenario.
 ./target/release/dcnr fetch "$DCNR_ADDR" /healthz | grep -q '^ok$'
@@ -216,29 +216,29 @@ DCNR_ADDR=$(cat /tmp/dcnr_serve_port)
     --artifacts surv.lifespan --scale 0.25 --topology dcell >/dev/null
 # /metrics must pass the strict Prometheus validator and report traffic.
 ./target/release/dcnr -q fetch "$DCNR_ADDR" /metrics --validate \
-    >/tmp/dcnr_serve_metrics.prom
-grep -q '^dcnr_server_requests_total' /tmp/dcnr_serve_metrics.prom
-grep -q '^dcnr_server_cache_hits_total' /tmp/dcnr_serve_metrics.prom
+    >"$DCNR_TMP/serve_metrics.prom"
+grep -q '^dcnr_server_requests_total' "$DCNR_TMP/serve_metrics.prom"
+grep -q '^dcnr_server_cache_hits_total' "$DCNR_TMP/serve_metrics.prom"
 # Admission control is off by default and must be invisible: no drop
 # counters, no sojourn histogram — the scrape matches the pre-admission
 # server series-for-series.
-! grep -q '^dcnr_server_admission_dropped_total' /tmp/dcnr_serve_metrics.prom
-! grep -q '^dcnr_server_queue_sojourn_micros' /tmp/dcnr_serve_metrics.prom
+! grep -q '^dcnr_server_admission_dropped_total' "$DCNR_TMP/serve_metrics.prom"
+! grep -q '^dcnr_server_queue_sojourn_micros' "$DCNR_TMP/serve_metrics.prom"
 # One artifact fetched over HTTP must be byte-identical to the CLI.
 ./target/release/dcnr artifact fig15 --seed 11 --scale 0.25 \
-    --edges 40 --vendors 16 >/tmp/dcnr_artifact_cli.out
+    --edges 40 --vendors 16 >"$DCNR_TMP/artifact_cli.out"
 ./target/release/dcnr -q fetch "$DCNR_ADDR" \
     '/artifacts/fig15?seed=11&scale=0.25&edges=40&vendors=16' \
-    >/tmp/dcnr_artifact_http.out
-cmp /tmp/dcnr_artifact_cli.out /tmp/dcnr_artifact_http.out
+    >"$DCNR_TMP/artifact_http.out"
+cmp "$DCNR_TMP/artifact_cli.out" "$DCNR_TMP/artifact_http.out"
 # A surv artifact round-trips too: --topology becomes ?topology= and
 # the HTTP bytes match the CLI render.
 ./target/release/dcnr artifact surv.lifespan --seed 11 --scale 0.25 \
-    --topology dcell >/tmp/dcnr_surv_cli.out
+    --topology dcell >"$DCNR_TMP/surv_cli.out"
 ./target/release/dcnr -q fetch "$DCNR_ADDR" \
     '/artifacts/surv.lifespan?seed=11&scale=0.25&topology=dcell' \
-    >/tmp/dcnr_surv_http.out
-cmp /tmp/dcnr_surv_cli.out /tmp/dcnr_surv_http.out
+    >"$DCNR_TMP/surv_http.out"
+cmp "$DCNR_TMP/surv_cli.out" "$DCNR_TMP/surv_http.out"
 # Graceful drain: /admin/shutdown must end the server with exit 0.
 ./target/release/dcnr -q fetch "$DCNR_ADDR" /admin/shutdown >/dev/null
 wait "$DCNR_SERVE_PID"
@@ -246,22 +246,22 @@ wait "$DCNR_SERVE_PID"
 echo "==> chaos-off identity smoke (zero-rate shim is byte-invisible)"
 # A serve with the fault shim installed but every rate at zero must
 # produce responses byte-identical to the plain CLI render.
-rm -f /tmp/dcnr_chaos_off_port
+rm -f "$DCNR_TMP/chaos_off_port"
 ./target/release/dcnr -q serve --addr 127.0.0.1:0 --admin --chaos-seed 7 \
-    --port-file /tmp/dcnr_chaos_off_port &
+    --port-file "$DCNR_TMP/chaos_off_port" &
 DCNR_CHAOS_OFF_PID=$!
 DCNR_BG_PIDS="$DCNR_BG_PIDS $DCNR_CHAOS_OFF_PID"
 i=0
-while [ ! -s /tmp/dcnr_chaos_off_port ]; do
+while [ ! -s "$DCNR_TMP/chaos_off_port" ]; do
     i=$((i + 1))
     [ "$i" -le 100 ] || { echo "chaos-off server never bound" >&2; exit 1; }
     sleep 0.1
 done
-DCNR_ADDR=$(cat /tmp/dcnr_chaos_off_port)
+DCNR_ADDR=$(cat "$DCNR_TMP/chaos_off_port")
 ./target/release/dcnr -q fetch "$DCNR_ADDR" \
     '/artifacts/fig15?seed=11&scale=0.25&edges=40&vendors=16' \
-    >/tmp/dcnr_artifact_chaos_off.out
-cmp /tmp/dcnr_artifact_cli.out /tmp/dcnr_artifact_chaos_off.out
+    >"$DCNR_TMP/artifact_chaos_off.out"
+cmp "$DCNR_TMP/artifact_cli.out" "$DCNR_TMP/artifact_chaos_off.out"
 ./target/release/dcnr -q fetch "$DCNR_ADDR" /admin/shutdown >/dev/null
 wait "$DCNR_CHAOS_OFF_PID"
 
@@ -269,22 +269,22 @@ echo "==> chaos-serve smoke (resilience harness verdict under faults)"
 # Full chaos: injected delays, resets, truncations, corruptions, and
 # stalls. The retrying clients must still reach a >= 99% eventual
 # success rate with ZERO undetected corruptions, or loadgen exits 1.
-rm -f /tmp/dcnr_chaos_port
+rm -f "$DCNR_TMP/chaos_port"
 ./target/release/dcnr -q serve --addr 127.0.0.1:0 --admin --workers 0 \
     --chaos-seed 7 --chaos-reset-rate 0.06 --chaos-truncate-rate 0.06 \
     --chaos-corrupt-rate 0.06 --chaos-read-delay-rate 0.1 \
     --chaos-write-delay-rate 0.1 --chaos-delay-ms 5 \
     --chaos-stall-rate 0.03 --chaos-stall-ms 50 \
-    --port-file /tmp/dcnr_chaos_port &
+    --port-file "$DCNR_TMP/chaos_port" &
 DCNR_CHAOS_PID=$!
 DCNR_BG_PIDS="$DCNR_BG_PIDS $DCNR_CHAOS_PID"
 i=0
-while [ ! -s /tmp/dcnr_chaos_port ]; do
+while [ ! -s "$DCNR_TMP/chaos_port" ]; do
     i=$((i + 1))
     [ "$i" -le 100 ] || { echo "chaos server never bound" >&2; exit 1; }
     sleep 0.1
 done
-DCNR_ADDR=$(cat /tmp/dcnr_chaos_port)
+DCNR_ADDR=$(cat "$DCNR_TMP/chaos_port")
 # --retries 6: fault assignment is per connection *index*, and which
 # index a retry lands on is a thread race — on a 1-CPU host the default
 # budget of 3 occasionally walks a run of corrupt-flagged indices and
@@ -293,17 +293,17 @@ DCNR_ADDR=$(cat /tmp/dcnr_chaos_port)
 ./target/release/dcnr -q loadgen --addr "$DCNR_ADDR" --chaos \
     --clients 4 --requests 8 --min-success 0.99 --retries 6 \
     --artifacts fig15,fig16,table4 --scale 0.25 --edges 40 --vendors 16 \
-    --bench-json /tmp/dcnr_resilience_smoke.json \
-    >/tmp/dcnr_chaos_loadgen.out
-grep -q 'chaos verdict: PASS' /tmp/dcnr_chaos_loadgen.out
-grep -q '"undetected_corruption": 0' /tmp/dcnr_resilience_smoke.json
-grep -q '"verdict": "pass"' /tmp/dcnr_resilience_smoke.json
+    --bench-json "$DCNR_TMP/resilience_smoke.json" \
+    >"$DCNR_TMP/chaos_loadgen.out"
+grep -q 'chaos verdict: PASS' "$DCNR_TMP/chaos_loadgen.out"
+grep -q '"undetected_corruption": 0' "$DCNR_TMP/resilience_smoke.json"
+grep -q '"verdict": "pass"' "$DCNR_TMP/resilience_smoke.json"
 # The chaos injection counters must appear on a validated /metrics.
 # fetch retries under chaos, so the scrape itself survives injections.
 ./target/release/dcnr -q fetch "$DCNR_ADDR" /metrics --validate \
-    >/tmp/dcnr_chaos_metrics.prom
-grep -q '^dcnr_server_chaos_injections_total' /tmp/dcnr_chaos_metrics.prom
-grep -q '^dcnr_server_workers ' /tmp/dcnr_chaos_metrics.prom
+    >"$DCNR_TMP/chaos_metrics.prom"
+grep -q '^dcnr_server_chaos_injections_total' "$DCNR_TMP/chaos_metrics.prom"
+grep -q '^dcnr_server_workers ' "$DCNR_TMP/chaos_metrics.prom"
 ./target/release/dcnr -q fetch "$DCNR_ADDR" /admin/shutdown >/dev/null
 wait "$DCNR_CHAOS_PID"
 
@@ -312,41 +312,41 @@ echo "==> overload smoke (open-loop 2x vs 1 worker, admission control, verdict g
 # an open-loop run at 2x the measured sustainable rate. The verdict
 # (goodput floor, admitted-p99 cap, health floor) gates the script:
 # loadgen exits 1 on FAIL.
-rm -f /tmp/dcnr_overload_port
+rm -f "$DCNR_TMP/overload_port"
 ./target/release/dcnr -q serve --addr 127.0.0.1:0 --admin --workers 1 \
     --queue-depth 16 --sojourn-target-ms 50 --priority-depth 8 \
-    --adaptive-retry-after --port-file /tmp/dcnr_overload_port &
+    --adaptive-retry-after --port-file "$DCNR_TMP/overload_port" &
 DCNR_OVERLOAD_PID=$!
 DCNR_BG_PIDS="$DCNR_BG_PIDS $DCNR_OVERLOAD_PID"
 i=0
-while [ ! -s /tmp/dcnr_overload_port ]; do
+while [ ! -s "$DCNR_TMP/overload_port" ]; do
     i=$((i + 1))
     [ "$i" -le 100 ] || { echo "overload server never bound" >&2; exit 1; }
     sleep 0.1
 done
-DCNR_ADDR=$(cat /tmp/dcnr_overload_port)
+DCNR_ADDR=$(cat "$DCNR_TMP/overload_port")
 ./target/release/dcnr -q loadgen --addr "$DCNR_ADDR" --open-loop \
     --overload 2 --arrivals 400 --max-in-flight 32 \
     --goodput-floor 0.2 --p99-cap-ms 2000 --health-floor 0.8 \
     --artifacts fig15,fig16,table4 --scale 0.25 --edges 40 --vendors 16 \
-    --bench-json /tmp/dcnr_overload_smoke.json \
-    >/tmp/dcnr_overload_loadgen.out
-grep -q 'overload verdict: PASS' /tmp/dcnr_overload_loadgen.out
-grep -q '"phase": "calibrate"' /tmp/dcnr_overload_smoke.json
-grep -q '"phase": "overload"' /tmp/dcnr_overload_smoke.json
-grep -q '"verdict": "pass"' /tmp/dcnr_overload_smoke.json
+    --bench-json "$DCNR_TMP/overload_smoke.json" \
+    >"$DCNR_TMP/overload_loadgen.out"
+grep -q 'overload verdict: PASS' "$DCNR_TMP/overload_loadgen.out"
+grep -q '"phase": "calibrate"' "$DCNR_TMP/overload_smoke.json"
+grep -q '"phase": "overload"' "$DCNR_TMP/overload_smoke.json"
+grep -q '"verdict": "pass"' "$DCNR_TMP/overload_smoke.json"
 # With admission on, the drop counters and sojourn histogram are live
 # on a validated scrape.
 ./target/release/dcnr -q fetch "$DCNR_ADDR" /metrics --validate \
-    >/tmp/dcnr_overload_metrics.prom
-grep -q '^dcnr_server_admission_dropped_total' /tmp/dcnr_overload_metrics.prom
-grep -q '^dcnr_server_queue_sojourn_micros_bucket' /tmp/dcnr_overload_metrics.prom
+    >"$DCNR_TMP/overload_metrics.prom"
+grep -q '^dcnr_server_admission_dropped_total' "$DCNR_TMP/overload_metrics.prom"
+grep -q '^dcnr_server_queue_sojourn_micros_bucket' "$DCNR_TMP/overload_metrics.prom"
 # Admission control never touches response bytes: an artifact fetched
 # from the admission-on server is byte-identical to the CLI render.
 ./target/release/dcnr -q fetch "$DCNR_ADDR" \
     '/artifacts/fig15?seed=11&scale=0.25&edges=40&vendors=16' \
-    >/tmp/dcnr_artifact_admission.out
-cmp /tmp/dcnr_artifact_cli.out /tmp/dcnr_artifact_admission.out
+    >"$DCNR_TMP/artifact_admission.out"
+cmp "$DCNR_TMP/artifact_cli.out" "$DCNR_TMP/artifact_admission.out"
 ./target/release/dcnr -q fetch "$DCNR_ADDR" /admin/shutdown >/dev/null
 wait "$DCNR_OVERLOAD_PID"
 

@@ -104,14 +104,11 @@ USAGE:
                    Run one scenario with the phase timers on, print the
                    wall-clock breakdown per pipeline stage (fleet
                    build, issue generation per device type,
-                   remediation, SEV analysis, backbone, aggregation),
-                   and write it to PATH (default BENCH_profile.json).
+                   remediation, SEV analysis, backbone, aggregation);
+                   --json also writes it to PATH as JSON.
     dcnr serve     [--addr HOST:PORT] [--workers W] [--queue-depth Q]
                    [--cache-entries E] [--sweep-root DIR] [--admin]
                    [--port-file PATH] [--chaos-* ...]
-                   [--breaker-threshold N] [--breaker-cooldown-ms MS]
-                   [--render-fault-rate R] [--render-fault-skip N]
-                   [--render-fault-limit N] [--render-fault-seed S]
                    Serve study reports over HTTP on a fixed worker pool
                    with a bounded accept queue (overload sheds 503 +
                    Retry-After; never hangs). --workers 0 auto-detects
@@ -137,10 +134,9 @@ USAGE:
                    --chaos-truncate-rate R, --chaos-corrupt-rate R,
                    --chaos-stall-rate R, --chaos-stall-ms MS.
                    Render failures trip a per-artifact circuit breaker
-                   (--breaker-threshold consecutive failures open it
-                   for --breaker-cooldown-ms, then one half-open
-                   probe); misses under an open breaker or a saturated
-                   queue serve the last good render flagged
+                   (3 consecutive failures open it for 1 s, then one
+                   half-open probe); misses under an open breaker or a
+                   saturated queue serve the last good render flagged
                    X-Dcnr-Stale, or shed 503 + Retry-After.
                    Admission control (off by default; off is
                    byte-identical to the pre-admission server):
@@ -161,9 +157,6 @@ USAGE:
                    [--timeout-secs T] [scenario flags]
                    [--open-loop [--rate R] [--overload X]
                    [--arrivals N] [--max-in-flight N]
-                   [--burst-rate R] [--burst-mult M] [--burst-ms MS]
-                   [--diurnal-amplitude A] [--diurnal-period-ms MS]
-                   [--trace-out PATH | --trace-in PATH]
                    [--goodput-floor F] [--p99-cap-ms MS]
                    [--health-floor F]]
                    Closed-loop load harness: N client threads drive a
@@ -179,13 +172,11 @@ USAGE:
                    --chaos is the resilience harness: verification is
                    forced, the verdict fails unless the eventual
                    success rate is >= --min-success (default 0.99) AND
-                   no corruption went undetected, and the record goes
-                   to BENCH_resilience.json unless --bench-json says
-                   otherwise.
+                   no corruption went undetected.
                    --open-loop is the overload harness: arrivals fire
                    on their own seeded clock (Poisson at
-                   sustainable * --overload, default 2x, with optional
-                   burst/diurnal modulation) regardless of responses,
+                   sustainable * --overload, default 2x) regardless of
+                   responses,
                    bounded by --max-in-flight (excess arrivals are
                    counted as client-dropped, not deferred). The
                    sustainable rate is measured with a short
@@ -196,11 +187,7 @@ USAGE:
                    >= --goodput-floor (default 0.5) of sustainable,
                    admitted p99 <= --p99-cap-ms (default 1000), and
                    >= --health-floor (default 0.9) of health probes
-                   answer. --trace-out records the arrival schedule;
-                   --trace-in replays one byte-identically (same
-                   seed+config => same trace). The record goes to
-                   BENCH_overload.json unless --bench-json says
-                   otherwise. Conflicts with --chaos, --verify,
+                   answer. Conflicts with --chaos, --verify,
                    --clients, and --requests.
     dcnr artifact  ID [scenario flags]
                    Render one registry artifact (every ID is listed by
@@ -492,18 +479,17 @@ fn write_bench_json(
 }
 
 /// `dcnr profile`: run one scenario with the phase timers on, print the
-/// wall-clock breakdown per pipeline stage, and write it as JSON. The
-/// table *layout* is deterministic (rows sorted by phase name); the
-/// durations are wall-clock and vary run to run.
+/// wall-clock breakdown per pipeline stage, and write it as JSON when
+/// `--json PATH` names a file. The table *layout* is deterministic (rows
+/// sorted by phase name); the durations are wall-clock and vary run to
+/// run.
 fn cmd_profile(
     mut args: ArgScanner,
     handle: Option<&dcnr_core::telemetry::TelemetryHandle>,
 ) -> Result<(), DcnrError> {
     let kind = parse_scenario_kind(&mut args)?.unwrap_or(StudyKind::Intra);
     let base = Scenario::cli_default(kind);
-    let json_path = args
-        .value::<String>("--json")?
-        .unwrap_or_else(|| "BENCH_profile.json".into());
+    let json_path = args.value::<String>("--json")?;
     let scenario = apply_scenario_flags(&mut args, base)?;
     args.finish()?;
     let handle = handle.expect("main installs a collector for the profile command");
@@ -515,12 +501,14 @@ fn cmd_profile(
     let (metrics, _) = handle.snapshots();
     let rows = phase_rows(&metrics);
     print!("{}", render_profile_table(&rows));
-    let json = render_profile_json(&kind.to_string(), scenario.seed, scenario.scale, &rows);
-    std::fs::write(&json_path, json).map_err(|e| DcnrError::Io {
-        path: json_path.clone(),
-        message: format!("write: {e}"),
-    })?;
-    logger::info(format!("wrote {json_path}"));
+    if let Some(path) = json_path {
+        let json = render_profile_json(&kind.to_string(), scenario.seed, scenario.scale, &rows);
+        std::fs::write(&path, json).map_err(|e| DcnrError::Io {
+            path: path.clone(),
+            message: format!("write: {e}"),
+        })?;
+        logger::info(format!("wrote {path}"));
+    }
     Ok(())
 }
 

@@ -265,39 +265,6 @@ pub fn parse_serve_args(args: &mut ArgScanner) -> Result<crate::serve::ServeOpti
     opts.admin = args.flag("--admin");
     opts.port_file = args.value::<String>("--port-file")?.map(PathBuf::from);
     opts.chaos = parse_chaos_flags(args)?;
-    if let Some(threshold) = args.value::<u32>("--breaker-threshold")? {
-        if threshold == 0 {
-            return Err(DcnrError::Usage(
-                "--breaker-threshold must be positive".into(),
-            ));
-        }
-        opts.breaker.failure_threshold = threshold;
-    }
-    if let Some(ms) = args.value::<u64>("--breaker-cooldown-ms")? {
-        if ms == 0 {
-            return Err(DcnrError::Usage(
-                "--breaker-cooldown-ms must be positive".into(),
-            ));
-        }
-        opts.breaker.cooldown = std::time::Duration::from_millis(ms);
-    }
-    if let Some(rate) = args.value::<f64>("--render-fault-rate")? {
-        if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-            return Err(DcnrError::Usage(format!(
-                "--render-fault-rate must be in [0, 1], got {rate}"
-            )));
-        }
-        opts.render_faults.rate = rate;
-    }
-    if let Some(skip) = args.value::<u64>("--render-fault-skip")? {
-        opts.render_faults.skip = skip;
-    }
-    if let Some(limit) = args.value::<u64>("--render-fault-limit")? {
-        opts.render_faults.limit = limit;
-    }
-    if let Some(seed) = args.value::<u64>("--render-fault-seed")? {
-        opts.render_faults.seed = seed;
-    }
     if let Some(ms) = args.value::<u64>("--sojourn-target-ms")? {
         if ms == 0 {
             return Err(DcnrError::Usage(
@@ -429,15 +396,7 @@ pub fn parse_loadgen_args(
             "--bench-append requires --bench-json PATH".into(),
         ));
     }
-    if opts.chaos && opts.bench_json.is_none() {
-        // The resilience harness always leaves a record behind.
-        opts.bench_json = Some("BENCH_resilience.json".into());
-    }
     opts.open_loop = parse_open_loop_flags(args, &opts, clients_flag, requests_flag)?;
-    if opts.open_loop.is_some() && opts.bench_json.is_none() {
-        // The overload harness always leaves a record behind too.
-        opts.bench_json = Some("BENCH_overload.json".into());
-    }
     Ok(opts)
 }
 
@@ -445,8 +404,7 @@ pub fn parse_loadgen_args(
 /// unconditionally (so none can leak into the scenario remainder),
 /// then enforces the conflict rules: open-loop-only flags require
 /// `--open-loop`; `--open-loop` rejects `--chaos`, `--verify`, and
-/// explicit closed-loop `--clients`/`--requests`; `--trace-in` rejects
-/// every generation knob it would override.
+/// explicit closed-loop `--clients`/`--requests`.
 fn parse_open_loop_flags(
     args: &mut ArgScanner,
     opts: &crate::loadgen::LoadgenOptions,
@@ -458,13 +416,6 @@ fn parse_open_loop_flags(
     let overload = args.value::<f64>("--overload")?;
     let arrivals = args.value::<usize>("--arrivals")?;
     let max_in_flight = args.value::<usize>("--max-in-flight")?;
-    let burst_rate = args.value::<f64>("--burst-rate")?;
-    let burst_mult = args.value::<f64>("--burst-mult")?;
-    let burst_ms = args.value::<u64>("--burst-ms")?;
-    let diurnal_amplitude = args.value::<f64>("--diurnal-amplitude")?;
-    let diurnal_period_ms = args.value::<u64>("--diurnal-period-ms")?;
-    let trace_out = args.value::<String>("--trace-out")?;
-    let trace_in = args.value::<String>("--trace-in")?;
     let goodput_floor = args.value::<f64>("--goodput-floor")?;
     let p99_cap_ms = args.value::<u64>("--p99-cap-ms")?;
     let health_floor = args.value::<f64>("--health-floor")?;
@@ -474,13 +425,6 @@ fn parse_open_loop_flags(
             ("--overload", overload.is_some()),
             ("--arrivals", arrivals.is_some()),
             ("--max-in-flight", max_in_flight.is_some()),
-            ("--burst-rate", burst_rate.is_some()),
-            ("--burst-mult", burst_mult.is_some()),
-            ("--burst-ms", burst_ms.is_some()),
-            ("--diurnal-amplitude", diurnal_amplitude.is_some()),
-            ("--diurnal-period-ms", diurnal_period_ms.is_some()),
-            ("--trace-out", trace_out.is_some()),
-            ("--trace-in", trace_in.is_some()),
             ("--goodput-floor", goodput_floor.is_some()),
             ("--p99-cap-ms", p99_cap_ms.is_some()),
             ("--health-floor", health_floor.is_some()),
@@ -507,24 +451,6 @@ fn parse_open_loop_flags(
         if present {
             return Err(DcnrError::Usage(format!(
                 "{name} is a closed-loop knob; --open-loop sizes itself with --arrivals/--max-in-flight"
-            )));
-        }
-    }
-    if trace_in.is_some() {
-        let overridden = [
-            ("--rate", rate.is_some()),
-            ("--overload", overload.is_some()),
-            ("--arrivals", arrivals.is_some()),
-            ("--burst-rate", burst_rate.is_some()),
-            ("--burst-mult", burst_mult.is_some()),
-            ("--burst-ms", burst_ms.is_some()),
-            ("--diurnal-amplitude", diurnal_amplitude.is_some()),
-            ("--diurnal-period-ms", diurnal_period_ms.is_some()),
-            ("--trace-out", trace_out.is_some()),
-        ];
-        if let Some((name, _)) = overridden.iter().find(|(_, present)| *present) {
-            return Err(DcnrError::Usage(format!(
-                "--trace-in replays a recorded schedule; it conflicts with {name}"
             )));
         }
     }
@@ -556,23 +482,6 @@ fn parse_open_loop_flags(
             *slot = n;
         }
     }
-    if let Some(r) = burst_rate {
-        ol.burst.rate_per_sec = r;
-    }
-    if let Some(m) = burst_mult {
-        ol.burst.multiplier = m;
-    }
-    if let Some(ms) = burst_ms {
-        ol.burst.duration = std::time::Duration::from_millis(ms);
-    }
-    if let Some(a) = diurnal_amplitude {
-        ol.diurnal.amplitude = a;
-    }
-    if let Some(ms) = diurnal_period_ms {
-        ol.diurnal.period = std::time::Duration::from_millis(ms);
-    }
-    ol.trace_out = trace_out;
-    ol.trace_in = trace_in;
     for (name, value, slot) in [
         ("--goodput-floor", goodput_floor, &mut ol.goodput_floor),
         ("--health-floor", health_floor, &mut ol.health_floor),
@@ -831,41 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_breaker_and_render_fault_flags_parse_and_validate() {
-        let mut a = scan(&[
-            "--breaker-threshold",
-            "2",
-            "--breaker-cooldown-ms=250",
-            "--render-fault-rate",
-            "1.0",
-            "--render-fault-skip",
-            "1",
-            "--render-fault-limit",
-            "3",
-        ]);
-        let opts = parse_serve_args(&mut a).unwrap();
-        a.finish().unwrap();
-        assert_eq!(opts.breaker.failure_threshold, 2);
-        assert_eq!(opts.breaker.cooldown, std::time::Duration::from_millis(250));
-        assert_eq!(opts.render_faults.rate, 1.0);
-        assert_eq!(opts.render_faults.skip, 1);
-        assert_eq!(opts.render_faults.limit, 3);
-        for bad in [
-            &["--breaker-threshold", "0"][..],
-            &["--breaker-cooldown-ms", "0"][..],
-            &["--render-fault-rate", "2"][..],
-        ] {
-            let mut a = scan(bad);
-            assert_eq!(
-                parse_serve_args(&mut a).unwrap_err().kind(),
-                "usage",
-                "{bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn loadgen_chaos_flags_set_the_policy_and_default_bench_path() {
+    fn loadgen_chaos_flags_set_the_policy_and_no_default_bench_path() {
         let mut a = scan(&[
             "--chaos",
             "--retries",
@@ -892,12 +767,8 @@ mod tests {
         );
         assert_eq!(opts.policy.deadline, std::time::Duration::from_millis(4000));
         assert_eq!(opts.min_success, 0.95);
-        assert_eq!(
-            opts.bench_json.as_deref(),
-            Some("BENCH_resilience.json"),
-            "--chaos defaults the bench record path"
-        );
-        // An explicit path wins; a bad floor is a usage error.
+        assert_eq!(opts.bench_json, None, "--chaos writes no unnamed file");
+        // An explicit path is taken; a bad floor is a usage error.
         let mut a = scan(&["--chaos", "--bench-json", "/tmp/r.json"]);
         let opts = parse_loadgen_args(&mut a).unwrap();
         assert_eq!(opts.bench_json.as_deref(), Some("/tmp/r.json"));
@@ -927,7 +798,7 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_flags_parse_with_their_default_bench_path() {
+    fn open_loop_flags_parse_without_a_default_bench_path() {
         let mut a = scan(&[
             "--open-loop",
             "--rate",
@@ -937,24 +808,12 @@ mod tests {
             "500",
             "--max-in-flight",
             "32",
-            "--burst-rate",
-            "2",
-            "--burst-mult",
-            "4",
-            "--burst-ms",
-            "100",
-            "--diurnal-amplitude",
-            "0.3",
-            "--diurnal-period-ms",
-            "2000",
             "--goodput-floor",
             "0.4",
             "--p99-cap-ms",
             "1500",
             "--health-floor",
             "0.8",
-            "--trace-out",
-            "/tmp/t.trace",
         ]);
         let opts = parse_loadgen_args(&mut a).unwrap();
         a.finish().unwrap();
@@ -963,17 +822,10 @@ mod tests {
         assert_eq!(ol.overload, 2.5);
         assert_eq!(ol.arrivals, 500);
         assert_eq!(ol.max_in_flight, 32);
-        assert_eq!(ol.burst.multiplier, 4.0);
-        assert_eq!(ol.diurnal.amplitude, 0.3);
         assert_eq!(ol.goodput_floor, 0.4);
         assert_eq!(ol.p99_cap, std::time::Duration::from_millis(1500));
         assert_eq!(ol.health_floor, 0.8);
-        assert_eq!(ol.trace_out.as_deref(), Some("/tmp/t.trace"));
-        assert_eq!(
-            opts.bench_json.as_deref(),
-            Some("BENCH_overload.json"),
-            "--open-loop defaults the bench record path"
-        );
+        assert_eq!(opts.bench_json, None, "--open-loop writes no unnamed file");
     }
 
     #[test]
@@ -982,15 +834,12 @@ mod tests {
         // the offending flag named.
         let cases: &[&[&str]] = &[
             &["--rate", "100"],                  // open-loop-only flag, no --open-loop
-            &["--trace-in", "/tmp/t"],           // likewise
             &["--goodput-floor", "0.5"],         // likewise
             &["--open-loop", "--chaos"],         // one harness per run
             &["--open-loop", "--verify"],        // unverifiable single attempts
             &["--open-loop", "--clients", "4"],  // closed-loop knob
             &["--open-loop", "--requests", "9"], // closed-loop knob
-            &["--open-loop", "--trace-in=/t", "--rate", "5"], // replay vs generate
-            &["--open-loop", "--trace-in=/t", "--trace-out=/u"],
-            &["--open-loop", "--rate", "0"], // bad values
+            &["--open-loop", "--rate", "0"],     // bad values
             &["--open-loop", "--overload", "-1"],
             &["--open-loop", "--arrivals", "0"],
             &["--open-loop", "--goodput-floor", "1.5"],

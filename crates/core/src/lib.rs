@@ -55,29 +55,28 @@
 //! * [`telemetry_io`] — JSON and Prometheus-text serialization of
 //!   `dcnr-telemetry` snapshots, behind the `--metrics` / `--trace`
 //!   flags.
-//! * [`profile`] — the `dcnr profile` phase-breakdown table and
-//!   `BENCH_profile.json` writer.
+//! * [`profile`] — the `dcnr profile` phase-breakdown table and its
+//!   JSON record (written with `--json PATH`).
 //! * [`serve`] — the `dcnr serve` report server: artifact rendering
 //!   over HTTP through an LRU result cache, live Prometheus metrics,
 //!   and checkpoint-directory sweep reports, on the zero-dependency
 //!   `dcnr-server` substrate (bounded accept queue, 503 shedding,
 //!   graceful drain).
 //! * [`loadgen`] — the `dcnr loadgen` closed-loop load harness: seeded
-//!   request mixes, byte-for-byte response verification, and
-//!   `BENCH_serve.json` records; `--chaos` turns it into a resilience
-//!   harness with a pass/fail verdict and `BENCH_resilience.json`;
-//!   `--open-loop` turns it into the overload harness (seeded
-//!   open-loop arrivals at a multiple of the sustainable rate, goodput
-//!   / admitted-p99 / health verdict, `BENCH_overload.json`).
+//!   request mixes, byte-for-byte response verification, and bench
+//!   records written with `--bench-json PATH`; `--chaos` turns it into
+//!   a resilience harness with a pass/fail verdict; `--open-loop` turns
+//!   it into the overload harness (seeded open-loop arrivals at a
+//!   multiple of the sustainable rate, goodput / admitted-p99 / health
+//!   verdict).
 //! * [`resilience`] — client-side retries: deterministic capped
 //!   jittered backoff, per-request deadlines, `Retry-After` honoring,
 //!   and outcome classification (ok / retried-ok / shed / gave-up /
 //!   corrupt) over the `dcnr-server` client.
-//! * [`traffic`] — the seeded open-loop traffic model: Poisson
-//!   interarrivals with burst/diurnal modulation (Lewis–Shedler
-//!   thinning), per-arrival request-mix draws on an independent seed
-//!   stream, and deterministic trace emit/replay; the demand side of
-//!   `dcnr loadgen --open-loop`.
+//! * [`traffic`] — the seeded open-loop traffic model: a lazily drawn
+//!   Poisson arrival stream with per-arrival request-mix draws on an
+//!   independent seed stream; the demand side of `dcnr loadgen
+//!   --open-loop`.
 //!
 //! ## Quickstart
 //!
@@ -134,7 +133,7 @@ pub use supervisor::{
 };
 pub use survivability::{SurvivabilityConfig, SurvivabilityStudy};
 pub use sweep::{run_supervised, run_sweep, SweepConfig, SweepOutcome, SweepRow};
-pub use traffic::{Arrival, BurstProfile, DiurnalProfile, TrafficConfig};
+pub use traffic::{Arrival, TrafficConfig};
 
 // Re-export the substrate crates under one roof so downstream users and
 // the examples need a single dependency.

@@ -22,7 +22,11 @@
 //! the run becomes a resilience harness: it assumes the server is
 //! fault-injected, forces verification, and emits a pass/fail verdict
 //! (eventual-success rate ≥ `min_success`, undetected corruption
-//! exactly zero) plus a `BENCH_resilience.json` record.
+//! exactly zero). With `--open-loop` it is the overload harness
+//! ([`run_open_loop`]): seeded Poisson arrivals from
+//! [`crate::traffic`] fire on their own clock at a multiple of the
+//! sustainable rate. Every mode writes its bench record only when
+//! `--bench-json PATH` names one.
 
 use crate::artifacts;
 use crate::error::DcnrError;
@@ -96,15 +100,6 @@ pub struct OpenLoopOptions {
     /// outstanding requests are dropped client-side (counted), keeping
     /// the generator honest instead of turning into a connect flood.
     pub max_in_flight: usize,
-    /// Burst modulation for the arrival process.
-    pub burst: traffic::BurstProfile,
-    /// Diurnal modulation for the arrival process.
-    pub diurnal: traffic::DiurnalProfile,
-    /// Write the generated trace here before dispatching.
-    pub trace_out: Option<String>,
-    /// Replay this trace instead of generating (conflicts with the
-    /// rate/burst/diurnal/arrival knobs).
-    pub trace_in: Option<String>,
     /// Verdict: goodput must stay at or above this fraction of the
     /// sustainable rate.
     pub goodput_floor: f64,
@@ -122,10 +117,6 @@ impl Default for OpenLoopOptions {
             overload: 2.0,
             arrivals: 1000,
             max_in_flight: 64,
-            burst: traffic::BurstProfile::default(),
-            diurnal: traffic::DiurnalProfile::default(),
-            trace_out: None,
-            trace_in: None,
             goodput_floor: 0.5,
             p99_cap: Duration::from_secs(1),
             health_floor: 0.9,
@@ -708,8 +699,6 @@ pub struct OverloadReport {
     pub p99_cap: Duration,
     /// The health answer-rate floor the verdict requires.
     pub health_floor: f64,
-    /// Whether the arrivals were replayed from a trace.
-    pub trace_replayed: bool,
     /// Human-readable report.
     pub rendered: String,
 }
@@ -789,46 +778,15 @@ pub fn run_open_loop(opts: &LoadgenOptions) -> Result<OverloadReport, DcnrError>
     }
     let offered = sustainable * ol.overload;
 
-    // Phase 2: the arrival schedule — generated or replayed.
-    let (cfg, arrivals, trace_replayed) = match &ol.trace_in {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| DcnrError::Io {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
-            let (cfg, arrivals) = traffic::parse_trace(&text)?;
-            if cfg.mix_entries as usize != mix.len() {
-                return Err(DcnrError::Usage(format!(
-                    "--trace-in {path}: trace was recorded against {} mix entries, \
-                     this run has {}",
-                    cfg.mix_entries,
-                    mix.len()
-                )));
-            }
-            (cfg, arrivals, true)
-        }
-        None => {
-            let cfg = traffic::TrafficConfig {
-                seed: opts.mix_seed,
-                rate_per_sec: offered,
-                arrivals: ol.arrivals,
-                mix_entries: u32::try_from(mix.len())
-                    .map_err(|_| DcnrError::Usage("open-loop: mix too large".into()))?,
-                burst: ol.burst,
-                diurnal: ol.diurnal,
-            };
-            let arrivals = traffic::generate(&cfg)?;
-            if let Some(path) = &ol.trace_out {
-                std::fs::write(path, traffic::emit_trace(&cfg, &arrivals)).map_err(|e| {
-                    DcnrError::Io {
-                        path: path.clone(),
-                        message: e.to_string(),
-                    }
-                })?;
-            }
-            (cfg, arrivals, false)
-        }
+    // Phase 2: the arrival schedule, drawn as the dispatcher consumes it.
+    let cfg = traffic::TrafficConfig {
+        seed: opts.mix_seed,
+        rate_per_sec: offered,
+        arrivals: ol.arrivals,
+        mix_entries: u32::try_from(mix.len())
+            .map_err(|_| DcnrError::Usage("open-loop: mix too large".into()))?,
     };
+    let arrivals = traffic::generate(&cfg)?;
 
     // Phase 3: open-loop dispatch. The dispatcher owns the clock and
     // never waits on a response; workers do single-attempt requests (a
@@ -866,7 +824,7 @@ pub fn run_open_loop(opts: &LoadgenOptions) -> Result<OverloadReport, DcnrError>
 
     let mut client_dropped = 0usize;
     let mut dispatched = 0usize;
-    for arrival in &arrivals {
+    for arrival in arrivals {
         let due = started + Duration::from_micros(arrival.at_micros);
         let now = Instant::now();
         if due > now {
@@ -920,7 +878,7 @@ pub fn run_open_loop(opts: &LoadgenOptions) -> Result<OverloadReport, DcnrError>
         rate_source,
         offered_rps: cfg.rate_per_sec,
         overload: cfg.rate_per_sec / sustainable,
-        arrivals: arrivals.len(),
+        arrivals: cfg.arrivals,
         dispatched,
         client_dropped,
         good: tally.good,
@@ -936,18 +894,14 @@ pub fn run_open_loop(opts: &LoadgenOptions) -> Result<OverloadReport, DcnrError>
         goodput_floor: ol.goodput_floor,
         p99_cap: ol.p99_cap,
         health_floor: ol.health_floor,
-        trace_replayed,
         rendered: String::new(),
     };
     let mut rendered = String::new();
     let _ = writeln!(rendered, "open-loop overload against http://{}", opts.addr);
     let _ = writeln!(
         rendered,
-        "  sustainable {sustainable:.1} req/s ({rate_source})  offered {:.1} req/s ({:.2}x)  arrivals {}{}",
-        report.offered_rps,
-        report.overload,
-        report.arrivals,
-        if trace_replayed { "  [trace replay]" } else { "" }
+        "  sustainable {sustainable:.1} req/s ({rate_source})  offered {:.1} req/s ({:.2}x)  arrivals {}",
+        report.offered_rps, report.overload, report.arrivals
     );
     let _ = writeln!(
         rendered,
@@ -1092,7 +1046,6 @@ fn write_overload_bench(path: &str, report: &OverloadReport) -> Result<(), DcnrE
     let _ = writeln!(out, "      \"arrivals\": {},", report.arrivals);
     let _ = writeln!(out, "      \"dispatched\": {},", report.dispatched);
     let _ = writeln!(out, "      \"client_dropped\": {},", report.client_dropped);
-    let _ = writeln!(out, "      \"trace_replayed\": {},", report.trace_replayed);
     let _ = writeln!(
         out,
         "      \"outcomes\": {{ \"good\": {}, \"stale\": {}, \"shed\": {}, \"errors\": {} }},",
@@ -1365,7 +1318,6 @@ mod tests {
             goodput_floor: 0.5,
             p99_cap: Duration::from_secs(1),
             health_floor: 0.9,
-            trace_replayed: false,
             rendered: String::new(),
         }
     }

@@ -4,9 +4,9 @@
 //! the [`dcnr_telemetry::PHASE_HISTOGRAM`] series labeled by phase
 //! name. This module reads that series back out of a snapshot and
 //! renders it two ways: a fixed-layout text table for stdout and the
-//! `BENCH_profile.json` document the bench harness consumes. The
-//! *layout* is deterministic — rows sorted by phase name, stable
-//! columns — while the duration values naturally vary run to run.
+//! JSON document `dcnr profile --json PATH` writes. The *layout* is
+//! deterministic — rows sorted by phase name, stable columns — while
+//! the duration values naturally vary run to run.
 
 use crate::json::write_str;
 use dcnr_telemetry::metrics::MetricsSnapshot;
@@ -81,8 +81,8 @@ pub fn render_profile_table(rows: &[PhaseRow]) -> String {
     out
 }
 
-/// Renders the `BENCH_profile.json` document: scenario context plus the
-/// sorted phase rows.
+/// Renders the profile JSON document: scenario context plus the sorted
+/// phase rows.
 pub fn render_profile_json(scenario: &str, seed: u64, scale: f64, rows: &[PhaseRow]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"scenario\": ");

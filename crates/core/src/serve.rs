@@ -70,14 +70,15 @@ pub struct ServeOptions {
     /// Transport fault injection (`--chaos-*`); `None` leaves the write
     /// path untouched, and an all-zero plan is byte-identical to `None`.
     pub chaos: Option<dcnr_server::chaos::FaultPlan>,
-    /// Circuit-breaker knobs for the artifact render path.
+    /// Circuit-breaker knobs for the artifact render path; the CLI
+    /// always runs the defaults, tests set them in process.
     pub breaker: BreakerConfig,
     /// Deadline-aware admission control (`--sojourn-target-ms`,
     /// `--priority-depth`, `--adaptive-retry-after`); the all-off
     /// default is byte-invisible on the wire and on `/metrics`.
     pub admission: AdmissionConfig,
-    /// Deterministic render-failure injection (`--render-fault-*`) for
-    /// exercising the breaker and stale-serving paths.
+    /// Deterministic render-failure injection for exercising the
+    /// breaker and stale-serving paths; only tests set it.
     pub render_faults: RenderFaultPlan,
 }
 
@@ -604,7 +605,7 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
         return unavailable_for(after, "artifact render circuit open");
     }
 
-    // Deterministic render-fault hook (tests and the chaos harness).
+    // Deterministic render-fault hook (off unless a test sets it).
     let idx = state.render_attempts.fetch_add(1, Ordering::Relaxed);
     let rendered = if state.render_faults.fires(idx) {
         dcnr_telemetry::counter_add(

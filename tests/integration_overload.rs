@@ -2,8 +2,8 @@
 //! with deadline-aware admission control under `dcnr loadgen
 //! --open-loop`. Covers the accounting invariants (every arrival is
 //! dispatched or client-dropped; every dispatch is good, shed, or an
-//! error), the two-phase `BENCH_overload.json` record, trace
-//! record/replay equivalence, and the health-probe floor.
+//! error), the two-phase overload bench record, and the health-probe
+//! floor.
 
 use dcnr_core::loadgen::{self, LoadgenOptions, OpenLoopOptions};
 use dcnr_core::serve::{self, ServeOptions};
@@ -51,7 +51,6 @@ fn overload_options(server: &serve::RunningServer) -> LoadgenOptions {
             goodput_floor: 0.02,
             p99_cap: Duration::from_secs(10),
             health_floor: 0.5,
-            ..OpenLoopOptions::default()
         }),
         ..LoadgenOptions::default()
     }
@@ -91,7 +90,6 @@ fn overload_run_accounts_for_every_arrival_and_writes_the_bench() {
     );
     assert_eq!(report.rate_source, "given");
     assert!((report.overload - 2.0).abs() < 1e-9);
-    assert!(!report.trace_replayed);
     assert!(report.health_probes > 0, "the health prober must have run");
     assert!(report.verdict_pass());
     assert!(
@@ -109,57 +107,6 @@ fn overload_run_accounts_for_every_arrival_and_writes_the_bench() {
     assert!(text.contains("\"verdict\": \"pass\""), "{text}");
     assert!(rendered.contains("sustainable_rps"), "{rendered}");
     let _ = std::fs::remove_file(&bench);
-    server.shutdown_and_join();
-}
-
-#[test]
-fn recorded_traces_replay_against_the_same_mix() {
-    let server = admission_server();
-    let trace = temp_path("trace.txt");
-
-    // Record: the generated schedule lands in the trace file.
-    let mut record = overload_options(&server);
-    if let Some(ol) = record.open_loop.as_mut() {
-        ol.arrivals = 120;
-        ol.trace_out = Some(trace.clone());
-    }
-    let recorded = loadgen::run_open_loop(&record).expect("record run passes");
-    assert!(!recorded.trace_replayed);
-
-    // The emitted trace is self-consistent: parsing and re-emitting it
-    // reproduces the exact bytes on disk.
-    let text = std::fs::read_to_string(&trace).expect("trace written");
-    let (cfg, arrivals) = dcnr_core::traffic::parse_trace(&text).expect("trace parses");
-    assert_eq!(arrivals.len(), 120);
-    assert_eq!(dcnr_core::traffic::emit_trace(&cfg, &arrivals), text);
-
-    // Replay: the same schedule drives a fresh run; the report shows
-    // the replay and the arrival count matches the recording.
-    let mut replay = overload_options(&server);
-    if let Some(ol) = replay.open_loop.as_mut() {
-        ol.trace_in = Some(trace.clone());
-    }
-    let replayed = loadgen::run_open_loop(&replay).expect("replay run passes");
-    assert!(replayed.trace_replayed);
-    assert_eq!(replayed.arrivals, 120);
-    assert_eq!(replayed.dispatched + replayed.client_dropped, 120);
-    assert!(
-        replayed.rendered.contains("[trace replay]"),
-        "{}",
-        replayed.rendered
-    );
-
-    // A trace recorded against a different mix width is refused as a
-    // usage error rather than silently misindexing.
-    let mut mismatched = overload_options(&server);
-    mismatched.artifacts = vec![Experiment::Fig15, Experiment::Fig16];
-    mismatched.scenario_seeds = 2;
-    if let Some(ol) = mismatched.open_loop.as_mut() {
-        ol.trace_in = Some(trace.clone());
-    }
-    let err = loadgen::run_open_loop(&mismatched).unwrap_err();
-    assert_eq!(err.kind(), "usage");
-    let _ = std::fs::remove_file(&trace);
     server.shutdown_and_join();
 }
 
