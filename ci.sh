@@ -89,10 +89,12 @@ cargo run --release -q --example validate_telemetry -- "$DCNR_TMP/intra_metrics.
 echo "==> profile smoke (quarter scale, parseable profile JSON)"
 ./target/release/dcnr --metrics "$DCNR_TMP/profile_metrics.prom" \
     profile --scale 0.25 --json "$DCNR_TMP/profile_smoke.json" >/dev/null 2>&1
-# The profile must attribute issue generation per device type and
-# parse as JSON; the metrics file must pass the strict validator.
+# The profile must attribute issue generation per device type and the
+# artifact render, and parse as JSON; the metrics file must pass the
+# strict validator.
 grep -q '"phase": "intra.issue_gen.rsw"' "$DCNR_TMP/profile_smoke.json"
 grep -q '"phase": "intra.remediation"' "$DCNR_TMP/profile_smoke.json"
+grep -q '"phase": "intra.render"' "$DCNR_TMP/profile_smoke.json"
 cargo run --release -q --example validate_telemetry -- \
     "$DCNR_TMP/profile_metrics.prom" "$DCNR_TMP/profile_smoke.json"
 

@@ -25,7 +25,7 @@ pub struct StudyConfig {
     /// Fleet scale multiplier. 1.0 is the calibrated baseline fleet;
     /// the default of 10.0 produces "thousands of incidents" like the
     /// paper's dataset (§4.2) from ~390k raw issues; a release-build
-    /// replica takes ~0.13–0.2 s on a 2-vCPU VM.
+    /// replica takes ~0.1–0.12 s on a 2-vCPU VM.
     pub scale: f64,
     /// Master seed; every derived stream is deterministic in it.
     pub seed: u64,

@@ -338,13 +338,15 @@ impl RunContext {
     /// Executes the scenario and renders the report: the chaos drill's
     /// deviation report, or else every registry artifact of the
     /// scenario's study, in registry order. The dataset line runs the
-    /// study; each artifact then reads the cached output.
+    /// study; each artifact then reads the cached output, inside one
+    /// `<kind>.render` span (e.g. `intra.render`).
     pub fn execute(&self) -> ScenarioOutcome {
         if self.scenario.kind == StudyKind::Chaos {
             return self.execute_chaos();
         }
         let mut rendered = String::new();
         let _ = writeln!(rendered, "{}", self.dataset_line());
+        let render = dcnr_telemetry::span(&format!("{}.render", self.scenario.kind));
         let artifacts: Vec<ExperimentOutcome> = artifacts::registry()
             .iter()
             .filter(|a| a.study == self.scenario.kind)
@@ -363,6 +365,7 @@ impl RunContext {
                 measured: c.measured,
             }));
         }
+        render.finish();
         ScenarioOutcome {
             scenario: self.scenario,
             artifacts,

@@ -17,6 +17,8 @@ pub struct RepairPolicy {
     device_type: DeviceType,
     repair_ratio: f64,
     priorities: Categorical,
+    /// `E[priority + 1]` over `priorities`: the wait factor's divisor.
+    wait_norm: f64,
     wait: Exponential,
     exec: Exponential,
 }
@@ -29,10 +31,15 @@ impl RepairPolicy {
         let weights = calibration::priority_weights(t)?;
         let wait_secs = calibration::repair_wait_secs(t)? as f64;
         let exec_secs = calibration::repair_exec_secs(t)?;
+        let priorities = Categorical::new(&weights).expect("valid weights");
+        let wait_norm = (0..4)
+            .map(|i| (i as f64 + 1.0) * priorities.probability(i))
+            .sum();
         Some(Self {
             device_type: t,
             repair_ratio,
-            priorities: Categorical::new(&weights).expect("valid weights"),
+            priorities,
+            wait_norm,
             wait: Exponential::new(wait_secs),
             exec: Exponential::new(exec_secs),
         })
@@ -54,21 +61,13 @@ impl RepairPolicy {
         self.priorities.sample_index(rng) as u8
     }
 
-    /// Samples the scheduling wait, in seconds. The wait scales with the
-    /// sampled priority relative to the type's mean priority, so lower
-    /// priorities wait longer (as the paper describes) while the
-    /// *average* wait across repairs matches Table 1.
+    /// Samples the scheduling wait, in seconds. Priority `p` waits
+    /// proportionally to `p + 1`, normalized so the factor's expectation
+    /// over the type's priority mix is 1: lower priorities wait longer
+    /// (as the paper describes) while the *average* wait across repairs
+    /// matches Table 1.
     pub fn sample_wait_secs<R: Rng + ?Sized>(&self, rng: &mut R, priority: u8) -> f64 {
-        let mean_priority: f64 = (0..4)
-            .map(|i| i as f64 * self.priorities.probability(i))
-            .sum();
-        // Priority weighting: priority p waits proportionally to (p+1),
-        // normalized so the expectation over the priority mix is 1.
-        let norm: f64 = (0..4)
-            .map(|i| (i as f64 + 1.0) * self.priorities.probability(i))
-            .sum();
-        let _ = mean_priority;
-        let factor = (priority as f64 + 1.0) / norm;
+        let factor = (priority as f64 + 1.0) / self.wait_norm;
         self.wait.sample(rng) * factor
     }
 

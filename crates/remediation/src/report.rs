@@ -50,6 +50,7 @@ impl Table1Report {
     /// automation was involved contribute (manual resolutions and
     /// manual escalations are outside the table's scope).
     pub fn from_outcomes<'a>(outcomes: impl IntoIterator<Item = &'a RemediationOutcome>) -> Self {
+        #[derive(Clone, Copy, Default)]
         struct Acc {
             attempted: u64,
             repaired: u64,
@@ -58,18 +59,12 @@ impl Table1Report {
             wait_sum: f64,
             exec_sum: f64,
         }
-        let mut accs: BTreeMap<DeviceType, Acc> = BTreeMap::new();
+        // Indexed by `t as usize`, the order of `DeviceType::ALL`.
+        let mut accs = [Acc::default(); DeviceType::ALL.len()];
         for o in outcomes {
             match o {
                 RemediationOutcome::AutoRepaired(r) => {
-                    let a = accs.entry(r.issue.device_type).or_insert(Acc {
-                        attempted: 0,
-                        repaired: 0,
-                        escalated: 0,
-                        prio_sum: 0.0,
-                        wait_sum: 0.0,
-                        exec_sum: 0.0,
-                    });
+                    let a = &mut accs[r.issue.device_type as usize];
                     a.attempted += 1;
                     a.repaired += 1;
                     a.prio_sum += r.priority as f64;
@@ -80,22 +75,17 @@ impl Table1Report {
                     issue,
                     automation_attempted: true,
                 } => {
-                    let a = accs.entry(issue.device_type).or_insert(Acc {
-                        attempted: 0,
-                        repaired: 0,
-                        escalated: 0,
-                        prio_sum: 0.0,
-                        wait_sum: 0.0,
-                        exec_sum: 0.0,
-                    });
+                    let a = &mut accs[issue.device_type as usize];
                     a.attempted += 1;
                     a.escalated += 1;
                 }
                 _ => {}
             }
         }
-        let rows = accs
+        let rows = DeviceType::ALL
             .into_iter()
+            .zip(accs)
+            .filter(|(_, a)| a.attempted > 0)
             .map(|(t, a)| {
                 let n = a.repaired.max(1) as f64;
                 (

@@ -12,7 +12,8 @@
 //!   happens by **parsing the device-name prefix** exactly as §4.3.1
 //!   describes — the record does not carry a type field.
 //! * [`store`] — [`store::SevDb`], an append-only store with
-//!   stable ids.
+//!   stable ids that derives each row's open year and device type
+//!   once, at insert.
 //! * [`query`] — composable filters and group-bys over the store
 //!   (by year, severity, device type, network design, root cause) — the
 //!   operations every figure of §5 reduces to.

@@ -8,11 +8,14 @@
 //! * Fig. 8/9 — the same, normalized to the 2017 total
 //!
 //! A [`SevQuery`] is a borrowed, filtered view; filters compose by value
-//! (builder style) and evaluation is lazy until a terminal operation.
+//! (builder style), each narrowing the view in place. Year, device-type
+//! and design filters and group-bys read the keys the store derived
+//! once at insert ([`crate::store`]), never the record's name or
+//! timestamp.
 
 use crate::record::SevRecord;
 use crate::severity::SevLevel;
-use crate::store::SevDb;
+use crate::store::{SevDb, SevKey};
 use dcnr_faults::RootCause;
 use dcnr_stats::YearSeries;
 use dcnr_topology::{DeviceType, NetworkDesign};
@@ -21,27 +24,33 @@ use std::collections::BTreeMap;
 /// A composable filtered view over a [`SevDb`].
 #[derive(Clone)]
 pub struct SevQuery<'a> {
-    records: Vec<&'a SevRecord>,
+    rows: Vec<(&'a SevRecord, SevKey)>,
 }
 
 impl SevDb {
     /// Starts a query over all reports.
     pub fn query(&self) -> SevQuery<'_> {
         SevQuery {
-            records: self.iter().collect(),
+            rows: self.keyed().collect(),
         }
     }
 }
 
 impl<'a> SevQuery<'a> {
+    /// Keeps the rows whose derived keys satisfy `pred`.
+    fn retain_keys(mut self, pred: impl Fn(SevKey) -> bool) -> Self {
+        self.rows.retain(|&(_, k)| pred(k));
+        self
+    }
+
     /// Restricts to incidents opened in `year`.
     pub fn year(self, year: i32) -> Self {
-        self.filter(|r| r.year() == year)
+        self.retain_keys(|k| k.year == year)
     }
 
     /// Restricts to incidents opened in `[first, last]`.
     pub fn years(self, first: i32, last: i32) -> Self {
-        self.filter(|r| (first..=last).contains(&r.year()))
+        self.retain_keys(|k| (first..=last).contains(&k.year))
     }
 
     /// Restricts to one severity level.
@@ -51,12 +60,12 @@ impl<'a> SevQuery<'a> {
 
     /// Restricts to incidents whose offending device parses to `t`.
     pub fn device_type(self, t: DeviceType) -> Self {
-        self.filter(|r| r.device_type().ok() == Some(t))
+        self.retain_keys(|k| k.device_type == Some(t))
     }
 
     /// Restricts to incidents on devices of one network design.
     pub fn design(self, d: NetworkDesign) -> Self {
-        self.filter(|r| r.design() == Some(d))
+        self.retain_keys(|k| k.device_type.map(DeviceType::design) == Some(d))
     }
 
     /// Restricts to incidents carrying `cause` among their root causes.
@@ -65,32 +74,24 @@ impl<'a> SevQuery<'a> {
     }
 
     /// Generic predicate filter.
-    pub fn filter(self, pred: impl Fn(&SevRecord) -> bool) -> Self {
-        Self {
-            records: self.records.into_iter().filter(|r| pred(r)).collect(),
-        }
+    pub fn filter(mut self, pred: impl Fn(&SevRecord) -> bool) -> Self {
+        self.rows.retain(|(r, _)| pred(r));
+        self
     }
 
     // ----- terminals -------------------------------------------------
 
     /// Number of matching reports.
     pub fn count(&self) -> usize {
-        self.records.len()
-    }
-
-    /// The matching reports.
-    pub fn records(&self) -> &[&'a SevRecord] {
-        &self.records
+        self.rows.len()
     }
 
     /// Group count by parsed device type; unparsable names are skipped
     /// (they are outside the intra-DC taxonomy).
     pub fn count_by_device_type(&self) -> BTreeMap<DeviceType, usize> {
         let mut out = BTreeMap::new();
-        for r in &self.records {
-            if let Ok(t) = r.device_type() {
-                *out.entry(t).or_insert(0) += 1;
-            }
+        for t in self.rows.iter().filter_map(|(_, k)| k.device_type) {
+            *out.entry(t).or_insert(0) += 1;
         }
         out
     }
@@ -98,7 +99,7 @@ impl<'a> SevQuery<'a> {
     /// Group count by severity level.
     pub fn count_by_severity(&self) -> BTreeMap<SevLevel, usize> {
         let mut out = BTreeMap::new();
-        for r in &self.records {
+        for (r, _) in &self.rows {
             *out.entry(r.severity).or_insert(0) += 1;
         }
         out
@@ -109,7 +110,7 @@ impl<'a> SevQuery<'a> {
     /// exceed [`SevQuery::count`].
     pub fn count_by_root_cause(&self) -> BTreeMap<RootCause, usize> {
         let mut out = BTreeMap::new();
-        for r in &self.records {
+        for (r, _) in &self.rows {
             for &c in &r.root_causes {
                 *out.entry(c).or_insert(0) += 1;
             }
@@ -120,8 +121,8 @@ impl<'a> SevQuery<'a> {
     /// Yearly counts over `[first, last]` as a [`YearSeries`].
     pub fn count_by_year(&self, first: i32, last: i32) -> YearSeries {
         let mut s = YearSeries::new(first, last);
-        for r in &self.records {
-            s.add(r.year(), 1.0);
+        for (_, k) in &self.rows {
+            s.add(k.year, 1.0);
         }
         s
     }
@@ -186,9 +187,9 @@ impl<'a> SevQuery<'a> {
 
     /// Resolution times (hours) of matching reports — the p75IRT input.
     pub fn resolution_hours(&self) -> Vec<f64> {
-        self.records
+        self.rows
             .iter()
-            .map(|r| r.resolution_time().as_hours())
+            .map(|(r, _)| r.resolution_time().as_hours())
             .collect()
     }
 }

@@ -7,16 +7,37 @@
 //! [`SevDb`] is the in-memory stand-in: an append-only table with stable
 //! auto-increment ids. The query layer ([`crate::query`]) provides the
 //! SQL-shaped operations.
+//!
+//! Beside each row the store keeps its derived keys: the year the
+//! incident opened in and the device type its name parses to (§4.3.1).
+//! Both are computed once, at insert, from [`SevRecord::year`] and
+//! [`SevRecord::device_type`], so a query filters and groups on them
+//! without a calendar conversion or a name parse per row per scan. The
+//! store is append-only and its rows are reachable only by shared
+//! reference, so a key cannot go stale.
 
 use crate::record::SevRecord;
 use crate::severity::SevLevel;
 use dcnr_faults::RootCause;
 use dcnr_sim::SimTime;
+use dcnr_topology::DeviceType;
+
+/// The keys every query filters and groups on, derived from one row at
+/// insert.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SevKey {
+    /// [`SevRecord::year`].
+    pub(crate) year: i32,
+    /// [`SevRecord::device_type`], `None` when the name does not parse.
+    pub(crate) device_type: Option<DeviceType>,
+}
 
 /// An append-only store of SEV reports.
 #[derive(Debug, Clone, Default)]
 pub struct SevDb {
     records: Vec<SevRecord>,
+    /// `keys[i]` is derived from `records[i]`.
+    keys: Vec<SevKey>,
 }
 
 impl SevDb {
@@ -36,17 +57,15 @@ impl SevDb {
         resolved_at: SimTime,
         impact: impl Into<String>,
     ) -> u64 {
-        let id = self.records.len() as u64;
-        self.records.push(SevRecord::new(
-            id,
+        self.insert_record(SevRecord::new(
+            0,
             severity,
             device_name,
             root_causes,
             opened_at,
             resolved_at,
             impact,
-        ));
-        id
+        ))
     }
 
     /// Inserts a pre-built record, overwriting its id with the next
@@ -54,6 +73,10 @@ impl SevDb {
     pub fn insert_record(&mut self, mut record: SevRecord) -> u64 {
         let id = self.records.len() as u64;
         record.id = id;
+        self.keys.push(SevKey {
+            year: record.year(),
+            device_type: record.device_type().ok(),
+        });
         self.records.push(record);
         id
     }
@@ -81,6 +104,11 @@ impl SevDb {
     /// All reports as a slice.
     pub fn records(&self) -> &[SevRecord] {
         &self.records
+    }
+
+    /// Every report beside its derived keys, in insertion order.
+    pub(crate) fn keyed(&self) -> impl Iterator<Item = (&SevRecord, SevKey)> {
+        self.records.iter().zip(self.keys.iter().copied())
     }
 }
 

@@ -5,7 +5,7 @@
 use dcnr_core::faults::{calibration, RootCause};
 use dcnr_core::sev::SevLevel;
 use dcnr_core::topology::{DeviceType, NetworkDesign};
-use dcnr_core::{IntraDcStudy, StudyConfig};
+use dcnr_core::{IntraDcStudy, RunContext, Scenario, StudyConfig};
 
 fn study() -> IntraDcStudy {
     IntraDcStudy::run(StudyConfig {
@@ -198,5 +198,31 @@ fn esw_has_no_bug_sevs() {
             .root_cause(RootCause::Bug)
             .count(),
         0
+    );
+}
+
+#[test]
+fn intra_report_bytes_match_the_committed_golden() {
+    // The whole intra report at a small scale, pinned byte for byte so a
+    // change to the store, the query layer or a render that should keep
+    // its output shows any drift here rather than in a later sweep.
+    const GOLDEN: &str = include_str!("golden/intra_scale0.15_seed7.txt");
+    let rendered = RunContext::new(Scenario {
+        scale: 0.15,
+        ..Scenario::intra(7)
+    })
+    .execute()
+    .rendered;
+    let first_diff = rendered
+        .lines()
+        .zip(GOLDEN.lines())
+        .position(|(got, want)| got != want)
+        .map(|i| i + 1);
+    assert!(
+        rendered == GOLDEN,
+        "the intra report drifted from tests/golden/intra_scale0.15_seed7.txt \
+         (first differing line: {first_diff:?}); if the change is intended, \
+         regenerate it with `cargo run --release -q --bin dcnr -- intra \
+         --scale 0.15 --seed 7 > tests/golden/intra_scale0.15_seed7.txt`"
     );
 }

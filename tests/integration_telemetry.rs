@@ -118,6 +118,7 @@ fn profile_names_issue_generation_per_device_type() {
     for expected in [
         "intra.fleet_build",
         "intra.remediation",
+        "intra.render",
         "intra.sev_analysis",
     ] {
         assert!(phases.contains(&expected), "missing {expected}: {phases:?}");
