@@ -11,7 +11,7 @@
 //! (§4.3.2)
 //!
 //! The wire format is RFC-822-flavoured headers over a byte buffer
-//! ([`bytes::Bytes`]); the parser is a tolerant line-oriented state
+//! ([`RawEmail`]); the parser is a tolerant line-oriented state
 //! machine (header folding not supported — vendors' systems emit one
 //! field per line): unknown headers are skipped, required fields are
 //! validated, and malformed messages yield a typed error rather than a
@@ -20,9 +20,13 @@
 use crate::ticket::TicketKind;
 use crate::topo::FiberLinkId;
 use crate::vendor::VendorId;
-use bytes::Bytes;
 use dcnr_sim::SimTime;
 use std::fmt;
+use std::sync::Arc;
+
+/// A rendered e-mail on the wire: immutable bytes whose clone is a
+/// refcount bump, so a stream can be reordered and duplicated cheaply.
+pub type RawEmail = Arc<[u8]>;
 
 /// One structured vendor notification.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +83,7 @@ impl fmt::Display for EmailParseError {
 impl std::error::Error for EmailParseError {}
 
 /// Renders an e-mail to its wire form.
-pub fn render_email(email: &VendorEmail) -> Bytes {
+pub fn render_email(email: &VendorEmail) -> RawEmail {
     let phase = if email.is_start { "START" } else { "COMPLETE" };
     let kind = match email.kind {
         TicketKind::Repair => "REPAIR",
@@ -106,7 +110,7 @@ pub fn render_email(email: &VendorEmail) -> Bytes {
         s.push_str(&format!("X-Estimated-Duration-Hours: {h:.1}\r\n"));
     }
     s.push_str("\r\nAutomated notification. Do not reply.\r\n");
-    Bytes::from(s)
+    s.into_bytes().into()
 }
 
 /// Parses a wire-form e-mail.
@@ -120,7 +124,7 @@ pub fn render_email(email: &VendorEmail) -> Bytes {
 /// reported). `X-Estimated-Duration-Hours` must be a finite,
 /// non-negative number; a malformed estimate is a
 /// [`EmailParseError::BadField`] rather than a silently dropped value.
-pub fn parse_email(raw: &Bytes) -> Result<VendorEmail, EmailParseError> {
+pub fn parse_email(raw: &[u8]) -> Result<VendorEmail, EmailParseError> {
     let text = std::str::from_utf8(raw).map_err(|_| EmailParseError::NotUtf8)?;
 
     let mut vendor: Option<u32> = None;
@@ -261,8 +265,7 @@ mod tests {
 
     #[test]
     fn tolerates_unknown_headers_and_lf_endings() {
-        let raw = Bytes::from(
-            "Subject: whatever\n\
+        let raw = "Subject: whatever\n\
              X-Priority: urgent!!\n\
              X-Vendor-Id: 3\n\
              X-Link-Id: 55\n\
@@ -271,9 +274,8 @@ mod tests {
              not-even-a-header\n\
              X-Location: EU\n\
              \n\
-             body text ignored\nX-Vendor-Id: 99\n",
-        );
-        let e = parse_email(&raw).unwrap();
+             body text ignored\nX-Vendor-Id: 99\n";
+        let e = parse_email(raw.as_bytes()).unwrap();
         assert_eq!(e.vendor.index(), 3);
         assert_eq!(e.link.index(), 55);
         assert!(!e.is_start);
@@ -285,32 +287,28 @@ mod tests {
 
     #[test]
     fn missing_required_fields() {
-        let raw = Bytes::from("X-Vendor-Id: 3\r\nX-Link-Id: 1\r\nX-Event-Time: 5\r\n\r\n");
+        let raw = "X-Vendor-Id: 3\r\nX-Link-Id: 1\r\nX-Event-Time: 5\r\n\r\n";
         assert_eq!(
-            parse_email(&raw),
+            parse_email(raw.as_bytes()),
             Err(EmailParseError::MissingField("X-Event"))
         );
-        let raw = Bytes::from("X-Event: REPAIR-START\r\nX-Link-Id: 1\r\nX-Event-Time: 5\r\n\r\n");
+        let raw = "X-Event: REPAIR-START\r\nX-Link-Id: 1\r\nX-Event-Time: 5\r\n\r\n";
         assert_eq!(
-            parse_email(&raw),
+            parse_email(raw.as_bytes()),
             Err(EmailParseError::MissingField("X-Vendor-Id"))
         );
     }
 
     #[test]
     fn bad_values_are_typed_errors() {
-        let raw = Bytes::from(
-            "X-Vendor-Id: seven\r\nX-Link-Id: 1\r\nX-Event: REPAIR-START\r\nX-Event-Time: 5\r\n\r\n",
-        );
+        let raw = "X-Vendor-Id: seven\r\nX-Link-Id: 1\r\nX-Event: REPAIR-START\r\nX-Event-Time: 5\r\n\r\n";
         assert!(matches!(
-            parse_email(&raw),
+            parse_email(raw.as_bytes()),
             Err(EmailParseError::BadField("X-Vendor-Id", _))
         ));
-        let raw = Bytes::from(
-            "X-Vendor-Id: 7\r\nX-Link-Id: 1\r\nX-Event: EXPLODED\r\nX-Event-Time: 5\r\n\r\n",
-        );
+        let raw = "X-Vendor-Id: 7\r\nX-Link-Id: 1\r\nX-Event: EXPLODED\r\nX-Event-Time: 5\r\n\r\n";
         assert!(matches!(
-            parse_email(&raw),
+            parse_email(raw.as_bytes()),
             Err(EmailParseError::BadField("X-Event", _))
         ));
     }
@@ -319,12 +317,10 @@ mod tests {
     fn duplicate_circuits_header_rejected_not_concatenated() {
         // Before the fix, two X-Circuits lines silently merged into
         // [0, 2, 5] — circuits no single notification reported.
-        let raw = Bytes::from(
-            "X-Vendor-Id: 7\r\nX-Link-Id: 1\r\nX-Event: REPAIR-START\r\n\
-             X-Event-Time: 5\r\nX-Circuits: 0,2\r\nX-Circuits: 5\r\n\r\n",
-        );
+        let raw = "X-Vendor-Id: 7\r\nX-Link-Id: 1\r\nX-Event: REPAIR-START\r\n\
+             X-Event-Time: 5\r\nX-Circuits: 0,2\r\nX-Circuits: 5\r\n\r\n";
         assert_eq!(
-            parse_email(&raw),
+            parse_email(raw.as_bytes()),
             Err(EmailParseError::DuplicateField("X-Circuits"))
         );
     }
@@ -339,13 +335,13 @@ mod tests {
             "X-Location: EU",
             "X-Estimated-Duration-Hours: 3.0",
         ] {
-            let raw = Bytes::from(format!(
+            let raw = format!(
                 "X-Vendor-Id: 7\r\nX-Link-Id: 1\r\nX-Event: REPAIR-START\r\n\
                  X-Event-Time: 5\r\nX-Location: NA\r\n\
                  X-Estimated-Duration-Hours: 1.0\r\n{dup}\r\n\r\n",
-            ));
+            );
             let name = dup.split(':').next().unwrap();
-            match parse_email(&raw) {
+            match parse_email(raw.as_bytes()) {
                 Err(EmailParseError::DuplicateField(f)) => assert_eq!(f, name),
                 other => panic!("{name}: expected DuplicateField, got {other:?}"),
             }
@@ -355,30 +351,33 @@ mod tests {
     #[test]
     fn malformed_estimate_is_a_typed_error_not_silently_dropped() {
         for bad in ["soon", "NaN", "inf", "-3.0", ""] {
-            let raw = Bytes::from(format!(
+            let raw = format!(
                 "X-Vendor-Id: 7\r\nX-Link-Id: 1\r\nX-Event: REPAIR-START\r\n\
                  X-Event-Time: 5\r\nX-Estimated-Duration-Hours: {bad}\r\n\r\n",
-            ));
+            );
             assert!(
                 matches!(
-                    parse_email(&raw),
+                    parse_email(raw.as_bytes()),
                     Err(EmailParseError::BadField("X-Estimated-Duration-Hours", _))
                 ),
                 "estimate {bad:?} should be rejected",
             );
         }
         // Zero is a legal (if useless) estimate.
-        let raw = Bytes::from(
-            "X-Vendor-Id: 7\r\nX-Link-Id: 1\r\nX-Event: REPAIR-START\r\n\
-             X-Event-Time: 5\r\nX-Estimated-Duration-Hours: 0.0\r\n\r\n",
+        let raw = "X-Vendor-Id: 7\r\nX-Link-Id: 1\r\nX-Event: REPAIR-START\r\n\
+             X-Event-Time: 5\r\nX-Estimated-Duration-Hours: 0.0\r\n\r\n";
+        assert_eq!(
+            parse_email(raw.as_bytes()).unwrap().estimated_hours,
+            Some(0.0)
         );
-        assert_eq!(parse_email(&raw).unwrap().estimated_hours, Some(0.0));
     }
 
     #[test]
     fn non_utf8_rejected() {
-        let raw = Bytes::from(vec![0xFF, 0xFE, 0x00]);
-        assert_eq!(parse_email(&raw), Err(EmailParseError::NotUtf8));
+        assert_eq!(
+            parse_email(&[0xFF, 0xFE, 0x00]),
+            Err(EmailParseError::NotUtf8)
+        );
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //! [`crate::email::parse_email`] and [`crate::ticket::TicketDb`] to see
 //! anything, reproducing the paper's measurement boundary.
 
-use crate::email::{render_email, VendorEmail};
+use crate::email::{render_email, RawEmail, VendorEmail};
 use crate::failure_model::EntityTargets;
 use crate::ticket::TicketKind;
 use crate::topo::{BackboneParams, BackboneTopology, EdgeNodeId};
-use bytes::Bytes;
 use dcnr_sim::{stream_rng, SimDuration, SimTime, StudyCalendar};
 use rand::Rng;
 use std::fmt::Write;
@@ -58,7 +57,7 @@ pub struct BackboneSimOutput {
     /// analysis pipeline never reads them).
     pub targets: EntityTargets,
     /// Time-ordered rendered vendor e-mails.
-    pub emails: Vec<(SimTime, Bytes)>,
+    pub emails: Vec<(SimTime, RawEmail)>,
 }
 
 /// The backbone simulator.
@@ -128,12 +127,13 @@ impl BackboneSim {
         }
 
         // ---- 3. per-link ticket streams ----
-        let mut events: Vec<(SimTime, u64, Bytes)> = Vec::new();
+        let mut events: Vec<(SimTime, u64, RawEmail)> = Vec::new();
         let mut seq = 0u64;
-        let emit = |events: &mut Vec<(SimTime, u64, Bytes)>, seq: &mut u64, email: VendorEmail| {
-            events.push((email.at, *seq, render_email(&email)));
-            *seq += 1;
-        };
+        let emit =
+            |events: &mut Vec<(SimTime, u64, RawEmail)>, seq: &mut u64, email: VendorEmail| {
+                events.push((email.at, *seq, render_email(&email)));
+                *seq += 1;
+            };
 
         for link in topology.links() {
             let vendor = topology.vendor(link.vendor);

@@ -8,7 +8,7 @@
 //! derived from [`ChaosConfig::seed`], so a run is exactly replayable.
 
 use crate::config::ChaosConfig;
-use bytes::Bytes;
+use dcnr_backbone::email::RawEmail;
 use dcnr_sim::{stream_rng, SimDuration, SimTime};
 use rand::Rng;
 
@@ -36,14 +36,14 @@ pub struct InjectionStats {
 /// configuration returns a byte-identical copy of its input).
 pub fn inject(
     cfg: &ChaosConfig,
-    emails: &[(SimTime, Bytes)],
-) -> (Vec<(SimTime, Bytes)>, InjectionStats) {
+    emails: &[(SimTime, RawEmail)],
+) -> (Vec<(SimTime, RawEmail)>, InjectionStats) {
     let mut rng = stream_rng(cfg.seed, "chaos.inject");
     let mut stats = InjectionStats {
         input: emails.len() as u64,
         ..Default::default()
     };
-    let mut out: Vec<(SimTime, u64, Bytes)> = Vec::with_capacity(emails.len());
+    let mut out: Vec<(SimTime, u64, RawEmail)> = Vec::with_capacity(emails.len());
     let mut seq = 0u64;
 
     for (at, raw) in emails {
@@ -90,7 +90,7 @@ pub fn inject(
 }
 
 /// Flips one to four random bytes (XOR with a random non-zero mask).
-fn corrupt<R: Rng>(rng: &mut R, raw: &Bytes) -> Bytes {
+fn corrupt<R: Rng>(rng: &mut R, raw: &RawEmail) -> RawEmail {
     if raw.is_empty() {
         return raw.clone();
     }
@@ -101,17 +101,17 @@ fn corrupt<R: Rng>(rng: &mut R, raw: &Bytes) -> Bytes {
         let mask = rng.gen_range(1..=255u8);
         buf[pos] ^= mask;
     }
-    Bytes::from(buf)
+    buf.into()
 }
 
 /// Cuts the message at a random point in its first half to the full
 /// length minus one — always strictly shorter, often mid-header.
-fn truncate<R: Rng>(rng: &mut R, raw: &Bytes) -> Bytes {
+fn truncate<R: Rng>(rng: &mut R, raw: &RawEmail) -> RawEmail {
     if raw.len() < 2 {
-        return Bytes::from(Vec::new());
+        return RawEmail::from([]);
     }
     let keep = rng.gen_range(raw.len() / 2..raw.len());
-    Bytes::from(raw[..keep].to_vec())
+    raw[..keep].into()
 }
 
 /// Uniform delay in `(0, max]`, at least one second.
@@ -123,12 +123,12 @@ fn jitter<R: Rng>(rng: &mut R, max: SimDuration) -> SimDuration {
 mod tests {
     use super::*;
 
-    fn stream(n: u64) -> Vec<(SimTime, Bytes)> {
+    fn stream(n: u64) -> Vec<(SimTime, RawEmail)> {
         (0..n)
             .map(|i| {
                 (
                     SimTime::from_secs(i * 100),
-                    Bytes::from(format!("message-{i}: payload")),
+                    format!("message-{i}: payload").into_bytes().into(),
                 )
             })
             .collect()
@@ -228,8 +228,8 @@ mod tests {
         };
         let (out, stats) = inject(&cfg, &input);
         assert!(stats.delayed > 0);
-        let mut a: Vec<&Bytes> = out.iter().map(|(_, b)| b).collect();
-        let mut b: Vec<&Bytes> = input.iter().map(|(_, b)| b).collect();
+        let mut a: Vec<&RawEmail> = out.iter().map(|(_, b)| b).collect();
+        let mut b: Vec<&RawEmail> = input.iter().map(|(_, b)| b).collect();
         a.sort();
         b.sort();
         assert_eq!(a, b);
@@ -240,8 +240,8 @@ mod tests {
     #[test]
     fn corrupt_and_truncate_handle_tiny_messages() {
         let mut rng = stream_rng(1, "test.tiny");
-        assert!(corrupt(&mut rng, &Bytes::from(Vec::new())).is_empty());
-        assert!(truncate(&mut rng, &Bytes::from(vec![b'x'])).is_empty());
-        assert_eq!(corrupt(&mut rng, &Bytes::from(vec![0u8])).len(), 1);
+        assert!(corrupt(&mut rng, &RawEmail::from([])).is_empty());
+        assert!(truncate(&mut rng, &RawEmail::from([b'x'])).is_empty());
+        assert_eq!(corrupt(&mut rng, &RawEmail::from([0u8])).len(), 1);
     }
 }

@@ -24,8 +24,7 @@ use crate::dedup::IdempotencyFilter;
 use crate::reconcile::{reconcile, ReconcileStats};
 use crate::report::DataQualityReport;
 use crate::store::FlakyGate;
-use bytes::Bytes;
-use dcnr_backbone::email::VendorEmail;
+use dcnr_backbone::email::{RawEmail, VendorEmail};
 use dcnr_backbone::{parse_email, TicketDb};
 use dcnr_sim::{SimTime, StudyCalendar};
 
@@ -33,7 +32,7 @@ use dcnr_sim::{SimTime, StudyCalendar};
 #[derive(Debug, Clone)]
 enum Envelope {
     /// Raw bytes, not yet parsed (or parse failed and is being retried).
-    Raw(Bytes),
+    Raw(RawEmail),
     /// Parsed and past dedup; failed at the commit gate or the ticket
     /// state machine.
     Parsed(VendorEmail),
@@ -53,7 +52,7 @@ pub struct PipelineOutput {
 pub fn run(
     cfg: &ChaosConfig,
     window: StudyCalendar,
-    deliveries: &[(SimTime, Bytes)],
+    deliveries: &[(SimTime, RawEmail)],
 ) -> PipelineOutput {
     let _span = dcnr_telemetry::span("chaos.pipeline");
     let mut tickets = TicketDb::new();
@@ -240,7 +239,7 @@ mod tests {
     }
 
     /// A small clean ticket stream: `n` sequential outages on one link.
-    fn stream(n: u64) -> Vec<(SimTime, Bytes)> {
+    fn stream(n: u64) -> Vec<(SimTime, RawEmail)> {
         let base = window().start;
         let mut out = Vec::new();
         for i in 0..n {
@@ -294,10 +293,10 @@ mod tests {
     fn garbage_is_quarantined_not_panicked() {
         let cfg = ChaosConfig::quiescent(1);
         let deliveries = vec![
-            (window().start, Bytes::from(vec![0xFF, 0xFE, 0x00, 0x01])),
+            (window().start, RawEmail::from([0xFF, 0xFE, 0x00, 0x01])),
             (
                 window().start + SimDuration::from_hours(1),
-                Bytes::from("not an email at all"),
+                RawEmail::from(&b"not an email at all"[..]),
             ),
         ];
         let out = run(&cfg, window(), &deliveries);

@@ -2,8 +2,7 @@
 //! contract, injector determinism, and pipeline crash-safety under
 //! arbitrary fault mixes.
 
-use bytes::Bytes;
-use dcnr_backbone::email::{render_email, VendorEmail};
+use dcnr_backbone::email::{render_email, RawEmail, VendorEmail};
 use dcnr_backbone::topo::FiberLinkId;
 use dcnr_backbone::vendor::VendorId;
 use dcnr_backbone::{parse_email, TicketDb, TicketKind};
@@ -20,9 +19,9 @@ prop_compose! {
     /// delivered in event order.
     fn ticket_stream()(
         pairs in proptest::collection::vec((0u32..6, 0u64..10_000, 1u64..200), 0..25)
-    ) -> Vec<(SimTime, Bytes)> {
+    ) -> Vec<(SimTime, RawEmail)> {
         let base = window().start;
-        let mut out: Vec<(SimTime, Bytes)> = Vec::new();
+        let mut out: Vec<(SimTime, RawEmail)> = Vec::new();
         let mut cursor = [base; 6];
         for (link, gap_h, dur_h) in pairs {
             let start = cursor[link as usize] + SimDuration::from_hours(1 + gap_h % 400);
@@ -144,10 +143,10 @@ proptest! {
     ) {
         let cfg = ChaosConfig::drill(seed);
         let base = window().start;
-        let deliveries: Vec<(SimTime, Bytes)> = blobs
+        let deliveries: Vec<(SimTime, RawEmail)> = blobs
             .into_iter()
             .enumerate()
-            .map(|(i, b)| (base + SimDuration::from_hours(i as u64), Bytes::from(b)))
+            .map(|(i, b)| (base + SimDuration::from_hours(i as u64), RawEmail::from(b)))
             .collect();
         let (delivered, _) = inject(&cfg, &deliveries);
         let out = run_pipeline(&cfg, window(), &delivered);

@@ -138,16 +138,6 @@ USAGE:
                    half-open probe); misses under an open breaker or a
                    saturated queue serve the last good render flagged
                    X-Dcnr-Stale, or shed 503 + Retry-After.
-                   Admission control (off by default; off is
-                   byte-identical to the pre-admission server):
-                   --sojourn-target-ms MS sheds queued connections at
-                   dequeue once their queue wait exceeds MS
-                   (CoDel-style head drop), --priority-depth N gives
-                   /healthz, /readyz, and /metrics their own N-deep
-                   lane that is drained first and never sojourn-shed,
-                   --adaptive-retry-after derives the shed Retry-After
-                   from the observed drain rate (clamped to 1..=30s)
-                   instead of the fixed hint.
     dcnr loadgen   [--addr HOST:PORT] [--clients N] [--requests R]
                    [--mix-seed S] [--scenario-seeds K]
                    [--artifacts id,id,...] [--verify] [--chaos]

@@ -265,18 +265,6 @@ pub fn parse_serve_args(args: &mut ArgScanner) -> Result<crate::serve::ServeOpti
     opts.admin = args.flag("--admin");
     opts.port_file = args.value::<String>("--port-file")?.map(PathBuf::from);
     opts.chaos = parse_chaos_flags(args)?;
-    if let Some(ms) = args.value::<u64>("--sojourn-target-ms")? {
-        if ms == 0 {
-            return Err(DcnrError::Usage(
-                "--sojourn-target-ms must be positive".into(),
-            ));
-        }
-        opts.admission.sojourn_target = Some(std::time::Duration::from_millis(ms));
-    }
-    if let Some(depth) = args.value::<usize>("--priority-depth")? {
-        opts.admission.priority_depth = depth; // 0 = lane disabled
-    }
-    opts.admission.adaptive_retry_after = args.flag("--adaptive-retry-after");
     Ok(opts)
 }
 
@@ -859,29 +847,18 @@ mod tests {
     }
 
     #[test]
-    fn serve_admission_flags_parse_and_validate() {
-        let mut a = scan(&[
-            "--sojourn-target-ms",
-            "50",
-            "--priority-depth",
-            "8",
-            "--adaptive-retry-after",
-        ]);
-        let opts = parse_serve_args(&mut a).unwrap();
-        a.finish().unwrap();
-        assert_eq!(
-            opts.admission.sojourn_target,
-            Some(std::time::Duration::from_millis(50))
-        );
-        assert_eq!(opts.admission.priority_depth, 8);
-        assert!(opts.admission.adaptive_retry_after);
-        assert!(opts.admission.enabled());
-        // Defaults are all-off (the byte-invisible configuration).
-        let mut a = scan(&[]);
-        let opts = parse_serve_args(&mut a).unwrap();
-        assert!(!opts.admission.enabled());
-        let mut a = scan(&["--sojourn-target-ms", "0"]);
-        assert_eq!(parse_serve_args(&mut a).unwrap_err().kind(), "usage");
+    fn removed_admission_flags_are_unrecognized_usage_errors() {
+        for case in [
+            &["--sojourn-target-ms", "50"][..],
+            &["--priority-depth", "8"],
+            &["--adaptive-retry-after"],
+        ] {
+            let mut a = scan(case);
+            parse_serve_args(&mut a).unwrap();
+            let err = a.finish().unwrap_err();
+            assert_eq!(err.kind(), "usage", "{case:?}: {err}");
+            assert!(err.to_string().contains(case[0]), "{case:?}: {err}");
+        }
     }
 
     #[test]

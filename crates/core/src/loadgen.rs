@@ -86,6 +86,10 @@ pub struct LoadgenOptions {
     pub open_loop: Option<OpenLoopOptions>,
 }
 
+/// The largest `--max-in-flight` an open-loop run accepts. The run
+/// starts one worker thread per unit before it dispatches anything.
+const MAX_IN_FLIGHT: usize = 256;
+
 /// Knobs for the `--open-loop` overload harness.
 #[derive(Debug, Clone)]
 pub struct OpenLoopOptions {
@@ -99,6 +103,7 @@ pub struct OpenLoopOptions {
     /// Client-side concurrency bound: arrivals past this many
     /// outstanding requests are dropped client-side (counted), keeping
     /// the generator honest instead of turning into a connect flood.
+    /// Each unit is a worker thread, so at most 256.
     pub max_in_flight: usize,
     /// Verdict: goodput must stay at or above this fraction of the
     /// sustainable rate.
@@ -688,9 +693,6 @@ pub struct OverloadReport {
     pub health_probes: usize,
     /// Health probes answered 200.
     pub health_ok: usize,
-    /// Sum of `dcnr_server_admission_dropped_total` scraped after the
-    /// run (0 when admission control is off or the scrape failed).
-    pub admission_drops: u64,
     /// Overload-phase wall clock.
     pub wall: Duration,
     /// The goodput floor (fraction of sustainable) the verdict requires.
@@ -752,6 +754,12 @@ pub fn run_open_loop(opts: &LoadgenOptions) -> Result<OverloadReport, DcnrError>
             "--open-loop conflicts with --chaos and --verify".into(),
         ));
     }
+    if !(1..=MAX_IN_FLIGHT).contains(&ol.max_in_flight) {
+        return Err(DcnrError::Usage(format!(
+            "--max-in-flight must be in 1..={MAX_IN_FLIGHT}, got {}",
+            ol.max_in_flight
+        )));
+    }
     let mix = build_mix(opts)?;
 
     // Phase 1: the sustainable rate — measured closed-loop unless given.
@@ -799,7 +807,8 @@ pub fn run_open_loop(opts: &LoadgenOptions) -> Result<OverloadReport, DcnrError>
     });
     let mix = Arc::new(mix);
     let started = Instant::now();
-    let workers: Vec<_> = (0..ol.max_in_flight.max(1))
+    // No more workers than arrivals: that many can never be busy.
+    let workers: Vec<_> = (0..ol.max_in_flight.min(cfg.arrivals))
         .map(|i| {
             let shared = shared.clone();
             let mix = mix.clone();
@@ -867,11 +876,6 @@ pub fn run_open_loop(opts: &LoadgenOptions) -> Result<OverloadReport, DcnrError>
     tally.latencies.sort_unstable();
     let admitted_latency_micros = latency_summary(&tally.latencies);
     let goodput_rps = tally.good as f64 / wall.as_secs_f64().max(1e-9);
-    let admission_drops = scrape_counter_sum(
-        &opts.addr,
-        opts.timeout,
-        "dcnr_server_admission_dropped_total",
-    );
 
     let mut report = OverloadReport {
         sustainable_rps: sustainable,
@@ -889,7 +893,6 @@ pub fn run_open_loop(opts: &LoadgenOptions) -> Result<OverloadReport, DcnrError>
         admitted_latency_micros,
         health_probes,
         health_ok,
-        admission_drops,
         wall,
         goodput_floor: ol.goodput_floor,
         p99_cap: ol.p99_cap,
@@ -925,11 +928,10 @@ pub fn run_open_loop(opts: &LoadgenOptions) -> Result<OverloadReport, DcnrError>
     );
     let _ = writeln!(
         rendered,
-        "  health {}/{} answered (floor {:.0}%)  server admission drops {}",
+        "  health {}/{} answered (floor {:.0}%)",
         report.health_ok,
         report.health_probes,
-        report.health_floor * 100.0,
-        report.admission_drops
+        report.health_floor * 100.0
     );
     let _ = writeln!(
         rendered,
@@ -1076,11 +1078,6 @@ fn write_overload_bench(path: &str, report: &OverloadReport) -> Result<(), DcnrE
         out,
         "      \"health\": {{ \"probes\": {}, \"ok\": {}, \"floor\": {:.3} }},",
         report.health_probes, report.health_ok, report.health_floor
-    );
-    let _ = writeln!(
-        out,
-        "      \"admission_dropped_total\": {},",
-        report.admission_drops
     );
     let _ = writeln!(
         out,
@@ -1313,7 +1310,6 @@ mod tests {
             admitted_latency_micros: (5_000, 40_000, 90_000, 12_000, 150_000),
             health_probes: 40,
             health_ok: 40,
-            admission_drops: 250,
             wall: Duration::from_secs(10),
             goodput_floor: 0.5,
             p99_cap: Duration::from_secs(1),
@@ -1338,6 +1334,27 @@ mod tests {
         r.health_probes = 0;
         r.health_ok = 0;
         assert!(!r.verdict_pass(), "no probes at all is a fail, not 0/0");
+    }
+
+    #[test]
+    fn open_loop_rejects_max_in_flight_past_the_bound_before_starting_threads() {
+        // Nothing listens on port 1: a run that got as far as its
+        // workers would fail its verdict, not with a usage error.
+        let opts = LoadgenOptions {
+            addr: "127.0.0.1:1".into(),
+            open_loop: Some(OpenLoopOptions {
+                max_in_flight: 257,
+                arrivals: 10,
+                rate: Some(100.0),
+                ..OpenLoopOptions::default()
+            }),
+            ..LoadgenOptions::default()
+        };
+        let err = run_open_loop(&opts).unwrap_err();
+        assert_eq!(err.kind(), "usage", "{err}");
+        let message = err.to_string();
+        assert!(message.contains("--max-in-flight"), "{message}");
+        assert!(message.contains("256"), "{message}");
     }
 
     #[test]

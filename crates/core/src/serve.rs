@@ -35,7 +35,7 @@ use dcnr_server::breaker::{BreakerConfig, CircuitBreaker};
 use dcnr_server::cache::LruCache;
 use dcnr_server::chaos::ChaosState;
 use dcnr_server::http::{percent_decode, Request, Response};
-use dcnr_server::pool::{AdmissionConfig, Handler, Server, ServerConfig, ServerStats};
+use dcnr_server::pool::{Handler, Server, ServerConfig, ServerStats};
 use dcnr_sim::rng::derive_indexed_seed;
 use dcnr_telemetry::logger;
 use dcnr_telemetry::metrics::Key;
@@ -73,10 +73,6 @@ pub struct ServeOptions {
     /// Circuit-breaker knobs for the artifact render path; the CLI
     /// always runs the defaults, tests set them in process.
     pub breaker: BreakerConfig,
-    /// Deadline-aware admission control (`--sojourn-target-ms`,
-    /// `--priority-depth`, `--adaptive-retry-after`); the all-off
-    /// default is byte-invisible on the wire and on `/metrics`.
-    pub admission: AdmissionConfig,
     /// Deterministic render-failure injection for exercising the
     /// breaker and stale-serving paths; only tests set it.
     pub render_faults: RenderFaultPlan,
@@ -94,7 +90,6 @@ impl Default for ServeOptions {
             port_file: None,
             chaos: None,
             breaker: BreakerConfig::default(),
-            admission: AdmissionConfig::default(),
             render_faults: RenderFaultPlan::default(),
         }
     }
@@ -164,7 +159,6 @@ struct ServeState {
     queue_depth: usize,
     draining: AtomicBool,
     chaos: Option<Arc<ChaosState>>,
-    admission: AdmissionConfig,
     breaker_config: BreakerConfig,
     breakers: Mutex<HashMap<&'static str, CircuitBreaker>>,
     render_faults: RenderFaultPlan,
@@ -238,7 +232,6 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
         queue_depth: opts.queue_depth.max(1),
         draining: AtomicBool::new(false),
         chaos: chaos.clone(),
-        admission: opts.admission,
         breaker_config: opts.breaker,
         breakers: Mutex::new(HashMap::new()),
         render_faults: opts.render_faults,
@@ -251,7 +244,6 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
     let config = ServerConfig {
         workers,
         queue_depth: opts.queue_depth.max(1),
-        admission: opts.admission,
         chaos,
         ..ServerConfig::default()
     };
@@ -445,31 +437,6 @@ fn metrics_response(state: &ServeState) -> Response {
                 count,
             );
         }
-    }
-    // Admission series exist only when admission control is on: with it
-    // off the scrape's series names must match the pre-admission server
-    // exactly (the same discipline as the zero-rate chaos shim).
-    if state.admission.enabled() {
-        for (cause, value) in [
-            ("full", &stats.dropped_full),
-            ("priority", &stats.dropped_priority),
-            ("sojourn", &stats.dropped_sojourn),
-        ] {
-            snapshot.counters.insert(
-                Key::new("dcnr_server_admission_dropped_total", &[("cause", cause)]),
-                value.load(Ordering::Relaxed),
-            );
-        }
-        let (counts, sum, count) = stats.sojourn_histogram();
-        snapshot.histograms.insert(
-            key("dcnr_server_queue_sojourn_micros"),
-            dcnr_telemetry::metrics::HistogramSnapshot {
-                bounds: dcnr_server::SOJOURN_BOUNDS_MICROS.to_vec(),
-                counts,
-                sum,
-                count,
-            },
-        );
     }
     for (artifact, breaker) in lock(&state.breakers).iter() {
         snapshot.gauges.insert(

@@ -2,10 +2,12 @@
 //! connection, `Connection: close` responses.
 //!
 //! Parsing is deliberately strict and bounded: the request head (request
-//! line + headers) is capped at [`MAX_HEAD_BYTES`], malformed heads get
-//! a typed [`HttpError`] that maps to a 4xx status, and a peer that
-//! stalls mid-request trips the socket read timeout instead of pinning a
-//! worker forever.
+//! line + headers) is capped at [`MAX_HEAD_BYTES`], and malformed heads
+//! get a typed [`HttpError`] that maps to a 4xx status. A read that
+//! fails or times out surfaces as [`HttpError::Io`] (`408` on a
+//! timeout); how long the whole head may take is the reader's to
+//! bound — the server's worker pool gives it one deadline, so a peer
+//! cannot pin a worker by trickling bytes inside each read's timeout.
 
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
@@ -183,8 +185,9 @@ impl HttpError {
     }
 }
 
-/// Reads and parses one request head from `stream`. Honors the socket's
-/// read timeout: a stalled peer surfaces as [`HttpError::Io`].
+/// Reads and parses one request head from `stream`. A read that fails
+/// or times out surfaces as [`HttpError::Io`]; `stream` bounds how long
+/// the reads may take in total.
 pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 1024];

@@ -10,9 +10,11 @@
 //! * [`pool`] — the server proper: a fixed worker thread pool fed by a
 //!   **bounded** accept queue. When the queue is full the accept loop
 //!   sheds the connection immediately with `503 Service Unavailable` +
-//!   `Retry-After` instead of letting latency pile up unbounded.
-//!   Per-connection read/write timeouts bound slow peers, and shutdown
-//!   drains queued connections before the workers exit.
+//!   `Retry-After: 1` instead of letting latency pile up unbounded.
+//!   The whole request head must arrive within the read timeout (a
+//!   peer trickling it byte by byte is answered `408`), a write
+//!   timeout bounds slow readers, and shutdown drains queued
+//!   connections before the workers exit.
 //! * [`cache`] — a small LRU map the application layer keys its
 //!   rendered-artifact result cache with.
 //! * [`client`] — a minimal blocking HTTP GET client, used by the
@@ -50,6 +52,4 @@ pub use cache::LruCache;
 pub use chaos::{ChaosState, ConnFaults, FaultPlan};
 pub use client::{get, ClientResponse};
 pub use http::{body_checksum, percent_decode, Request, Response};
-pub use pool::{
-    AdmissionConfig, Handler, Server, ServerConfig, ServerStats, SOJOURN_BOUNDS_MICROS,
-};
+pub use pool::{Handler, Server, ServerConfig, ServerStats};

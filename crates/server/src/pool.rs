@@ -4,28 +4,22 @@
 //! Architecture (one accept thread, `workers` handler threads):
 //!
 //! ```text
-//! accept loop ── full? ──▶ 503 + Retry-After, close   (shed, O(1))
+//! accept loop ── full? ──▶ 503 + Retry-After: 1, close   (shed, O(1))
 //!      │
 //!      ▼ push (bounded queue, Mutex<VecDeque> + Condvar)
-//!   workers ──▶ read request (read timeout) ──▶ handler ──▶ write
+//!   workers ──▶ read request head (read timeout) ──▶ handler ──▶ write
 //! ```
 //!
 //! Backpressure policy: the queue depth is the **only** buffering in
-//! the server. When it is full the accept loop answers `503` with a
-//! `Retry-After` hint and closes — the server's latency stays bounded
-//! by `queue_depth / throughput` instead of growing without limit, and
-//! a closed-loop client backs off instead of timing out.
+//! the server. When it is full the accept loop answers `503` with
+//! `Retry-After: 1` and closes — the server's latency stays bounded by
+//! `queue_depth / throughput` instead of growing without limit, and a
+//! closed-loop client backs off instead of timing out.
 //!
-//! [`AdmissionConfig`] (all-off by default, and byte-invisible on the
-//! wire when off) layers deadline-aware admission control on top:
-//! every queued connection is stamped at enqueue, and a CoDel-style
-//! check at *dequeue* sheds connections whose queue sojourn already
-//! exceeds the target — answering a request that waited longer than
-//! any client deadline just wastes a worker. A small separate priority
-//! lane keeps `/healthz`, `/readyz`, and `/metrics` answerable while
-//! artifact renders saturate the normal queue, and shed responses can
-//! carry an adaptive `Retry-After` derived from the observed drain
-//! rate instead of a fixed constant.
+//! The whole request head must arrive within the read timeout: each
+//! read after the first may wait only for what is left of it, so a peer
+//! that trickles its head byte by byte holds a worker for at most the
+//! read timeout before it is answered `408`.
 //!
 //! Shutdown drains: the accept loop stops, connections already queued
 //! are still handled, then the workers exit and [`Server::join`]
@@ -34,7 +28,7 @@
 use crate::chaos::{self, ChaosState, ConnFaults};
 use crate::http::{read_request, Response};
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Read};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -45,32 +39,8 @@ use std::time::{Duration, Instant};
 /// a worker thread; must be shareable across all of them.
 pub type Handler = Arc<dyn Fn(&crate::http::Request) -> Response + Send + Sync>;
 
-/// Deadline-aware admission control knobs. The default is all-off,
-/// and all-off is byte-invisible: shed responses carry the fixed
-/// `retry_after_secs`, nothing is sojourn-shed, and no priority lane
-/// exists — exactly the pre-admission server on the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionConfig {
-    /// Shed a queued connection at dequeue when it already waited
-    /// longer than this (CoDel-style head drop). `None` disables
-    /// sojourn shedding.
-    pub sojourn_target: Option<Duration>,
-    /// Capacity of the separate priority lane for `/healthz`,
-    /// `/readyz`, and `/metrics`. `0` disables the lane entirely
-    /// (no peeking, no classification).
-    pub priority_depth: usize,
-    /// Derive the `Retry-After` hint on shed responses from the
-    /// observed drain rate instead of the fixed `retry_after_secs`.
-    pub adaptive_retry_after: bool,
-}
-
-impl AdmissionConfig {
-    /// Whether any admission-control feature is on. Off means the
-    /// server must be indistinguishable from the pre-admission one.
-    pub fn enabled(&self) -> bool {
-        self.sojourn_target.is_some() || self.priority_depth > 0 || self.adaptive_retry_after
-    }
-}
+/// The `Retry-After` hint (seconds) on shed responses.
+const SHED_RETRY_AFTER_SECS: u32 = 1;
 
 /// Operational knobs for a [`Server`].
 #[derive(Debug, Clone)]
@@ -79,14 +49,10 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Accept-queue capacity; connections beyond it are shed with 503.
     pub queue_depth: usize,
-    /// Per-connection socket read timeout (request head).
+    /// Time the whole request head may take to arrive.
     pub read_timeout: Duration,
     /// Per-connection socket write timeout (response bytes).
     pub write_timeout: Duration,
-    /// The `Retry-After` hint (seconds) on shed responses.
-    pub retry_after_secs: u32,
-    /// Deadline-aware admission control (default: all-off).
-    pub admission: AdmissionConfig,
     /// Transport fault injection (`None` = the shim is never touched).
     /// The shed path is exempt by design: its half-close + drain
     /// guarantee is what resilient clients rely on under overload.
@@ -100,28 +66,10 @@ impl Default for ServerConfig {
             queue_depth: 64,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            retry_after_secs: 1,
-            admission: AdmissionConfig::default(),
             chaos: None,
         }
     }
 }
-
-/// Bucket upper bounds (microseconds) of the queue-sojourn histogram,
-/// matching the telemetry crate's duration bounds so the series lines
-/// up with the phase-duration histograms on `/metrics`.
-pub const SOJOURN_BOUNDS_MICROS: [u64; 10] = [
-    100,
-    1_000,
-    5_000,
-    25_000,
-    100_000,
-    500_000,
-    1_000_000,
-    5_000_000,
-    30_000_000,
-    120_000_000,
-];
 
 /// Live operational counters, shared between the server and the
 /// application layer (which exports them on `/metrics`).
@@ -129,128 +77,27 @@ pub const SOJOURN_BOUNDS_MICROS: [u64; 10] = [
 pub struct ServerStats {
     /// Connections accepted (including ones later shed or failed).
     pub accepted: AtomicU64,
-    /// Connections answered `503` for any shed cause (queue full,
-    /// sojourn over target, priority lane full). Always the sum of the
-    /// three `dropped_*` counters.
+    /// Connections answered `503` because the accept queue was full.
     pub shed: AtomicU64,
     /// Requests that reached the handler.
     pub handled: AtomicU64,
     /// Connections dropped before a valid request arrived (parse
     /// errors, read timeouts, early closes).
     pub read_errors: AtomicU64,
-    /// Current accept-queue length (both lanes).
+    /// Current accept-queue length.
     pub queue_depth: AtomicI64,
     /// High-water mark of the accept-queue length.
     pub queue_peak: AtomicU64,
-    /// Sheds because the normal queue was at capacity.
-    pub dropped_full: AtomicU64,
-    /// Sheds at dequeue because the queue sojourn exceeded the
-    /// admission target.
-    pub dropped_sojourn: AtomicU64,
-    /// Sheds because the priority lane was at capacity.
-    pub dropped_priority: AtomicU64,
-    sojourn_cells: [AtomicU64; SOJOURN_BOUNDS_MICROS.len() + 1],
-    sojourn_sum: AtomicU64,
-    sojourn_count: AtomicU64,
-}
-
-impl ServerStats {
-    /// Records one dequeued connection's queue wait in the sojourn
-    /// histogram.
-    pub fn observe_sojourn(&self, micros: u64) {
-        let cell = SOJOURN_BOUNDS_MICROS
-            .iter()
-            .position(|&b| micros <= b)
-            .unwrap_or(SOJOURN_BOUNDS_MICROS.len());
-        self.sojourn_cells[cell].fetch_add(1, Ordering::Relaxed);
-        self.sojourn_sum.fetch_add(micros, Ordering::Relaxed);
-        self.sojourn_count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the sojourn histogram: per-bucket counts (one per
-    /// bound plus the overflow cell), total sum (µs), and count.
-    pub fn sojourn_histogram(&self) -> (Vec<u64>, u64, u64) {
-        let counts = self
-            .sojourn_cells
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        (
-            counts,
-            self.sojourn_sum.load(Ordering::Relaxed),
-            self.sojourn_count.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// One accepted connection waiting for a worker, stamped at enqueue so
-/// its queue sojourn is measurable at dequeue.
-struct QueuedConn {
-    stream: TcpStream,
-    faults: ConnFaults,
-    enqueued: Instant,
-}
-
-/// The two accept lanes. The priority lane exists only when
-/// `AdmissionConfig::priority_depth > 0`; workers always drain it
-/// first, and it is never sojourn-shed.
-#[derive(Default)]
-struct Queues {
-    normal: VecDeque<QueuedConn>,
-    priority: VecDeque<QueuedConn>,
-}
-
-impl Queues {
-    fn len(&self) -> usize {
-        self.normal.len() + self.priority.len()
-    }
-}
-
-/// Windowed drain-rate estimate feeding the adaptive `Retry-After`.
-/// Refreshed on ≥250ms windows (EWMA over the handled-counter delta).
-struct DrainEstimator {
-    window_start: Instant,
-    handled_then: u64,
-    rate_per_sec: f64,
-}
-
-impl DrainEstimator {
-    fn start() -> Self {
-        Self {
-            window_start: Instant::now(),
-            handled_then: 0,
-            rate_per_sec: 0.0,
-        }
-    }
-
-    /// Refreshes the windowed estimate from the live handled counter and
-    /// returns the current drain rate (requests per second).
-    fn rate(&mut self, handled_now: u64) -> f64 {
-        let elapsed = self.window_start.elapsed();
-        if elapsed >= Duration::from_millis(250) {
-            let instant_rate =
-                handled_now.saturating_sub(self.handled_then) as f64 / elapsed.as_secs_f64();
-            self.rate_per_sec = if self.rate_per_sec > 0.0 {
-                0.5 * self.rate_per_sec + 0.5 * instant_rate
-            } else {
-                instant_rate
-            };
-            self.window_start = Instant::now();
-            self.handled_then = handled_now;
-        }
-        self.rate_per_sec
-    }
 }
 
 struct Shared {
-    queue: Mutex<Queues>,
+    queue: Mutex<VecDeque<(TcpStream, ConnFaults)>>,
     available: Condvar,
     shutdown: AtomicBool,
     stats: Arc<ServerStats>,
     config: ServerConfig,
     handler: Handler,
     wake_addr: SocketAddr,
-    drain: Mutex<DrainEstimator>,
 }
 
 fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
@@ -289,14 +136,13 @@ impl Server {
         let wake_addr = SocketAddr::new(wake_ip, local_addr.port());
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
-            queue: Mutex::new(Queues::default()),
+            queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             stats,
             config,
             handler,
             wake_addr,
-            drain: Mutex::new(DrainEstimator::start()),
         });
         let accept = {
             let shared = shared.clone();
@@ -390,7 +236,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break; // the wake-up connection (or any racer) is dropped
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(mut stream) = stream else { continue };
         shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
         // Each accepted connection draws its deterministic fault
         // assignment up front; the injected accept latency applies
@@ -407,120 +253,25 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
             }
             None => ConnFaults::NONE,
         };
-        // Priority classification peeks the request head *before* the
-        // queue decision, so health probes route to their own lane even
-        // while the normal queue is saturated. Off (depth 0) means no
-        // peek at all — the socket is untouched until a worker reads it.
-        let priority = shared.config.admission.priority_depth > 0 && classify_priority(&stream);
-        let conn = QueuedConn {
-            stream,
-            faults,
-            enqueued: Instant::now(),
-        };
-        let mut queues = unpoison(shared.queue.lock());
-        let lane_full = if priority {
-            queues.priority.len() >= shared.config.admission.priority_depth
-        } else {
-            queues.normal.len() >= shared.config.queue_depth
-        };
-        if lane_full {
-            drop(queues);
-            let mut stream = conn.stream;
+        let mut queue = unpoison(shared.queue.lock());
+        if queue.len() >= shared.config.queue_depth {
+            drop(queue);
             shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            let cause = if priority {
-                &shared.stats.dropped_priority
-            } else {
-                &shared.stats.dropped_full
-            };
-            cause.fetch_add(1, Ordering::Relaxed);
             shed(&mut stream, shared);
             continue; // drop closes the connection
         }
-        if priority {
-            queues.priority.push_back(conn);
-        } else {
-            queues.normal.push_back(conn);
-        }
-        let depth = queues.len() as u64;
+        queue.push_back((stream, faults));
+        let depth = queue.len() as u64;
         shared
             .stats
             .queue_depth
             .store(depth as i64, Ordering::Relaxed);
         shared.stats.queue_peak.fetch_max(depth, Ordering::Relaxed);
-        drop(queues);
+        drop(queue);
         shared.available.notify_one();
     }
     // Let the workers drain the remaining queue and exit.
     shared.available.notify_all();
-}
-
-/// Whether the connection's request head marks it for the priority
-/// lane (`GET /healthz`, `GET /readyz`, `GET /metrics`). Peeks without
-/// consuming, bounded to ~20ms of waiting for the head to arrive;
-/// anything ambiguous, slow, or failing routes to the normal lane.
-fn classify_priority(stream: &TcpStream) -> bool {
-    const PATTERNS: [&[u8]; 3] = [b"GET /healthz", b"GET /readyz", b"GET /metrics"];
-    if stream.set_nonblocking(true).is_err() {
-        return false;
-    }
-    let deadline = Instant::now() + Duration::from_millis(20);
-    let mut buf = [0u8; 12];
-    let mut priority = false;
-    loop {
-        match stream.peek(&mut buf) {
-            Ok(0) => break, // peer closed before sending a head
-            Ok(n) => {
-                let head = &buf[..n];
-                if PATTERNS.iter().any(|p| head.starts_with(p)) {
-                    priority = true;
-                    break;
-                }
-                // A short read that is still a prefix of a priority
-                // pattern is undecided; give the rest a moment to land.
-                let undecided = PATTERNS.iter().any(|p| p.starts_with(head));
-                if !undecided || Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => break,
-        }
-    }
-    if stream.set_nonblocking(false).is_err() {
-        return false;
-    }
-    priority
-}
-
-/// The pure `Retry-After` policy: queue depth over drain rate, rounded
-/// up and clamped to `[1, 30]` seconds. An unknown or zero rate falls
-/// back to the configured fixed hint.
-fn retry_after_from(depth: f64, rate_per_sec: f64, fallback: u32) -> u32 {
-    if !rate_per_sec.is_finite() || rate_per_sec <= 0.0 {
-        return fallback.max(1);
-    }
-    ((depth / rate_per_sec).ceil() as u32).clamp(1, 30)
-}
-
-/// The `Retry-After` seconds for a shed response. With adaptive mode
-/// off this is exactly the configured constant (wire-identical to the
-/// pre-admission server); with it on, the drain-rate estimator is
-/// refreshed and the hint becomes "how long until the current queue
-/// drains".
-fn shed_retry_after(shared: &Shared) -> u32 {
-    let config = &shared.config;
-    if !config.admission.adaptive_retry_after {
-        return config.retry_after_secs;
-    }
-    let rate = unpoison(shared.drain.lock()).rate(shared.stats.handled.load(Ordering::Relaxed));
-    let depth = shared.stats.queue_depth.load(Ordering::Relaxed).max(0) as f64;
-    retry_after_from(depth, rate, config.retry_after_secs)
 }
 
 /// Answers `503 Retry-After` on an over-capacity connection. The
@@ -529,68 +280,65 @@ fn shed_retry_after(shared: &Shared) -> u32 {
 /// send RST, which can destroy the in-flight 503 on the client side.
 fn shed(stream: &mut TcpStream, shared: &Shared) {
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let _ = Response::unavailable(shed_retry_after(shared)).write_to(stream);
+    let _ = Response::unavailable(SHED_RETRY_AFTER_SECS).write_to(stream);
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let mut sink = [0u8; 1024];
     // Bounded drain: a well-behaved client's GET arrives in one read;
     // a slow or hostile peer costs the accept loop at most ~100ms.
     for _ in 0..2 {
-        match std::io::Read::read(stream, &mut sink) {
+        match stream.read(&mut sink) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
     }
 }
 
+/// A connection's request-head reads under one shared deadline. The
+/// first read waits the socket's read timeout, set before it; each
+/// later read waits only for what is left of that timeout, and none is
+/// issued once it has run out (the caller answers `408`).
+struct HeadReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+    first: bool,
+}
+
+impl Read for HeadReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if !std::mem::take(&mut self.first) {
+            let left = self.deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
 fn worker_loop(shared: &Shared) {
     loop {
-        let conn = {
-            let mut queues = unpoison(shared.queue.lock());
+        let next = {
+            let mut queue = unpoison(shared.queue.lock());
             loop {
-                // Priority lane first: health probes are never starved
-                // behind queued artifact renders.
-                if let Some(c) = queues
-                    .priority
-                    .pop_front()
-                    .map(|c| (c, true))
-                    .or_else(|| queues.normal.pop_front().map(|c| (c, false)))
-                {
+                if let Some(c) = queue.pop_front() {
                     shared
                         .stats
                         .queue_depth
-                        .store(queues.len() as i64, Ordering::Relaxed);
+                        .store(queue.len() as i64, Ordering::Relaxed);
                     break Some(c);
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                queues = unpoison(shared.available.wait(queues));
+                queue = unpoison(shared.available.wait(queue));
             }
         };
-        let Some((queued, priority)) = conn else {
+        let Some((mut conn, faults)) = next else {
             return;
         };
-        let sojourn = queued.enqueued.elapsed();
-        shared
-            .stats
-            .observe_sojourn(sojourn.as_micros().min(u128::from(u64::MAX)) as u64);
-        // CoDel-style head drop: a normal-lane connection that already
-        // waited past the target is shed *now*, instead of spending a
-        // worker on an answer the client has likely given up on. The
-        // priority lane is exempt — health probes must always answer.
-        if !priority {
-            if let Some(target) = shared.config.admission.sojourn_target {
-                if sojourn > target {
-                    let mut stream = queued.stream;
-                    shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    shared.stats.dropped_sojourn.fetch_add(1, Ordering::Relaxed);
-                    shed(&mut stream, shared);
-                    continue;
-                }
-            }
-        }
-        let (mut conn, faults) = (queued.stream, queued.faults);
         let _ = conn.set_read_timeout(Some(shared.config.read_timeout));
         let _ = conn.set_write_timeout(Some(shared.config.write_timeout));
         if faults.read_delay_ms > 0 {
@@ -599,7 +347,12 @@ fn worker_loop(shared: &Shared) {
             }
             std::thread::sleep(Duration::from_millis(faults.read_delay_ms));
         }
-        let response = match read_request(&mut conn) {
+        let mut head = HeadReader {
+            stream: &conn,
+            deadline: Instant::now() + shared.config.read_timeout,
+            first: true,
+        };
+        let response = match read_request(&mut head) {
             Ok(req) => {
                 shared.stats.handled.fetch_add(1, Ordering::Relaxed);
                 if req.method == "GET" {
@@ -743,6 +496,42 @@ mod tests {
     }
 
     #[test]
+    fn a_trickled_head_times_out_with_408_after_the_whole_read_timeout() {
+        // Each byte lands well inside the 100 ms read timeout, so only a
+        // deadline over the whole head stops this peer from holding the
+        // one worker for as long as it keeps trickling.
+        use std::io::{Read as _, Write as _};
+        let config = ServerConfig {
+            workers: 1,
+            read_timeout: Duration::from_millis(100),
+            ..ServerConfig::default()
+        };
+        let (server, addr, stats) = start(config, echo_handler());
+        let mut s = TcpStream::connect(addr).unwrap();
+        let mut writer = s.try_clone().unwrap();
+        let trickle = std::thread::spawn(move || {
+            for &b in b"GET /never-finished-head HTTP/1.1\r\n" {
+                if writer.write_all(&[b]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(60));
+            }
+        });
+        let started = Instant::now();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut raw = Vec::new();
+        let _ = s.read_to_end(&mut raw);
+        let waited = started.elapsed();
+        let text = String::from_utf8_lossy(&raw);
+        assert!(text.starts_with("HTTP/1.1 408 "), "{text}");
+        assert!(waited < Duration::from_secs(1), "408 took {waited:?}");
+        assert_eq!(stats.read_errors.load(Ordering::Relaxed), 1);
+        drop(s);
+        trickle.join().unwrap();
+        server.shutdown_and_join();
+    }
+
+    #[test]
     fn non_get_methods_are_rejected() {
         let (server, addr, _stats) = start(ServerConfig::default(), echo_handler());
         let r = client::request(&addr.to_string(), "DELETE", "/x", None).unwrap();
@@ -839,145 +628,5 @@ mod tests {
             assert_eq!(c.join().unwrap().status, 200, "queued conns get served");
         }
         assert_eq!(stats.handled.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn retry_after_policy_is_depth_over_rate_clamped() {
-        assert_eq!(retry_after_from(0.0, 10.0, 7), 1, "empty queue still >= 1");
-        assert_eq!(retry_after_from(25.0, 10.0, 7), 3, "ceil(25/10)");
-        assert_eq!(retry_after_from(1e6, 1.0, 7), 30, "clamped at 30");
-        assert_eq!(retry_after_from(5.0, 0.0, 7), 7, "unknown rate: fallback");
-        assert_eq!(retry_after_from(5.0, f64::NAN, 0), 1, "fallback floor is 1");
-    }
-
-    #[test]
-    fn sojourn_overage_sheds_at_dequeue_with_its_own_counter() {
-        // One slow worker + a tight sojourn target: connections that sat
-        // queued behind the first request exceed the target and must be
-        // head-dropped at dequeue, not handled late.
-        let slow: Handler = Arc::new(|_req| {
-            std::thread::sleep(Duration::from_millis(150));
-            Response::ok("slow\n")
-        });
-        let config = ServerConfig {
-            workers: 1,
-            queue_depth: 8,
-            admission: AdmissionConfig {
-                sojourn_target: Some(Duration::from_millis(40)),
-                ..AdmissionConfig::default()
-            },
-            ..ServerConfig::default()
-        };
-        let (server, addr, stats) = start(config, slow);
-        let clients: Vec<_> = (0..6)
-            .map(|_| {
-                let addr = addr.to_string();
-                std::thread::spawn(move || {
-                    client::get(&addr, "/slow", Some(Duration::from_secs(10))).unwrap()
-                })
-            })
-            .collect();
-        let responses: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
-        let oks = responses.iter().filter(|r| r.status == 200).count();
-        let sheds = responses.iter().filter(|r| r.status == 503).count();
-        assert_eq!(oks + sheds, 6, "every client gets a definitive answer");
-        let sojourn_drops = stats.dropped_sojourn.load(Ordering::Relaxed);
-        assert!(
-            sojourn_drops >= 1,
-            "queued-behind-slow connections must sojourn-shed, got {sojourn_drops}"
-        );
-        assert_eq!(
-            stats.shed.load(Ordering::Relaxed),
-            stats.dropped_full.load(Ordering::Relaxed)
-                + sojourn_drops
-                + stats.dropped_priority.load(Ordering::Relaxed),
-            "shed is always the sum of the per-cause counters"
-        );
-        let (_, _, observed) = stats.sojourn_histogram();
-        assert!(
-            observed >= oks as u64,
-            "every dequeue lands in the histogram"
-        );
-        server.shutdown_and_join();
-    }
-
-    #[test]
-    fn health_probes_ride_the_priority_lane_past_a_saturated_queue() {
-        let handler: Handler = Arc::new(|req| {
-            if req.path == "/healthz" {
-                Response::ok("ok\n")
-            } else {
-                std::thread::sleep(Duration::from_millis(150));
-                Response::ok("slow\n")
-            }
-        });
-        let config = ServerConfig {
-            workers: 1,
-            queue_depth: 8,
-            admission: AdmissionConfig {
-                priority_depth: 4,
-                ..AdmissionConfig::default()
-            },
-            ..ServerConfig::default()
-        };
-        let (server, addr, _stats) = start(config, handler);
-        // Saturate the single worker and the normal queue with slow
-        // renders...
-        let slow_clients: Vec<_> = (0..5)
-            .map(|_| {
-                let addr = addr.to_string();
-                std::thread::spawn(move || {
-                    client::get(&addr, "/render", Some(Duration::from_secs(15))).unwrap()
-                })
-            })
-            .collect();
-        std::thread::sleep(Duration::from_millis(50));
-        // ...then a health probe must be answered after at most one
-        // in-flight render, not after the whole queued backlog.
-        let started = Instant::now();
-        let health = client::get(&addr.to_string(), "/healthz", Some(Duration::from_secs(5)))
-            .expect("health probe answered under saturation");
-        assert_eq!(health.status, 200);
-        assert!(
-            started.elapsed() < Duration::from_millis(400),
-            "health probe jumped the render backlog ({:?})",
-            started.elapsed()
-        );
-        for c in slow_clients {
-            let r = c.join().unwrap();
-            assert!(r.status == 200 || r.status == 503);
-        }
-        server.shutdown_and_join();
-    }
-
-    #[test]
-    fn admission_off_is_byte_identical_to_the_default_server() {
-        // S6: an explicit all-off AdmissionConfig must not change one
-        // wire byte relative to the default config — same discipline as
-        // the zero-rate chaos shim.
-        let (plain, plain_addr, _) = start(ServerConfig::default(), echo_handler());
-        let off = ServerConfig {
-            admission: AdmissionConfig {
-                sojourn_target: None,
-                priority_depth: 0,
-                adaptive_retry_after: false,
-            },
-            ..ServerConfig::default()
-        };
-        let (explicit, off_addr, _) = start(off, echo_handler());
-        for target in [
-            "/a?x=1",
-            "/healthz",
-            "/metrics",
-            "/c?longer=query&more=stuff",
-        ] {
-            assert_eq!(
-                raw_get(&plain_addr, target),
-                raw_get(&off_addr, target),
-                "{target}: admission-off must be byte-invisible"
-            );
-        }
-        plain.shutdown_and_join();
-        explicit.shutdown_and_join();
     }
 }

@@ -1,29 +1,22 @@
-//! End-to-end contract of the open-loop overload harness: `dcnr serve`
-//! with deadline-aware admission control under `dcnr loadgen
-//! --open-loop`. Covers the accounting invariants (every arrival is
-//! dispatched or client-dropped; every dispatch is good, shed, or an
-//! error), the two-phase overload bench record, and the health-probe
-//! floor.
+//! End-to-end contract of the open-loop overload harness: a plain
+//! `dcnr serve` (a bounded accept queue that sheds `503` when full)
+//! under `dcnr loadgen --open-loop`. Covers the accounting invariants
+//! (every arrival is dispatched or client-dropped; every dispatch is
+//! good, shed, or an error), the two-phase overload bench record, and
+//! the health-probe floor.
 
 use dcnr_core::loadgen::{self, LoadgenOptions, OpenLoopOptions};
 use dcnr_core::serve::{self, ServeOptions};
 use dcnr_core::{json, Experiment};
-use dcnr_server::AdmissionConfig;
 use std::time::Duration;
 
-/// A server with every admission-control knob enabled, sized so a 2×
-/// overload actually queues: two workers, a shallow queue, a sojourn
-/// target low enough to trip under pressure.
-fn admission_server() -> serve::RunningServer {
+/// A server sized so overload actually queues: `workers` threads
+/// behind a shallow accept queue.
+fn shallow_queue_server(workers: usize, queue_depth: usize) -> serve::RunningServer {
     serve::start(&ServeOptions {
         addr: "127.0.0.1:0".into(),
-        workers: 2,
-        queue_depth: 16,
-        admission: AdmissionConfig {
-            sojourn_target: Some(Duration::from_millis(100)),
-            priority_depth: 8,
-            adaptive_retry_after: true,
-        },
+        workers,
+        queue_depth,
         ..ServeOptions::default()
     })
     .expect("bind an ephemeral port")
@@ -65,7 +58,7 @@ fn temp_path(name: &str) -> String {
 
 #[test]
 fn overload_run_accounts_for_every_arrival_and_writes_the_bench() {
-    let server = admission_server();
+    let server = shallow_queue_server(2, 16);
     let bench = temp_path("bench.json");
     let mut opts = overload_options(&server);
     opts.bench_json = Some(bench.clone());
@@ -113,21 +106,10 @@ fn overload_run_accounts_for_every_arrival_and_writes_the_bench() {
 #[test]
 fn forced_overload_sheds_yet_health_keeps_answering() {
     // One worker, a slow-ish render mix, and a hard offered rate well
-    // beyond what one worker can serve: the run must shed (server 503s,
-    // sojourn drops, or client-side bound drops) while the priority
-    // lane keeps /healthz and /readyz answering.
-    let server = serve::start(&ServeOptions {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        queue_depth: 8,
-        admission: AdmissionConfig {
-            sojourn_target: Some(Duration::from_millis(50)),
-            priority_depth: 8,
-            adaptive_retry_after: true,
-        },
-        ..ServeOptions::default()
-    })
-    .expect("bind an ephemeral port");
+    // beyond what one worker can serve: the run must refuse load (server
+    // 503s or client-side bound drops) while /healthz and /readyz keep
+    // answering.
+    let server = shallow_queue_server(1, 8);
     let mut opts = overload_options(&server);
     if let Some(ol) = opts.open_loop.as_mut() {
         ol.rate = Some(600.0);

@@ -306,68 +306,3 @@ fn admin_shutdown_flips_readiness_and_drains() {
     assert_eq!(get(&server, "/healthz").status, 200);
     server.shutdown_and_join();
 }
-
-#[test]
-fn admission_metrics_appear_only_when_admission_control_is_on() {
-    // S6 contract: the all-off AdmissionConfig default must be
-    // invisible on /metrics — no admission series, no sojourn
-    // histogram — so a scrape of the pre-admission server and a scrape
-    // of an admission-off server expose identical series names.
-    let plain = small_server(false);
-    let _ = get(&plain, &format!("/artifacts/fig15?{SMALL_QUERY}"));
-    let body = validated_metrics(&plain);
-    assert!(
-        !body.contains("dcnr_server_admission_dropped_total"),
-        "admission-off must not export admission counters: {body}"
-    );
-    assert!(
-        !body.contains("dcnr_server_queue_sojourn_micros"),
-        "admission-off must not export the sojourn histogram: {body}"
-    );
-    plain.shutdown_and_join();
-
-    // With any admission knob on, the drop counters (one per cause)
-    // and the queue-sojourn histogram appear and survive the strict
-    // validator round-trip.
-    let server = serve::start(&ServeOptions {
-        addr: "127.0.0.1:0".into(),
-        admission: dcnr_server::AdmissionConfig {
-            sojourn_target: Some(Duration::from_millis(200)),
-            priority_depth: 4,
-            adaptive_retry_after: true,
-        },
-        ..ServeOptions::default()
-    })
-    .unwrap();
-    let resp = get(&server, &format!("/artifacts/fig15?{SMALL_QUERY}"));
-    assert_eq!(resp.status, 200);
-    let body = validated_metrics(&server);
-    for cause in ["full", "priority", "sojourn"] {
-        assert!(
-            body.contains(&format!(
-                "dcnr_server_admission_dropped_total{{cause=\"{cause}\"}}"
-            )),
-            "missing admission cause {cause}: {body}"
-        );
-    }
-    assert!(
-        body.contains("dcnr_server_queue_sojourn_micros_bucket"),
-        "{body}"
-    );
-    assert!(
-        body.contains("dcnr_server_queue_sojourn_micros_count"),
-        "{body}"
-    );
-    // Every handled connection was stamped, so the histogram has
-    // observed at least the artifact fetch and the scrape itself.
-    assert!(
-        metric_total(&body, "dcnr_server_queue_sojourn_micros_count") >= 1.0,
-        "{body}"
-    );
-    // Nothing was dropped on this idle server.
-    assert_eq!(
-        metric_total(&body, "dcnr_server_admission_dropped_total"),
-        0.0
-    );
-    server.shutdown_and_join();
-}
