@@ -81,8 +81,10 @@ impl BackboneSim {
         // ---- 1. conduit schedules per edge (hours from window start) ----
         // Every RNG draw below happens whether or not telemetry is on;
         // the fiber-cut counter/trace observe sampled intervals after
-        // the fact.
+        // the fact. Both are bound here and flushed after the loop: one
+        // add of the cut count, one append of the trace batch.
         let cut_counter = dcnr_telemetry::counter("dcnr_backbone_fiber_cuts_total", &[]);
+        let mut cut_trace = dcnr_telemetry::stage_trace();
         let mut conduits: Vec<Vec<(f64, f64)>> = Vec::with_capacity(topology.edges().len());
         for (i, edge) in topology.edges().iter().enumerate() {
             let t = targets.edge(i);
@@ -97,9 +99,8 @@ impl BackboneSim {
                 }
                 let down: f64 = (t.mttr_hours * duration_jitter(&mut rng)).max(0.01);
                 let end = (start + down).min(window_h);
-                if let Some(counter) = &cut_counter {
-                    counter.inc();
-                    dcnr_telemetry::trace_event(
+                if cut_trace.active() {
+                    cut_trace.event(
                         at_hours(cfg.window, start).as_secs(),
                         "fiber_cut",
                         [u64::from(edge.id.0), (end - start).to_bits(), 0, 0],
@@ -114,6 +115,10 @@ impl BackboneSim {
             }
             conduits.push(intervals);
         }
+        if let Some(counter) = cut_counter {
+            counter.add(conduits.iter().map(|c| c.len() as u64).sum());
+        }
+        drop(cut_trace);
 
         // ---- 2. per-vendor repair budgets ----
         // Vendor reliability (§6.2) is measured over unplanned repair

@@ -207,6 +207,7 @@ pub fn run(
     let mut rec: ReconcileStats = reconcile(cfg, window, &mut tickets, &orphans);
     rec.closed_by_timeout += closed_inline;
     report.set_reconcile(rec);
+    report.publish_tallies();
 
     PipelineOutput { tickets, report }
 }
@@ -325,6 +326,50 @@ mod tests {
         // The deduped replays never reach the state machine: no
         // duplicate-start rejections.
         assert_eq!(out.tickets.rejected, 0);
+    }
+
+    #[test]
+    fn telemetry_counts_equal_the_report_tallies() {
+        let cfg = ChaosConfig::quiescent(1);
+        let base = window().start + SimDuration::from_hours(5);
+        let raw = render_email(&email(2, true, base));
+        let deliveries = vec![
+            (base, raw.clone()),
+            (base + SimDuration::from_minutes(3), raw),
+            (
+                base + SimDuration::from_hours(1),
+                RawEmail::from(&b"not an email at all"[..]),
+            ),
+        ];
+        let t = dcnr_telemetry::Telemetry::new_handle();
+        let out = {
+            let _guard = dcnr_telemetry::installed(t.clone());
+            run(&cfg, window(), &deliveries)
+        };
+        let r = &out.report;
+        assert_eq!(
+            (r.ingested, r.duplicates_dropped, r.quarantined_parse),
+            (1, 1, 1)
+        );
+        let snap = t.metrics.snapshot();
+        let count = |name, labels| snap.counter_value(name, labels);
+        assert_eq!(count("dcnr_chaos_ingested_total", &[]), r.ingested);
+        assert_eq!(
+            count("dcnr_chaos_duplicates_dropped_total", &[]),
+            r.duplicates_dropped
+        );
+        assert_eq!(
+            count("dcnr_chaos_parse_failures_total", &[]),
+            r.parse_failures
+        );
+        assert_eq!(
+            count("dcnr_chaos_quarantined_total", &[("reason", "parse")]),
+            r.quarantined_parse
+        );
+        // Tallies that stayed zero create no series.
+        let series = |name| snap.counters.keys().filter(|k| k.name == name).count();
+        assert_eq!(series("dcnr_chaos_healed_by_retry_total"), 0);
+        assert_eq!(series("dcnr_chaos_quarantined_total"), 1);
     }
 
     #[test]

@@ -84,22 +84,21 @@ impl DataQualityReport {
         }
     }
 
-    // The `note_*`/`set_*` accounting helpers below are the single
-    // bookkeeping path for the pipeline: each bumps the authoritative
-    // report field and mirrors the event into the telemetry registry
-    // (a no-op when no collector is installed), so the rendered report
-    // is byte-identical with telemetry on or off.
+    // The `note_*` accounting helpers below are the single bookkeeping
+    // path for the pipeline's per-message tallies; `publish_tallies`
+    // copies them into the telemetry registry once per run, and the
+    // `set_*` helpers mirror the stats they store. Telemetry never
+    // feeds back, so the rendered report is byte-identical with it on
+    // or off.
 
     /// Counts one exact re-delivery dropped by the idempotency filter.
     pub fn note_duplicate(&mut self) {
         self.duplicates_dropped += 1;
-        dcnr_telemetry::counter_add("dcnr_chaos_duplicates_dropped_total", &[], 1);
     }
 
     /// Counts one failed parse attempt.
     pub fn note_parse_failure(&mut self) {
         self.parse_failures += 1;
-        dcnr_telemetry::counter_add("dcnr_chaos_parse_failures_total", &[], 1);
     }
 
     /// Counts one message quarantined under `reason`.
@@ -110,25 +109,51 @@ impl DataQualityReport {
             QuarantineReason::Unmatched => self.quarantined_semantic += 1,
             QuarantineReason::Implausible => self.quarantined_implausible += 1,
         }
-        dcnr_telemetry::counter_add(
-            "dcnr_chaos_quarantined_total",
-            &[("reason", reason.label())],
-            1,
-        );
     }
 
     /// Counts one notification accepted into the ticket database.
     pub fn note_ingested(&mut self) {
         self.ingested += 1;
-        dcnr_telemetry::counter_add("dcnr_chaos_ingested_total", &[], 1);
     }
 
     /// Counts a message that failed at least once and later succeeded,
     /// recording its ingestion delay.
     pub fn note_healed(&mut self, ingested_at: SimTime, event_at: SimTime) {
         self.healed_by_retry += 1;
-        dcnr_telemetry::counter_add("dcnr_chaos_healed_by_retry_total", &[], 1);
         self.note_commit_delay(ingested_at, event_at);
+    }
+
+    /// Adds the `note_*` tallies to the installed collector's counters
+    /// (a no-op without one). A tally still at zero creates no series,
+    /// just as no per-message bump would have.
+    pub(crate) fn publish_tallies(&self) {
+        for (name, n) in [
+            (
+                "dcnr_chaos_duplicates_dropped_total",
+                self.duplicates_dropped,
+            ),
+            ("dcnr_chaos_parse_failures_total", self.parse_failures),
+            ("dcnr_chaos_ingested_total", self.ingested),
+            ("dcnr_chaos_healed_by_retry_total", self.healed_by_retry),
+        ] {
+            if n > 0 {
+                dcnr_telemetry::counter_add(name, &[], n);
+            }
+        }
+        for (reason, n) in [
+            (QuarantineReason::ParseFailed, self.quarantined_parse),
+            (QuarantineReason::StoreFailed, self.quarantined_store),
+            (QuarantineReason::Unmatched, self.quarantined_semantic),
+            (QuarantineReason::Implausible, self.quarantined_implausible),
+        ] {
+            if n > 0 {
+                dcnr_telemetry::counter_add(
+                    "dcnr_chaos_quarantined_total",
+                    &[("reason", reason.label())],
+                    n,
+                );
+            }
+        }
     }
 
     /// Stores the injector's stats, mirroring the fault counts into

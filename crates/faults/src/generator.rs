@@ -114,13 +114,15 @@ impl IssueGenerator {
     pub fn generate_type(&self, t: DeviceType, window: StudyCalendar) -> Vec<RawIssue> {
         // Telemetry observes the generation, it never participates in
         // it: the RNG stream below is fully drawn regardless of whether
-        // a collector is installed, and the per-issue counter handle is
-        // resolved once (None when telemetry is off).
+        // a collector is installed. The counter and the trace batch are
+        // bound once (inert when telemetry is off); the count is added
+        // once, and the batch reaches the trace when this call returns.
         let _span = dcnr_telemetry::span(&format!("intra.issue_gen.{}", t.name_prefix()));
         let issue_counter = dcnr_telemetry::counter(
             "dcnr_faults_issues_total",
             &[("device_type", t.name_prefix())],
         );
+        let mut trace = dcnr_telemetry::stage_trace();
         let mut rng = stream_rng(self.seed, &format!("faults.issues.{}", t.name_prefix()));
         let mut out = Vec::new();
         for year in window.years() {
@@ -154,9 +156,8 @@ impl IssueGenerator {
                     unit,
                     root_cause,
                 };
-                if let Some(counter) = &issue_counter {
-                    counter.inc();
-                    dcnr_telemetry::trace_event(
+                if trace.active() {
+                    trace.event(
                         at.as_secs(),
                         "device_failure",
                         [issue.device_word(), root_cause as u64, 0, 0],
@@ -165,6 +166,9 @@ impl IssueGenerator {
                 }
                 out.push(issue);
             }
+        }
+        if let Some(counter) = issue_counter {
+            counter.add(out.len() as u64);
         }
         out
     }

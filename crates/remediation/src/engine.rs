@@ -24,7 +24,7 @@ use dcnr_faults::{
     calibration::MANUAL_ESCALATION_PROB, device_name_of_word, HazardModel, RawIssue,
 };
 use dcnr_sim::{stream_rng, SimDuration, SimTime};
-use dcnr_telemetry::CounterFamily;
+use dcnr_telemetry::{CounterFamily, StageTrace};
 use dcnr_topology::DeviceType;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -182,9 +182,9 @@ impl RemediationEngine {
         }
     }
 
-    /// Triage a whole issue stream, preserving order. Its counters are
-    /// resolved once, against the collector installed when the call
-    /// starts.
+    /// Triage a whole issue stream, preserving order. Its counters and
+    /// trace batch are bound once, to the collector installed when the
+    /// call starts, and flushed when it returns.
     pub fn triage_all(&mut self, issues: Vec<RawIssue>) -> Vec<RemediationOutcome> {
         let mut telemetry = TriageTelemetry::resolve();
         issues
@@ -198,13 +198,16 @@ impl RemediationEngine {
     }
 }
 
-/// The triage counters of one `triage`/`triage_all` call. They observe
-/// each outcome strictly after `triage_inner` made all of its RNG draws.
+/// The triage counters and `repair_dispatch` trace of one
+/// `triage`/`triage_all` call. They observe each outcome strictly after
+/// `triage_inner` made all of its RNG draws, and reach the collector
+/// when the call's `TriageTelemetry` drops.
 struct TriageTelemetry {
     /// `auto_repaired`, `manually_resolved`, `escalated`.
     outcomes: CounterFamily<3>,
     /// Indexed like [`RemediationAction::ALL`], which is declaration order.
     actions: CounterFamily<5>,
+    trace: StageTrace,
 }
 
 impl TriageTelemetry {
@@ -220,6 +223,7 @@ impl TriageTelemetry {
                 "action",
                 RemediationAction::ALL.map(RemediationAction::label),
             ),
+            trace: dcnr_telemetry::stage_trace(),
         }
     }
 
@@ -230,7 +234,7 @@ impl TriageTelemetry {
         let kind = match outcome {
             RemediationOutcome::AutoRepaired(r) => {
                 self.actions.inc(r.action as usize);
-                dcnr_telemetry::trace_event(
+                self.trace.event(
                     r.issue.at.as_secs(),
                     "repair_dispatch",
                     [

@@ -4,8 +4,10 @@
 //! Architecture (one accept thread, `workers` handler threads):
 //!
 //! ```text
-//! accept loop ── full? ──▶ 503 + Retry-After: 1, close   (shed, O(1))
-//!      │
+//! accept loop ── full? ──▶ 503 + Retry-After: 1, half-close (shed, O(1))
+//!      │                        │
+//!      │                        ▼ hand off (bounded channel; full ⇒ close)
+//!      │                    drainer ──▶ read the request, ≤ 100 ms, close
 //!      ▼ push (bounded queue, Mutex<VecDeque> + Condvar)
 //!   workers ──▶ read request head (read timeout) ──▶ handler ──▶ write
 //! ```
@@ -14,7 +16,9 @@
 //! the server. When it is full the accept loop answers `503` with
 //! `Retry-After: 1` and closes — the server's latency stays bounded by
 //! `queue_depth / throughput` instead of growing without limit, and a
-//! closed-loop client backs off instead of timing out.
+//! closed-loop client backs off instead of timing out. The accept loop
+//! never reads from a shed peer: one drainer thread does, so a silent
+//! peer cannot delay the next connection's answer.
 //!
 //! The whole request head must arrive within the read timeout: each
 //! read after the first may wait only for what is left of it, so a peer
@@ -31,6 +35,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -41,6 +46,15 @@ pub type Handler = Arc<dyn Fn(&crate::http::Request) -> Response + Send + Sync>;
 
 /// The `Retry-After` hint (seconds) on shed responses.
 const SHED_RETRY_AFTER_SECS: u32 = 1;
+
+/// How long after its 503 a shed connection's request bytes are drained
+/// before it is closed: a well-behaved client's GET has long arrived,
+/// and a silent peer holds the drainer no longer than this.
+const SHED_DRAIN: Duration = Duration::from_millis(100);
+
+/// Shed connections waiting for the drainer; beyond this many, a shed
+/// connection is closed as soon as its 503 is written.
+const SHED_DRAIN_BACKLOG: usize = 64;
 
 /// Operational knobs for a [`Server`].
 #[derive(Debug, Clone)]
@@ -111,6 +125,7 @@ fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
 pub struct Server {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
+    drainer: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
@@ -144,11 +159,17 @@ impl Server {
             handler,
             wake_addr,
         });
+        // The accept loop owns the only sender, so the drainer exits
+        // once the accept loop has.
+        let (shed_tx, shed_rx) = mpsc::sync_channel(SHED_DRAIN_BACKLOG);
+        let drainer = std::thread::Builder::new()
+            .name("dcnr-shed-drain".into())
+            .spawn(move || drain_loop(&shed_rx))?;
         let accept = {
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name("dcnr-accept".into())
-                .spawn(move || accept_loop(listener, &shared))?
+                .spawn(move || accept_loop(listener, &shared, &shed_tx))?
         };
         let workers = (0..workers)
             .map(|i| {
@@ -161,6 +182,7 @@ impl Server {
         Ok(Server {
             shared,
             accept: Some(accept),
+            drainer: Some(drainer),
             workers,
             local_addr,
         })
@@ -199,6 +221,9 @@ impl Server {
         if let Some(a) = self.accept.take() {
             let _ = a.join();
         }
+        if let Some(d) = self.drainer.take() {
+            let _ = d.join();
+        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -231,7 +256,7 @@ impl ShutdownHandle {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: &Shared) {
+fn accept_loop(listener: TcpListener, shared: &Shared, shed_tx: &SyncSender<(TcpStream, Instant)>) {
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break; // the wake-up connection (or any racer) is dropped
@@ -258,7 +283,10 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
             drop(queue);
             shared.stats.shed.fetch_add(1, Ordering::Relaxed);
             shed(&mut stream, shared);
-            continue; // drop closes the connection
+            // A full drain backlog hands the stream back, and dropping
+            // it closes the connection at once.
+            let _ = shed_tx.try_send((stream, Instant::now()));
+            continue;
         }
         queue.push_back((stream, faults));
         let depth = queue.len() as u64;
@@ -274,22 +302,33 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
     shared.available.notify_all();
 }
 
-/// Answers `503 Retry-After` on an over-capacity connection. The
-/// client's request bytes are drained (briefly) before the socket is
-/// dropped: closing with unread data in the receive buffer makes Linux
-/// send RST, which can destroy the in-flight 503 on the client side.
+/// Answers `503 Retry-After` on an over-capacity connection and
+/// half-closes it; [`drain_loop`] reads what the client sent before the
+/// socket is dropped.
 fn shed(stream: &mut TcpStream, shared: &Shared) {
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let _ = Response::unavailable(SHED_RETRY_AFTER_SECS).write_to(stream);
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+}
+
+/// Drains each shed connection until its peer closes or [`SHED_DRAIN`]
+/// has passed since its 503, then drops it: closing with unread data in
+/// the receive buffer makes Linux send RST, which can destroy the
+/// in-flight 503 on the client side. Returns once the accept loop has
+/// exited and every handed-off connection is closed.
+fn drain_loop(shed: &Receiver<(TcpStream, Instant)>) {
     let mut sink = [0u8; 1024];
-    // Bounded drain: a well-behaved client's GET arrives in one read;
-    // a slow or hostile peer costs the accept loop at most ~100ms.
-    for _ in 0..2 {
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
+    for (mut stream, shed_at) in shed {
+        let deadline = shed_at + SHED_DRAIN;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+                break;
+            }
+            match stream.read(&mut sink) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
         }
     }
 }
@@ -458,6 +497,69 @@ mod tests {
         // slow requests actually admitted, not by 8 * 150ms.
         assert!(started.elapsed() < Duration::from_secs(5));
         assert_eq!(stats.shed.load(Ordering::Relaxed) as usize, sheds);
+        server.shutdown_and_join();
+    }
+
+    #[test]
+    fn silent_shed_peers_do_not_delay_the_next_503() {
+        // One worker and a queue of one, both held by requests parked on
+        // a gate, so every later connection is shed. Twenty peers then
+        // connect and send nothing: the accept loop must answer the next
+        // connection without waiting to drain any of them.
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let held: Handler = {
+            let gate = gate.clone();
+            Arc::new(move |_req| {
+                let _ = entered_tx.send(());
+                let (open, opened) = &*gate;
+                let mut open = unpoison(open.lock());
+                while !*open {
+                    open = unpoison(opened.wait(open));
+                }
+                Response::ok("held\n")
+            })
+        };
+        let config = ServerConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..ServerConfig::default()
+        };
+        let (server, addr, stats) = start(config, held);
+        let hold = || {
+            let addr = addr.to_string();
+            std::thread::spawn(move || {
+                client::get(&addr, "/hold", Some(Duration::from_secs(10))).unwrap()
+            })
+        };
+        // The second request must arrive after the worker took the
+        // first off the queue, or it would be shed.
+        let mut holders = vec![hold()];
+        entered_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        holders.push(hold());
+        let queued_by = Instant::now() + Duration::from_secs(5);
+        while stats.queue_depth.load(Ordering::Relaxed) != 1 {
+            assert!(
+                Instant::now() < queued_by,
+                "the second request never queued"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let silent: Vec<TcpStream> = (0..20).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let started = Instant::now();
+        let r = client::get(&addr.to_string(), "/healthz", Some(Duration::from_secs(10))).unwrap();
+        let waited = started.elapsed();
+        assert_eq!(r.status, 503);
+        assert!(waited < Duration::from_millis(200), "503 took {waited:?}");
+        assert_eq!(stats.shed.load(Ordering::Relaxed), 21);
+
+        *unpoison(gate.0.lock()) = true;
+        gate.1.notify_all();
+        for h in holders {
+            assert_eq!(h.join().unwrap().status, 200);
+        }
+        drop(silent);
         server.shutdown_and_join();
     }
 

@@ -42,12 +42,15 @@ impl SevGenerator {
     /// Non-escalated outcomes are ignored (they never reached service
     /// impact). Returns the number of reports created.
     pub fn ingest(&mut self, outcomes: &[RemediationOutcome], db: &mut SevDb) -> usize {
-        // Indexed like `SevLevel::ALL`, which is declaration order.
+        // Bound once, to the collector installed when the call starts,
+        // and flushed when it returns. Indexed like `SevLevel::ALL`,
+        // which is declaration order.
         let mut sevs = CounterFamily::new(
             "dcnr_service_sevs_total",
             "severity",
             SevLevel::ALL.map(SevLevel::label),
         );
+        let mut trace = dcnr_telemetry::stage_trace();
         let mut created = 0;
         for outcome in outcomes {
             let RemediationOutcome::Escalated {
@@ -76,18 +79,8 @@ impl SevGenerator {
                 sevs.inc(severity as usize);
                 let closed = issue.at + duration;
                 let payload = [issue.device_word(), severity as u64, duration.as_secs(), 0];
-                dcnr_telemetry::trace_event(
-                    issue.at.as_secs(),
-                    "sev_open",
-                    payload,
-                    write_sev_open,
-                );
-                dcnr_telemetry::trace_event(
-                    closed.as_secs(),
-                    "sev_close",
-                    payload,
-                    write_sev_close,
-                );
+                trace.event(issue.at.as_secs(), "sev_open", payload, write_sev_open);
+                trace.event(closed.as_secs(), "sev_close", payload, write_sev_close);
             }
             db.insert(
                 severity,

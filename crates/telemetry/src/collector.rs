@@ -3,11 +3,17 @@
 //!
 //! Instrumented code calls the free functions below unconditionally;
 //! with no collector installed each call is a thread-local check and an
-//! early return. Per-event hot loops instead resolve their counters
-//! once per stage call (a [`CounterFamily`], or [`counter`] for a
-//! single series) and bump them with one atomic add; a trace event is
-//! recorded as a fixed-size payload and formatted only if it is still
-//! retained when the trace is snapshotted (see [`TraceBuffer::record`]).
+//! early return. A stage that observes each event it handles binds its
+//! instruments once, when the stage call starts, to the collector
+//! installed at that moment: a [`CounterFamily`] (or a [`counter`]
+//! handle for a single series) and a [`StageTrace`]. They count and
+//! record without touching the collector, and flush when they drop:
+//! one registry add per counted series and one trace lock for the whole
+//! stage, leaving the same counts and trace as per-event recording. A
+//! `/metrics` scrape taken while a stage runs therefore sees that
+//! stage's counts only once it has ended. A trace event is recorded as
+//! a fixed-size payload and formatted only if it is still retained when
+//! the trace is snapshotted (see [`TraceBuffer::record`]).
 //! A caller that wants telemetry installs a handle — usually through
 //! the RAII [`installed`] guard — runs the workload, and snapshots the
 //! registry/trace afterwards. Sweep replicas each install a **fresh**
@@ -15,7 +21,7 @@
 //! is an explicit, ordered post-join step.
 
 use crate::metrics::{Counter, MetricsSnapshot, Registry, DURATION_BOUNDS_MICROS};
-use crate::trace::{DetailWriter, TraceBuffer, TracePayload, TraceSnapshot};
+use crate::trace::{DetailWriter, Retained, TraceBuffer, TracePayload, TraceSnapshot};
 use crate::PHASE_HISTOGRAM;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -105,26 +111,27 @@ pub fn counter_add(name: &str, labels: &[(&str, &str)], by: u64) {
     with(|t| t.metrics.counter(name, labels).add(by));
 }
 
-/// Resolves a shared counter handle for hot paths that want to bump
-/// without a registry lookup per event. `None` without a collector.
+/// Resolves a shared counter handle, creating its series now, so a
+/// stage can add its whole count once when it ends and still show the
+/// series when that count is zero. `None` without a collector.
 pub fn counter(name: &str, labels: &[(&str, &str)]) -> Option<Counter> {
     with(|t| t.metrics.counter(name, labels))
 }
 
-/// Counter handles for one metric family whose one label ranges over a
-/// fixed set of values, for per-event hot loops. A family is bound to
-/// the collector installed when it is created — inert without one — and
-/// is meant to live for one stage call. Each value's series is resolved
-/// on its first bump, so a snapshot holds exactly the series a registry
-/// lookup per event would have created; every later bump is one atomic
-/// add.
+/// The counts of one metric family whose one label ranges over a fixed
+/// set of values, kept by one stage call. A family is bound to the
+/// collector installed when it is created — inert without one — and
+/// tallies each value locally; when it drops, it adds each nonzero
+/// tally to its series, creating exactly the series a registry lookup
+/// per event would have created. Counting is a plain add, and the
+/// registry sees one lookup per counted value per stage.
 #[derive(Debug)]
 pub struct CounterFamily<const N: usize> {
     collector: Option<TelemetryHandle>,
     name: &'static str,
     label: &'static str,
     values: [&'static str; N],
-    cells: [Option<Counter>; N],
+    counts: [u64; N],
 }
 
 impl<const N: usize> CounterFamily<N> {
@@ -136,7 +143,7 @@ impl<const N: usize> CounterFamily<N> {
             name,
             label,
             values,
-            cells: std::array::from_fn(|_| None),
+            counts: [0; N],
         }
     }
 
@@ -145,15 +152,70 @@ impl<const N: usize> CounterFamily<N> {
         self.collector.is_some()
     }
 
-    /// Adds one to the series labeled `values[index]`.
+    /// Counts one for the series labeled `values[index]`.
     pub fn inc(&mut self, index: usize) {
-        if let Some(t) = &self.collector {
-            self.cells[index]
-                .get_or_insert_with(|| {
-                    t.metrics
-                        .counter(self.name, &[(self.label, self.values[index])])
-                })
-                .inc();
+        self.counts[index] += 1;
+    }
+}
+
+impl<const N: usize> Drop for CounterFamily<N> {
+    fn drop(&mut self) {
+        let Some(t) = &self.collector else { return };
+        for (value, &n) in self.values.iter().zip(&self.counts) {
+            if n > 0 {
+                t.metrics.counter(self.name, &[(self.label, value)]).add(n);
+            }
+        }
+    }
+}
+
+/// The trace events of one stage call. It is bound to the collector
+/// installed when it is created — inert without one — and keeps its
+/// events without a lock, retained as that collector's trace would
+/// retain them; when it drops, it appends them to that trace under one
+/// lock, exactly as if each had been recorded there in turn. A stage's
+/// events therefore reach the trace when the stage ends, before the
+/// next stage records anything.
+#[derive(Debug)]
+pub struct StageTrace {
+    bound: Option<(TelemetryHandle, Retained)>,
+}
+
+/// Starts a [`StageTrace`] bound to the current thread's collector.
+pub fn stage_trace() -> StageTrace {
+    StageTrace {
+        bound: current().map(|t| {
+            let batch = t.trace.batch();
+            (t, batch)
+        }),
+    }
+}
+
+impl StageTrace {
+    /// Whether a collector was installed when the batch was created.
+    pub fn active(&self) -> bool {
+        self.bound.is_some()
+    }
+
+    /// Records a sim-time event whose detail `write` formats from
+    /// `payload`, as [`trace_event`] does.
+    pub fn event(
+        &mut self,
+        at_secs: u64,
+        kind: &'static str,
+        payload: TracePayload,
+        write: DetailWriter,
+    ) {
+        if let Some((_, batch)) = &mut self.bound {
+            batch.record(at_secs, kind, payload, write);
+        }
+    }
+}
+
+impl Drop for StageTrace {
+    fn drop(&mut self) {
+        if let Some((t, batch)) = &self.bound {
+            t.trace.append(batch);
         }
     }
 }
@@ -291,10 +353,56 @@ mod tests {
         family.inc(2);
         family.inc(2);
         family.inc(0);
+        drop(family);
         let snap = t.metrics.snapshot();
         assert_eq!(snap.counters.len(), 2, "`b` never counted: no series");
         assert_eq!(snap.counter_value("fam_total", &[("kind", "c")]), 2);
         assert_eq!(snap.counter_value("fam_total", &[("kind", "a")]), 1);
+    }
+
+    #[test]
+    fn counter_families_flush_on_drop_even_when_the_stage_panics() {
+        let t = Telemetry::new_handle();
+        let _guard = installed(t.clone());
+        let mut family = CounterFamily::new("fam_total", "kind", ["a", "b"]);
+        family.inc(1);
+        family.inc(1);
+        assert!(
+            t.metrics.snapshot().counters.is_empty(),
+            "counts stay local while the stage runs"
+        );
+        drop(family);
+        let snap = t.metrics.snapshot();
+        assert_eq!(snap.counter_value("fam_total", &[("kind", "b")]), 2);
+        assert_eq!(snap.counters.len(), 1, "`a` never counted: no series");
+
+        let stage = std::panic::catch_unwind(|| {
+            let mut family = CounterFamily::new("fam_total", "kind", ["a", "b"]);
+            family.inc(0);
+            panic!("the stage fails after counting");
+        });
+        assert!(stage.is_err());
+        let snap = t.metrics.snapshot();
+        assert_eq!(snap.counter_value("fam_total", &[("kind", "a")]), 1);
+        assert_eq!(snap.counter_value("fam_total", &[("kind", "b")]), 2);
+    }
+
+    #[test]
+    fn stage_traces_append_on_drop_to_the_collector_bound_at_creation() {
+        let idle = stage_trace();
+        assert!(!idle.active());
+        let t = Telemetry::new_handle();
+        let mut stage = {
+            let _guard = installed(t.clone());
+            stage_trace()
+        };
+        stage.event(1, "test", [0; 4], |_, d| d.push('a'));
+        stage.event(2, "test", [0; 4], |_, d| d.push('b'));
+        assert!(t.trace.snapshot().is_empty(), "nothing appended yet");
+        drop(stage);
+        let trace = t.trace.snapshot();
+        let details: Vec<&str> = trace.head.iter().map(|e| e.detail.as_str()).collect();
+        assert_eq!((trace.seen, details), (2, vec!["a", "b"]));
     }
 
     #[test]

@@ -22,9 +22,13 @@
 //! boundary as plain `u64` seconds since the study epoch.
 //!
 //! Instrumented code calls the free functions ([`counter_add`],
-//! [`gauge_add`], [`trace_event`], [`span`], …), or, in per-event hot
-//! loops, bumps handles resolved once per stage call ([`counter`],
-//! [`CounterFamily`]); a caller that wants
+//! [`gauge_add`], [`trace_event`], [`span`], …). A stage that observes
+//! every event it handles (each issue, repair, SEV or fiber cut) binds
+//! its instruments once per stage call instead: a [`CounterFamily`]
+//! tallies locally and a [`StageTrace`] batches its events, and both
+//! reach the collector in one step when the stage ends, so a stage
+//! takes the trace's lock once and makes one registry add per series,
+//! however many events it saw. A caller that wants
 //! telemetry installs a [`Telemetry`] collector on the thread first
 //! (see [`installed`]) and takes snapshots when done. All metric
 //! arithmetic is integer (`u64`/`i64`, durations in microseconds), so
@@ -42,7 +46,8 @@ pub mod trace;
 
 pub use collector::{
     active, counter, counter_add, current, gauge_add, install, installed, observe_micros, span,
-    trace_event, uninstall, CounterFamily, InstallGuard, Span, Telemetry, TelemetryHandle,
+    stage_trace, trace_event, uninstall, CounterFamily, InstallGuard, Span, StageTrace, Telemetry,
+    TelemetryHandle,
 };
 
 /// Name of the well-known histogram every [`span`] records into, with a

@@ -13,8 +13,13 @@
 //! detail is recorded unformatted, as a [`TracePayload`] plus the
 //! [`DetailWriter`] that formats it, and only the retained events are
 //! ever formatted, when a snapshot is taken.
+//!
+//! A stage that records many events fills a batch instead, retained
+//! exactly as the buffer would retain them, and appends it to the
+//! buffer under one lock (see [`crate::StageTrace`]); the retained head,
+//! tail and count are those of recording each event in turn.
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default per-half retention (first 256 + last 256 events).
 pub const DEFAULT_TRACE_CAPACITY: usize = 256;
@@ -60,8 +65,12 @@ impl Slot {
     }
 }
 
+/// The retained events of one stream: the first `capacity`, a ring of
+/// the last `capacity` after those, and how many were seen in all. A
+/// [`TraceBuffer`] keeps one behind its lock; a stage batch fills one
+/// without a lock and appends it to the buffer in one step.
 #[derive(Debug)]
-struct TraceInner {
+pub(crate) struct Retained {
     head: Vec<Slot>,
     /// A ring of the latest events after the head; once full, `oldest`
     /// is the slot the next event overwrites.
@@ -71,11 +80,82 @@ struct TraceInner {
     capacity: usize,
 }
 
-/// The bounded event buffer. Thread-safe; in practice each replica
-/// thread owns its own buffer via its installed collector.
+impl Retained {
+    fn with_capacity(capacity: usize) -> Self {
+        Self {
+            head: Vec::new(),
+            tail: Vec::new(),
+            oldest: 0,
+            seen: 0,
+            capacity,
+        }
+    }
+
+    /// Records one event, as [`TraceBuffer::record`] does.
+    pub(crate) fn record(
+        &mut self,
+        at_secs: u64,
+        kind: &'static str,
+        payload: TracePayload,
+        write: DetailWriter,
+    ) {
+        self.seen += 1;
+        self.retain(Slot {
+            at_secs,
+            kind,
+            payload,
+            write,
+        });
+    }
+
+    /// Keeps `slot` in the head while it has room, then in the tail
+    /// ring, overwriting the oldest tail event once the ring is full.
+    fn retain(&mut self, slot: Slot) {
+        if self.head.len() < self.capacity {
+            self.head.push(slot);
+        } else if self.tail.len() < self.capacity {
+            self.tail.push(slot);
+        } else if let Some(evicted) = self.tail.get_mut(self.oldest) {
+            *evicted = slot;
+            self.oldest += 1;
+            if self.oldest == self.capacity {
+                self.oldest = 0;
+            }
+        }
+    }
+
+    /// The tail ring in emission order.
+    fn tail_in_order(&self) -> impl Iterator<Item = &Slot> {
+        let (newer, older) = self.tail.split_at(self.oldest);
+        older.iter().chain(newer)
+    }
+
+    /// Appends `later`, a stream retained at the same capacity, leaving
+    /// the same head, tail and `seen` as recording its events here one
+    /// at a time. Only its first `capacity` events can still reach the
+    /// head, and only its last `capacity` can survive in the tail, and
+    /// `later` retained both: replaying them in order leaves its tail
+    /// as the newest events of the ring. The events `later` dropped
+    /// from its middle matter only as a count.
+    fn append(&mut self, later: &Retained) {
+        debug_assert_eq!(
+            self.capacity, later.capacity,
+            "appended at another capacity"
+        );
+        for slot in later.head.iter().chain(later.tail_in_order()) {
+            self.retain(*slot);
+        }
+        self.seen += later.seen;
+    }
+}
+
+/// The bounded event buffer. Thread-safe: each sweep replica owns the
+/// buffer of its own collector, while the server's worker threads all
+/// record into one.
 #[derive(Debug)]
 pub struct TraceBuffer {
-    inner: Mutex<TraceInner>,
+    capacity: usize,
+    inner: Mutex<Retained>,
 }
 
 impl Default for TraceBuffer {
@@ -89,13 +169,8 @@ impl TraceBuffer {
     /// events. At capacity 0 it only counts them.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(TraceInner {
-                head: Vec::new(),
-                tail: Vec::new(),
-                oldest: 0,
-                seen: 0,
-                capacity,
-            }),
+            capacity,
+            inner: Mutex::new(Retained::with_capacity(capacity)),
         }
     }
 
@@ -111,23 +186,19 @@ impl TraceBuffer {
         payload: TracePayload,
         write: DetailWriter,
     ) {
-        let slot = Slot {
-            at_secs,
-            kind,
-            payload,
-            write,
-        };
-        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let inner = &mut *guard;
-        inner.seen += 1;
-        if inner.head.len() < inner.capacity {
-            inner.head.push(slot);
-        } else if inner.tail.len() < inner.capacity {
-            inner.tail.push(slot);
-        } else if let Some(evicted) = inner.tail.get_mut(inner.oldest) {
-            *evicted = slot;
-            inner.oldest = (inner.oldest + 1) % inner.capacity;
-        }
+        self.lock().record(at_secs, kind, payload, write);
+    }
+
+    /// An empty batch retaining events as this buffer would, to be
+    /// [`append`](Self::append)ed here under one lock.
+    pub(crate) fn batch(&self) -> Retained {
+        Retained::with_capacity(self.capacity)
+    }
+
+    /// Appends `batch`'s events after every event recorded so far, with
+    /// the same result as recording each of them here in turn.
+    pub(crate) fn append(&self, batch: &Retained) {
+        self.lock().append(batch);
     }
 
     /// Freezes the current contents, formatting the detail of each
@@ -135,9 +206,8 @@ impl TraceBuffer {
     /// buffer's lock is released.
     pub fn snapshot(&self) -> TraceSnapshot {
         let (head, tail, seen) = {
-            let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            let (newer, older) = inner.tail.split_at(inner.oldest);
-            let tail: Vec<Slot> = older.iter().chain(newer).copied().collect();
+            let inner = self.lock();
+            let tail: Vec<Slot> = inner.tail_in_order().copied().collect();
             (inner.head.clone(), tail, inner.seen)
         };
         TraceSnapshot {
@@ -145,6 +215,12 @@ impl TraceBuffer {
             tail: tail.iter().map(Slot::event).collect(),
             seen,
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Retained> {
+        // Every update leaves the retained slots and counts valid, so a
+        // panic elsewhere while the lock was held loses nothing.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

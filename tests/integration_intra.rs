@@ -4,6 +4,8 @@
 
 use dcnr_core::faults::{calibration, RootCause};
 use dcnr_core::sev::SevLevel;
+use dcnr_core::telemetry::{installed, Telemetry};
+use dcnr_core::telemetry_io::render_trace_json;
 use dcnr_core::topology::{DeviceType, NetworkDesign};
 use dcnr_core::{IntraDcStudy, RunContext, Scenario, StudyConfig};
 
@@ -224,5 +226,36 @@ fn intra_report_bytes_match_the_committed_golden() {
          (first differing line: {first_diff:?}); if the change is intended, \
          regenerate it with `cargo run --release -q --bin dcnr -- intra \
          --scale 0.15 --seed 7 > tests/golden/intra_scale0.15_seed7.txt`"
+    );
+}
+
+#[test]
+fn intra_trace_bytes_match_the_committed_golden() {
+    // The `--trace` file of the same run, pinned byte for byte: each
+    // stage batches its events and appends them when it ends, so the
+    // retained head and tail, their order and the seen count must stay
+    // those of recording every event into the trace in turn.
+    const GOLDEN: &str = include_str!("golden/intra_trace_scale0.15_seed7.json");
+    let collector = Telemetry::new_handle();
+    {
+        let _guard = installed(collector.clone());
+        RunContext::new(Scenario {
+            scale: 0.15,
+            ..Scenario::intra(7)
+        })
+        .execute();
+    }
+    let rendered = render_trace_json(&collector.trace.snapshot());
+    let first_diff = rendered
+        .lines()
+        .zip(GOLDEN.lines())
+        .position(|(got, want)| got != want)
+        .map(|i| i + 1);
+    assert!(
+        rendered == GOLDEN,
+        "the intra trace drifted from tests/golden/intra_trace_scale0.15_seed7.json \
+         (first differing line: {first_diff:?}); if the change is intended, \
+         regenerate it with `cargo run --release -q --bin dcnr -- --trace \
+         tests/golden/intra_trace_scale0.15_seed7.json intra --scale 0.15 --seed 7`"
     );
 }

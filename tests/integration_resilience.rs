@@ -215,24 +215,20 @@ fn mid_write_clients_still_receive_the_shed_response() {
     );
 
     // Saturate: 1 worker sleeping + 1 queue slot held for a full second.
-    let mut sleepers = Vec::new();
-    for _ in 0..4 {
-        let server = server.clone();
-        sleepers.push(std::thread::spawn(move || {
-            get(&server, "/admin/sleep?millis=1000")
-        }));
-    }
-    // Wait until the server has dispositioned all 4 sleepers: with 1
-    // worker sleeping and 1 queue slot, two of them must have shed,
-    // which proves the queue is full and stays full for the sleep's
-    // duration. (A fixed sleep races the scheduler on a loaded 1-CPU
-    // host and the writer below slips in before saturation.)
+    // The sleepers go in one at a time, each once the server's stats
+    // show the previous one placed: the first in the worker, the second
+    // in the queue, the last two shed. (Sent together, the accept loop
+    // can shed three of them before the worker takes the first off the
+    // queue, which then stays empty; a fixed sleep races the scheduler
+    // on a loaded host and the writer below slips in before saturation.)
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
+    let wait_until = |placed: &dyn Fn(u64, u64, u64, i64) -> bool| loop {
         let stats = server.stats();
         let accepted = stats.accepted.load(std::sync::atomic::Ordering::SeqCst);
+        let handled = stats.handled.load(std::sync::atomic::Ordering::SeqCst);
         let shed = stats.shed.load(std::sync::atomic::Ordering::SeqCst);
-        if accepted >= 4 && shed >= 2 {
+        let queued = stats.queue_depth.load(std::sync::atomic::Ordering::SeqCst);
+        if placed(accepted, handled, shed, queued) {
             break;
         }
         assert!(
@@ -240,7 +236,23 @@ fn mid_write_clients_still_receive_the_shed_response() {
             "sleepers never saturated the server (accepted {accepted}, shed {shed})"
         );
         std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut sleepers = Vec::new();
+    for i in 0..4 {
+        let sleeper = server.clone();
+        sleepers.push(std::thread::spawn(move || {
+            get(&sleeper, "/admin/sleep?millis=1000")
+        }));
+        match i {
+            0 => wait_until(&|_, handled, _, _| handled >= 1),
+            1 => wait_until(&|_, _, _, queued| queued >= 1),
+            _ => {}
+        }
     }
+    // All 4 dispositioned: with 1 worker sleeping and 1 queue slot, two
+    // of them must have shed, and the queue stays full for the sleep's
+    // duration.
+    wait_until(&|accepted, _, shed, _| accepted >= 4 && shed >= 2);
 
     // A slow writer: half the request line, a pause, then the rest.
     // The shed answer is written at accept time, before any of this
