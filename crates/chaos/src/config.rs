@@ -89,9 +89,9 @@ impl ChaosConfig {
 
     /// A deliberately hostile mix: every fault rate an order of
     /// magnitude above the drill's, with a tight retry budget. Used to
-    /// exercise the sweep supervision layer against a workload that is
-    /// *expected* to fail its tolerance gate — degraded-mode
-    /// aggregation needs real failures to aggregate around.
+    /// run sweeps over a workload that is *expected* to fail its
+    /// tolerance gate: failing acceptance is a replica verdict, not a
+    /// sweep error.
     pub fn hostile(seed: u64) -> Self {
         Self {
             corrupt_rate: 0.30,

@@ -2,9 +2,8 @@
 //!
 //! Every study subcommand lowers its flags onto a [`Scenario`] and
 //! hands it to the scenario engine; `sweep` replicates one scenario
-//! across derived seeds under the supervision layer (panic isolation,
-//! watchdog deadlines, checkpoint/resume) and prints cross-seed
-//! confidence bands.
+//! across derived seeds on a worker pool (with checkpoint/resume) and
+//! prints cross-seed confidence bands.
 
 use dcnr_core::cli::{parse_loadgen_args, parse_scenario_kind, parse_serve_args};
 use dcnr_core::telemetry::metrics::MetricsSnapshot;
@@ -12,10 +11,10 @@ use dcnr_core::telemetry::trace::TraceSnapshot;
 use dcnr_core::telemetry::{logger, Telemetry};
 use dcnr_core::{
     apply_scenario_flags, artifacts, checkpoint, loadgen, parse_sweep_args, phase_rows,
-    render_profile_json, render_profile_table, run_supervised, serve, telemetry_io, ArgScanner,
-    DcnrError, FaultPlan, InterDcStudy, RunContext, Scenario, StudyKind, SupervisorConfig,
-    SweepConfig,
+    render_profile_json, render_profile_table, run_sweep, serve, telemetry_io, ArgScanner,
+    DcnrError, InterDcStudy, RunContext, Scenario, StudyKind, SweepConfig,
 };
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -79,21 +78,19 @@ USAGE:
     dcnr sweep     [--scenario intra|backbone|chaos|routes|survivability]
                    [--seeds N]
                    [--jobs J] [--resamples B] [--confidence C]
-                   [--deadline SECS] [--retries K] [--max-failures F]
                    [--checkpoint DIR] [--resume DIR]
                    [--bench-json PATH] [scenario flags]
                    Run N replicas of one scenario (seeds derived from
-                   the master seed) on a J-wide supervised worker pool
-                   and print paper values against cross-seed confidence
-                   bands. A replica that panics is retried up to K
-                   times on a fresh derived seed, then quarantined; one
-                   that exceeds --deadline is abandoned. The sweep
-                   degrades to the survivors and exits nonzero only
-                   when more than F replicas failed.
+                   the master seed) on a J-wide worker pool and print
+                   paper values against cross-seed confidence bands.
+                   Every replica runs under its planned seed; one that
+                   panics fails the sweep (exit 1) with an error naming
+                   the replica and its seed.
                    --checkpoint persists each completed replica as a
                    JSON shard in DIR (doubling as a result cache);
                    --resume reloads DIR's manifest and shards and
-                   re-executes only the missing replicas, rendering
+                   re-executes only the missing replicas (and any shard
+                   not run under its planned seed), rendering
                    byte-identical output. --bench-json additionally
                    times the sweep at 1 and J workers, checks the
                    reports are byte-identical, and writes the wall
@@ -145,10 +142,6 @@ USAGE:
                    [--deadline-ms MS] [--min-success F]
                    [--bench-json PATH] [--bench-append]
                    [--timeout-secs T] [scenario flags]
-                   [--open-loop [--rate R] [--overload X]
-                   [--arrivals N] [--max-in-flight N]
-                   [--goodput-floor F] [--p99-cap-ms MS]
-                   [--health-floor F]]
                    Closed-loop load harness: N client threads drive a
                    running `dcnr serve` with a seeded artifact/scenario
                    request mix and report throughput and p50/p95/p99
@@ -163,22 +156,6 @@ USAGE:
                    forced, the verdict fails unless the eventual
                    success rate is >= --min-success (default 0.99) AND
                    no corruption went undetected.
-                   --open-loop is the overload harness: arrivals fire
-                   on their own seeded clock (Poisson at
-                   sustainable * --overload, default 2x) regardless of
-                   responses,
-                   bounded by --max-in-flight (excess arrivals are
-                   counted as client-dropped, not deferred). The
-                   sustainable rate is measured with a short
-                   closed-loop calibration unless --rate gives it.
-                   Requests are single-attempt (no retries — retrying
-                   would re-close the loop); health endpoints are
-                   probed throughout. The verdict fails unless goodput
-                   >= --goodput-floor (default 0.5) of sustainable,
-                   admitted p99 <= --p99-cap-ms (default 1000), and
-                   >= --health-floor (default 0.9) of health probes
-                   answer. Conflicts with --chaos, --verify,
-                   --clients, and --requests.
     dcnr artifact  ID [scenario flags]
                    Render one registry artifact (every ID is listed by
                    `dcnr artifact --list`) for the scenario — the same
@@ -202,11 +179,6 @@ USAGE:
                    Conditional-risk capacity planning over a simulated
                    backbone.
     dcnr help      Show this message.
-
-Environment:
-    DCNR_FAULT_REPLICA=idx[:panic|panic-once|hang][,...]
-                   Test hook: force sweep replica idx to panic or hang,
-                   exercising the supervision path end to end.
 ";
 
 /// The global flags every command accepts, stripped from argv before
@@ -384,14 +356,6 @@ fn cmd_sweep(
         }
     };
 
-    let sup = SupervisorConfig {
-        deadline: parsed.deadline.map(Duration::from_secs_f64),
-        retries: parsed.retries.unwrap_or(1),
-        max_failures: parsed.max_failures.unwrap_or(0),
-        checkpoint: checkpoint_dir,
-        faults: FaultPlan::from_env()?,
-    };
-
     // Reject bad settings before the progress line states them.
     config.check().map_err(DcnrError::Config)?;
     logger::info(format!(
@@ -401,35 +365,40 @@ fn cmd_sweep(
         config.jobs.min(config.seeds as usize)
     ));
     let started = Instant::now();
-    let out = run_supervised(config, &sup)?;
+    let out = run_sweep(config, checkpoint_dir.as_deref())?;
     let elapsed = started.elapsed();
     logger::info(format!("sweep finished in {:.2}s", elapsed.as_secs_f64()));
     print!("{}", out.rendered);
-    logger::info(out.supervision.trim_end_matches('\n'));
     if let (Some(m), Some(t)) = (out.replica_metrics.clone(), out.replica_trace.clone()) {
         *replica_telemetry = Some((m, t));
     }
 
     if let Some(path) = &parsed.bench_json {
-        write_bench_json(path, config, &sup, elapsed.as_secs_f64(), &out.rendered)?;
+        write_bench_json(
+            path,
+            config,
+            checkpoint_dir.as_deref(),
+            elapsed.as_secs_f64(),
+            &out.rendered,
+        )?;
     }
-    out.gate(sup.max_failures)
+    Ok(())
 }
 
 /// Re-times the sweep single-threaded, checks byte-identity against the
-/// parallel report, and records both wall clocks. Runs under the same
-/// supervision policy — so with a checkpoint directory the serial rerun
-/// is served from the shards the parallel run just wrote.
+/// parallel report, and records both wall clocks. Uses the same
+/// checkpoint directory, so a checkpointed serial rerun is served from
+/// the shards the parallel run just wrote.
 fn write_bench_json(
     path: &str,
     config: SweepConfig,
-    sup: &SupervisorConfig,
+    checkpoint: Option<&Path>,
     parallel_secs: f64,
     parallel_rendered: &str,
 ) -> Result<(), DcnrError> {
     logger::info("re-running the sweep on 1 worker for the benchmark baseline...");
     let started = Instant::now();
-    let serial = run_supervised(SweepConfig { jobs: 1, ..config }, sup)?;
+    let serial = run_sweep(SweepConfig { jobs: 1, ..config }, checkpoint)?;
     let serial_secs = started.elapsed().as_secs_f64();
     let identical = serial.rendered == parallel_rendered;
     if !identical {
@@ -456,7 +425,7 @@ fn write_bench_json(
         parallel_secs,
         serial_secs / parallel_secs.max(1e-9),
         identical,
-        serial.cache_hits()
+        serial.cache_hits
     );
     std::fs::write(path, json).map_err(|e| DcnrError::Io {
         path: path.to_string(),
@@ -513,25 +482,16 @@ fn cmd_serve(mut args: ArgScanner) -> Result<(), DcnrError> {
 /// `dcnr loadgen`: the closed-loop load harness. Flags the parser does
 /// not own (scenario flags) are passed through to the shared scenario
 /// path, so `dcnr loadgen --scale 0.25` means the same thing it does on
-/// every other subcommand.
+/// every other subcommand, and an unknown flag is a usage error there.
 fn cmd_loadgen(mut args: ArgScanner) -> Result<(), DcnrError> {
     let mut opts = parse_loadgen_args(&mut args)?;
     opts.scenario_args = args.into_rest();
-    if let Some(ol) = &opts.open_loop {
-        logger::info(format!(
-            "open-loop overload against http://{} ({} arrivals, {:.1}x)...",
-            opts.addr, ol.arrivals, ol.overload
-        ));
-        let report = loadgen::run_open_loop(&opts)?;
-        print!("{}", report.rendered);
-    } else {
-        logger::info(format!(
-            "driving http://{} with {} clients x {} requests...",
-            opts.addr, opts.clients, opts.requests
-        ));
-        let report = loadgen::run(&opts)?;
-        print!("{}", report.rendered);
-    }
+    logger::info(format!(
+        "driving http://{} with {} clients x {} requests...",
+        opts.addr, opts.clients, opts.requests
+    ));
+    let report = loadgen::run(&opts)?;
+    print!("{}", report.rendered);
     if let Some(path) = &opts.bench_json {
         logger::info(format!("wrote {path}"));
     }

@@ -16,9 +16,11 @@
 //! Exactness contract: floats are stored as IEEE-754 bit patterns
 //! (`u64` JSON integers, with a human-readable `*_text` companion), so
 //! a loaded shard reproduces the original [`Comparison`] values **bit
-//! for bit** — a resumed sweep aggregates to byte-identical output. A
-//! shard written by a retried attempt records which attempt produced
-//! it, because retries run under a fresh derived seed.
+//! for bit** — a resumed sweep aggregates to byte-identical output.
+//! Every shard names the seed it ran under; one whose seed is not its
+//! replica's planned seed belongs to another seed schedule and is
+//! never loaded. Shards still carry an `"attempt": 0` field, which no
+//! reader uses, so every version-1 shard keeps its bytes.
 
 use crate::error::DcnrError;
 use crate::experiments::Comparison;
@@ -36,10 +38,7 @@ pub const CHECKPOINT_VERSION: u64 = 1;
 pub struct ReplicaRecord {
     /// Replica index within the sweep.
     pub replica: usize,
-    /// Which attempt produced the result (0 = first run; retries run
-    /// under a fresh derived seed).
-    pub attempt: u32,
-    /// The seed the successful attempt actually ran under.
+    /// The seed the replica ran under.
     pub seed: u64,
     /// The replica's own acceptance verdict.
     pub passed: bool,
@@ -100,7 +99,7 @@ pub fn render_shard(record: &ReplicaRecord) -> String {
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"version\": {CHECKPOINT_VERSION},");
     let _ = writeln!(out, "  \"replica\": {},", record.replica);
-    let _ = writeln!(out, "  \"attempt\": {},", record.attempt);
+    let _ = writeln!(out, "  \"attempt\": 0,");
     let _ = writeln!(out, "  \"seed\": {},", record.seed);
     let _ = writeln!(out, "  \"passed\": {},", record.passed);
     let _ = writeln!(out, "  \"comparisons\": [");
@@ -132,7 +131,7 @@ pub fn write_shard(dir: &Path, record: &ReplicaRecord) -> Result<(), DcnrError> 
 /// Returns `Ok(None)` when the shard does not exist; a shard that
 /// exists but is malformed, claims a different replica index, or is
 /// from another checkpoint version yields a named
-/// [`DcnrError::Checkpoint`] (the supervisor records the reason and
+/// [`DcnrError::Checkpoint`] (a live sweep logs the reason and
 /// re-executes the replica).
 pub fn read_shard(dir: &Path, replica: usize) -> Result<Option<ReplicaRecord>, DcnrError> {
     let path = shard_path(dir, replica);
@@ -168,7 +167,6 @@ fn parse_shard(text: &str, replica: usize) -> Result<ReplicaRecord, String> {
     }
     Ok(ReplicaRecord {
         replica,
-        attempt: v.get("attempt")?.as_u64()? as u32,
         seed: v.get("seed")?.as_u64()?,
         passed: v.get("passed")?.as_bool()?,
         comparisons,
@@ -296,7 +294,7 @@ impl Manifest {
             confidence: self.confidence,
         };
         // The manifest stores no worker count: `jobs` is the caller's,
-        // and `run_supervised` checks it as a flag.
+        // and `run_sweep` checks it as a flag.
         SweepConfig { jobs: 1, ..config }
             .check()
             .map_err(|message| DcnrError::Checkpoint {
@@ -445,7 +443,6 @@ mod tests {
     fn record() -> ReplicaRecord {
         ReplicaRecord {
             replica: 3,
-            attempt: 1,
             seed: 0xDEAD_BEEF_0BAD_F00D,
             passed: true,
             comparisons: vec![
@@ -467,6 +464,10 @@ mod tests {
     fn shard_round_trips_bit_exactly() {
         let rec = record();
         let text = render_shard(&rec);
+        assert!(
+            text.contains("\n  \"attempt\": 0,\n"),
+            "version-1 bytes: {text}"
+        );
         let back = parse_shard(&text, 3).unwrap();
         assert_eq!(back, rec);
         assert_eq!(

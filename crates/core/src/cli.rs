@@ -7,7 +7,7 @@
 //! a [`Scenario`], and the one list of them (the report server's query
 //! strings and `dcnr loadgen` go through it too) — [`parse_scenario_kind`]
 //! for `--scenario`, and [`parse_sweep_args`], which owns the sweep's
-//! replication and supervision flags (including the `--resume` /
+//! replication and checkpoint flags (including the `--resume` /
 //! fresh-sweep conflict rules).
 //!
 //! The scanner accepts both `--name value` and `--name=value`, reports
@@ -143,7 +143,7 @@ pub fn apply_scenario_flags(args: &mut ArgScanner, base: Scenario) -> Result<Sce
     Ok(s)
 }
 
-/// The sweep subcommand's replication and supervision flags, parsed but
+/// The sweep subcommand's replication and checkpoint flags, parsed but
 /// not yet resolved against defaults (the binary owns the defaults so
 /// `--resume` can take them from the manifest instead).
 #[derive(Debug)]
@@ -163,12 +163,6 @@ pub struct SweepArgs {
     /// `--resume DIR`: reload the sweep definition from `DIR`'s
     /// manifest, skip completed shards, and keep checkpointing there.
     pub resume: Option<PathBuf>,
-    /// `--deadline SECS` per-replica watchdog wall clock.
-    pub deadline: Option<f64>,
-    /// `--retries K` transient-fault retry budget per replica.
-    pub retries: Option<u32>,
-    /// `--max-failures F` degraded-sweep exit-code gate.
-    pub max_failures: Option<u32>,
     /// `--bench-json PATH`.
     pub bench_json: Option<String>,
 }
@@ -202,9 +196,6 @@ pub fn parse_sweep_args(args: &mut ArgScanner) -> Result<SweepArgs, DcnrError> {
         confidence: args.value("--confidence")?,
         checkpoint: args.value::<String>("--checkpoint")?.map(PathBuf::from),
         resume: args.value::<String>("--resume")?.map(PathBuf::from),
-        deadline: args.value("--deadline")?,
-        retries: args.value("--retries")?,
-        max_failures: args.value("--max-failures")?,
         bench_json: args.value("--bench-json")?,
     };
     if parsed.resume.is_some() {
@@ -221,13 +212,6 @@ pub fn parse_sweep_args(args: &mut ArgScanner) -> Result<SweepArgs, DcnrError> {
                      it conflicts with {flag}"
                 )));
             }
-        }
-    }
-    if let Some(secs) = parsed.deadline {
-        if !secs.is_finite() || secs <= 0.0 {
-            return Err(DcnrError::Usage(format!(
-                "--deadline must be a positive number of seconds, got {secs}"
-            )));
         }
     }
     Ok(parsed)
@@ -312,22 +296,12 @@ pub fn parse_loadgen_args(
     if let Some(addr) = args.value::<String>("--addr")? {
         opts.addr = addr;
     }
-    // Presence is remembered per flag: `--open-loop` owns the
-    // concurrency knobs, and an explicit closed-loop `--clients` /
-    // `--requests` alongside it is a conflict, not a silent ignore.
-    let clients_flag = args.value::<usize>("--clients")?;
-    let requests_flag = args.value::<usize>("--requests")?;
-    let scenario_seeds_flag = args.value::<usize>("--scenario-seeds")?;
-    for (name, value, slot) in [
-        ("--clients", clients_flag, &mut opts.clients),
-        ("--requests", requests_flag, &mut opts.requests),
-        (
-            "--scenario-seeds",
-            scenario_seeds_flag,
-            &mut opts.scenario_seeds,
-        ),
+    for (name, slot) in [
+        ("--clients", &mut opts.clients),
+        ("--requests", &mut opts.requests),
+        ("--scenario-seeds", &mut opts.scenario_seeds),
     ] {
-        if let Some(n) = value {
+        if let Some(n) = args.value::<usize>(name)? {
             if n == 0 {
                 return Err(DcnrError::Usage(format!("{name} must be positive")));
             }
@@ -384,112 +358,7 @@ pub fn parse_loadgen_args(
             "--bench-append requires --bench-json PATH".into(),
         ));
     }
-    opts.open_loop = parse_open_loop_flags(args, &opts, clients_flag, requests_flag)?;
     Ok(opts)
-}
-
-/// The `--open-loop` flag family. Scans every open-loop flag
-/// unconditionally (so none can leak into the scenario remainder),
-/// then enforces the conflict rules: open-loop-only flags require
-/// `--open-loop`; `--open-loop` rejects `--chaos`, `--verify`, and
-/// explicit closed-loop `--clients`/`--requests`.
-fn parse_open_loop_flags(
-    args: &mut ArgScanner,
-    opts: &crate::loadgen::LoadgenOptions,
-    clients_flag: Option<usize>,
-    requests_flag: Option<usize>,
-) -> Result<Option<crate::loadgen::OpenLoopOptions>, DcnrError> {
-    let open_loop = args.flag("--open-loop");
-    let rate = args.value::<f64>("--rate")?;
-    let overload = args.value::<f64>("--overload")?;
-    let arrivals = args.value::<usize>("--arrivals")?;
-    let max_in_flight = args.value::<usize>("--max-in-flight")?;
-    let goodput_floor = args.value::<f64>("--goodput-floor")?;
-    let p99_cap_ms = args.value::<u64>("--p99-cap-ms")?;
-    let health_floor = args.value::<f64>("--health-floor")?;
-    if !open_loop {
-        let offenders = [
-            ("--rate", rate.is_some()),
-            ("--overload", overload.is_some()),
-            ("--arrivals", arrivals.is_some()),
-            ("--max-in-flight", max_in_flight.is_some()),
-            ("--goodput-floor", goodput_floor.is_some()),
-            ("--p99-cap-ms", p99_cap_ms.is_some()),
-            ("--health-floor", health_floor.is_some()),
-        ];
-        if let Some((name, _)) = offenders.iter().find(|(_, present)| *present) {
-            return Err(DcnrError::Usage(format!("{name} requires --open-loop")));
-        }
-        return Ok(None);
-    }
-    if opts.chaos {
-        return Err(DcnrError::Usage(
-            "--open-loop conflicts with --chaos (one harness per run)".into(),
-        ));
-    }
-    if opts.verify {
-        return Err(DcnrError::Usage(
-            "--open-loop conflicts with --verify (single-attempt requests are not verified)".into(),
-        ));
-    }
-    for (name, present) in [
-        ("--clients", clients_flag.is_some()),
-        ("--requests", requests_flag.is_some()),
-    ] {
-        if present {
-            return Err(DcnrError::Usage(format!(
-                "{name} is a closed-loop knob; --open-loop sizes itself with --arrivals/--max-in-flight"
-            )));
-        }
-    }
-    let mut ol = crate::loadgen::OpenLoopOptions::default();
-    if let Some(r) = rate {
-        if !r.is_finite() || r <= 0.0 {
-            return Err(DcnrError::Usage(format!(
-                "--rate must be positive, got {r}"
-            )));
-        }
-        ol.rate = Some(r);
-    }
-    if let Some(x) = overload {
-        if !x.is_finite() || x <= 0.0 {
-            return Err(DcnrError::Usage(format!(
-                "--overload must be positive, got {x}"
-            )));
-        }
-        ol.overload = x;
-    }
-    for (name, value, slot) in [
-        ("--arrivals", arrivals, &mut ol.arrivals),
-        ("--max-in-flight", max_in_flight, &mut ol.max_in_flight),
-    ] {
-        if let Some(n) = value {
-            if n == 0 {
-                return Err(DcnrError::Usage(format!("{name} must be positive")));
-            }
-            *slot = n;
-        }
-    }
-    for (name, value, slot) in [
-        ("--goodput-floor", goodput_floor, &mut ol.goodput_floor),
-        ("--health-floor", health_floor, &mut ol.health_floor),
-    ] {
-        if let Some(f) = value {
-            if !f.is_finite() || !(0.0..=1.0).contains(&f) {
-                return Err(DcnrError::Usage(format!(
-                    "{name} must be in [0, 1], got {f}"
-                )));
-            }
-            *slot = f;
-        }
-    }
-    if let Some(ms) = p99_cap_ms {
-        if ms == 0 {
-            return Err(DcnrError::Usage("--p99-cap-ms must be positive".into()));
-        }
-        ol.p99_cap = std::time::Duration::from_millis(ms);
-    }
-    Ok(Some(ol))
 }
 
 #[cfg(test)]
@@ -596,19 +465,17 @@ mod tests {
     }
 
     #[test]
-    fn sweep_args_parse_the_supervision_flags() {
+    fn sweep_args_parse_the_replication_flags() {
         let mut a = scan(&[
             "--scenario",
             "backbone",
             "--seeds",
             "6",
             "--jobs=3",
-            "--deadline",
-            "30",
-            "--retries",
-            "2",
-            "--max-failures",
-            "1",
+            "--resamples",
+            "200",
+            "--confidence",
+            "0.9",
             "--checkpoint",
             "/tmp/ckpt",
         ]);
@@ -617,11 +484,25 @@ mod tests {
         assert_eq!(s.scenario, Some(StudyKind::Backbone));
         assert_eq!(s.seeds, Some(6));
         assert_eq!(s.jobs, Some(3));
-        assert_eq!(s.deadline, Some(30.0));
-        assert_eq!(s.retries, Some(2));
-        assert_eq!(s.max_failures, Some(1));
+        assert_eq!(s.resamples, Some(200));
+        assert_eq!(s.confidence, Some(0.9));
         assert_eq!(s.checkpoint, Some(PathBuf::from("/tmp/ckpt")));
         assert!(s.resume.is_none());
+    }
+
+    #[test]
+    fn removed_supervision_flags_are_unrecognized_usage_errors() {
+        for case in [
+            &["--retries", "0"][..],
+            &["--deadline", "30"],
+            &["--max-failures", "1"],
+        ] {
+            let mut a = scan(case);
+            parse_sweep_args(&mut a).unwrap();
+            let err = a.finish().unwrap_err();
+            assert_eq!(err.kind(), "usage", "{case:?}: {err}");
+            assert!(err.to_string().contains(case[0]), "{case:?}: {err}");
+        }
     }
 
     #[test]
@@ -651,21 +532,12 @@ mod tests {
             let err = parse_sweep_args(&mut a).unwrap_err();
             assert_eq!(err.kind(), "usage", "{conflicting:?}");
         }
-        // --resume with only execution-strategy flags is fine.
-        let mut a = scan(&["--resume", "/tmp/run", "--jobs", "2", "--retries", "0"]);
+        // --resume with only the worker count is fine.
+        let mut a = scan(&["--resume", "/tmp/run", "--jobs", "2"]);
         let s = parse_sweep_args(&mut a).unwrap();
+        a.finish().unwrap();
         assert_eq!(s.resume, Some(PathBuf::from("/tmp/run")));
         assert_eq!(s.jobs, Some(2));
-    }
-
-    #[test]
-    fn sweep_deadline_must_be_positive() {
-        for bad in ["0", "-3", "NaN"] {
-            let mut a = scan(&["--deadline", bad]);
-            let err = parse_sweep_args(&mut a).unwrap_err();
-            assert_eq!(err.kind(), "usage", "--deadline {bad}");
-            assert!(err.to_string().contains("--deadline"), "{err}");
-        }
     }
 
     #[test]
@@ -783,67 +655,6 @@ mod tests {
         assert!(opts.verify);
         // --scale stays unconsumed for apply_scenario_flags.
         assert_eq!(a.into_rest(), vec!["--scale", "0.25"]);
-    }
-
-    #[test]
-    fn open_loop_flags_parse_without_a_default_bench_path() {
-        let mut a = scan(&[
-            "--open-loop",
-            "--rate",
-            "200",
-            "--overload=2.5",
-            "--arrivals",
-            "500",
-            "--max-in-flight",
-            "32",
-            "--goodput-floor",
-            "0.4",
-            "--p99-cap-ms",
-            "1500",
-            "--health-floor",
-            "0.8",
-        ]);
-        let opts = parse_loadgen_args(&mut a).unwrap();
-        a.finish().unwrap();
-        let ol = opts.open_loop.expect("--open-loop parsed");
-        assert_eq!(ol.rate, Some(200.0));
-        assert_eq!(ol.overload, 2.5);
-        assert_eq!(ol.arrivals, 500);
-        assert_eq!(ol.max_in_flight, 32);
-        assert_eq!(ol.goodput_floor, 0.4);
-        assert_eq!(ol.p99_cap, std::time::Duration::from_millis(1500));
-        assert_eq!(ol.health_floor, 0.8);
-        assert_eq!(opts.bench_json, None, "--open-loop writes no unnamed file");
-    }
-
-    #[test]
-    fn open_loop_conflicts_are_usage_errors() {
-        // Every conflict must surface as a usage error (exit 2), with
-        // the offending flag named.
-        let cases: &[&[&str]] = &[
-            &["--rate", "100"],                  // open-loop-only flag, no --open-loop
-            &["--goodput-floor", "0.5"],         // likewise
-            &["--open-loop", "--chaos"],         // one harness per run
-            &["--open-loop", "--verify"],        // unverifiable single attempts
-            &["--open-loop", "--clients", "4"],  // closed-loop knob
-            &["--open-loop", "--requests", "9"], // closed-loop knob
-            &["--open-loop", "--rate", "0"],     // bad values
-            &["--open-loop", "--overload", "-1"],
-            &["--open-loop", "--arrivals", "0"],
-            &["--open-loop", "--goodput-floor", "1.5"],
-            &["--open-loop", "--p99-cap-ms", "0"],
-        ];
-        for case in cases {
-            let mut a = scan(case);
-            let err = parse_loadgen_args(&mut a).unwrap_err();
-            assert_eq!(err.kind(), "usage", "{case:?}: {err}");
-            assert_eq!(err.exit_code(), 2, "{case:?} must exit 2");
-        }
-        // --scenario-seeds stays legal: it shapes the mix, not the loop.
-        let mut a = scan(&["--open-loop", "--scenario-seeds", "3"]);
-        let opts = parse_loadgen_args(&mut a).unwrap();
-        assert_eq!(opts.scenario_seeds, 3);
-        assert!(opts.open_loop.is_some());
     }
 
     #[test]

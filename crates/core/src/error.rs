@@ -1,19 +1,17 @@
 //! The typed error taxonomy for the study toolkit.
 //!
 //! Everything that can go wrong on an expected path — bad knobs, CLI
-//! misuse, checkpoint corruption, a replica panicking or blowing its
-//! watchdog deadline — is a [`DcnrError`] variant instead of a panic or
-//! an ad-hoc `String`. Panics remain possible in genuinely unexpected
-//! code paths; the supervision layer catches those with
-//! [`std::panic::catch_unwind`] and converts them into
-//! [`DcnrError::Panic`] so one bad replica never takes down a sweep.
+//! misuse, checkpoint corruption, a replica panicking — is a
+//! [`DcnrError`] variant instead of a panic or an ad-hoc `String`.
+//! Panics remain possible in genuinely unexpected code paths; the
+//! scenario runner and the sweep's replica pool catch those with
+//! [`std::panic::catch_unwind`] and convert them into
+//! [`DcnrError::Panic`], which names where the panic happened (for a
+//! sweep replica, its index and planned seed) and exits 1.
 //!
-//! The taxonomy also encodes the *policy* each failure class gets:
-//! usage errors exit with a distinct code, panics are retriable by the
-//! supervisor, deadline kills are quarantined immediately (a hang that
-//! ate one deadline is presumed to eat the next one too), and
-//! [`DcnrError::Failed`] marks runs that completed but failed their
-//! acceptance gate.
+//! The taxonomy also encodes the exit code each failure class gets:
+//! usage errors exit 2, everything else 1, and [`DcnrError::Failed`]
+//! marks runs that completed but failed their acceptance gate.
 
 use std::fmt;
 
@@ -43,26 +41,16 @@ pub enum DcnrError {
         message: String,
     },
     /// A caught panic — from a sweep replica or a directly-executed
-    /// scenario. Never escapes the supervision boundary as an unwind.
+    /// scenario. Never escapes its `catch_unwind` boundary as an
+    /// unwind.
     Panic {
         /// Where the panic was caught (e.g. `replica 3 (seed 0x..)`).
         context: String,
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// A replica exceeded its wall-clock watchdog deadline and was
-    /// abandoned.
-    Deadline {
-        /// Replica index within the sweep.
-        replica: usize,
-        /// The seed the killed attempt ran under.
-        seed: u64,
-        /// The configured deadline, in seconds.
-        secs: f64,
-    },
-    /// The run completed but failed its acceptance gate (chaos drift
-    /// outside tolerance, or more failed replicas than `--max-failures`
-    /// allows).
+    /// The run completed but failed its acceptance gate (e.g. chaos
+    /// drift outside tolerance).
     Failed(String),
 }
 
@@ -75,19 +63,8 @@ impl DcnrError {
             DcnrError::Io { .. } => "io",
             DcnrError::Checkpoint { .. } => "checkpoint",
             DcnrError::Panic { .. } => "panic",
-            DcnrError::Deadline { .. } => "deadline",
             DcnrError::Failed(_) => "failed",
         }
-    }
-
-    /// Whether the supervisor may retry a replica that failed this way.
-    ///
-    /// Panics are retried (bounded, on a fresh derived seed stream):
-    /// the fault may be seed- or environment-dependent. Deadline kills
-    /// are not — a hang already cost one full deadline, and retrying it
-    /// would cost another, so it is quarantined on first occurrence.
-    pub fn is_retriable(&self) -> bool {
-        matches!(self, DcnrError::Panic { .. })
     }
 
     /// The process exit code this error maps to: `2` for CLI misuse
@@ -112,14 +89,6 @@ impl fmt::Display for DcnrError {
             DcnrError::Panic { context, message } => {
                 write!(f, "panic in {context}: {message}")
             }
-            DcnrError::Deadline {
-                replica,
-                seed,
-                secs,
-            } => write!(
-                f,
-                "replica {replica} (seed {seed:#x}) exceeded the {secs}s deadline"
-            ),
             DcnrError::Failed(msg) => write!(f, "{msg}"),
         }
     }
@@ -151,28 +120,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("replica 3") && s.contains("boom"), "{s}");
-        let d = DcnrError::Deadline {
-            replica: 1,
-            seed: 0xAB,
-            secs: 2.5,
-        };
-        assert!(d.to_string().contains("2.5s"), "{d}");
-    }
-
-    #[test]
-    fn retry_policy_by_class() {
-        let panic = DcnrError::Panic {
-            context: "x".into(),
-            message: "y".into(),
-        };
-        assert!(panic.is_retriable());
-        let deadline = DcnrError::Deadline {
-            replica: 0,
-            seed: 1,
-            secs: 1.0,
-        };
-        assert!(!deadline.is_retriable());
-        assert!(!DcnrError::Config("x".into()).is_retriable());
     }
 
     #[test]

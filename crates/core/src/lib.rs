@@ -35,19 +35,17 @@
 //!   [`dcnr_topology::zoo`] member (cf. arXiv:1510.02735) and seeded
 //!   Monte-Carlo fleet-lifespan replays (cf. arXiv:1401.7528).
 //! * [`sweep`] — the multi-seed sweep runner: N derived-seed replicas
-//!   on a supervised worker pool, folded into cross-seed confidence
-//!   bands ([`dcnr_stats::aggregate`](mod@dcnr_stats::aggregate));
-//!   byte-identical output for any worker count.
-//! * [`supervisor`] — the sweep supervision layer: panic-isolated
-//!   replica attempts, watchdog deadlines, bounded retry with fresh
-//!   derived seeds, quarantine, and fault injection for testing the
-//!   supervisor itself.
+//!   on a worker pool, each under its planned seed, folded into
+//!   cross-seed confidence bands
+//!   ([`dcnr_stats::aggregate`](mod@dcnr_stats::aggregate));
+//!   byte-identical output for any worker count, and a replica panic
+//!   fails the sweep naming the replica and its seed.
 //! * [`checkpoint`] — per-replica JSON result shards plus a sweep
 //!   manifest, the substrate behind `dcnr sweep --checkpoint` /
 //!   `--resume` and cross-run replica caching.
 //! * [`error`] — the [`DcnrError`] taxonomy every fallible layer of the
 //!   engine reports through (config, usage, I/O, checkpoint, panic,
-//!   deadline, failed-acceptance).
+//!   failed-acceptance).
 //! * [`cli`] — the shared flag scanner behind every `dcnr` subcommand,
 //!   and the one list of scenario flags.
 //! * [`report`] — plain-text rendering of tables and figure series in
@@ -65,18 +63,11 @@
 //! * [`loadgen`] — the `dcnr loadgen` closed-loop load harness: seeded
 //!   request mixes, byte-for-byte response verification, and bench
 //!   records written with `--bench-json PATH`; `--chaos` turns it into
-//!   a resilience harness with a pass/fail verdict; `--open-loop` turns
-//!   it into the overload harness (seeded open-loop arrivals at a
-//!   multiple of the sustainable rate, goodput / admitted-p99 / health
-//!   verdict).
+//!   a resilience harness with a pass/fail verdict.
 //! * [`resilience`] — client-side retries: deterministic capped
 //!   jittered backoff, per-request deadlines, `Retry-After` honoring,
 //!   and outcome classification (ok / retried-ok / shed / gave-up /
 //!   corrupt) over the `dcnr-server` client.
-//! * [`traffic`] — the seeded open-loop traffic model: a lazily drawn
-//!   Poisson arrival stream with per-arrival request-mix draws on an
-//!   independent seed stream; the demand side of `dcnr loadgen
-//!   --open-loop`.
 //!
 //! ## Quickstart
 //!
@@ -109,11 +100,9 @@ pub mod resilience;
 pub mod routes;
 pub mod scenario;
 pub mod serve;
-pub mod supervisor;
 pub mod survivability;
 pub mod sweep;
 pub mod telemetry_io;
-pub mod traffic;
 
 pub use artifacts::Artifact;
 pub use checkpoint::{Manifest, ReplicaRecord};
@@ -122,18 +111,14 @@ pub use error::DcnrError;
 pub use experiments::{Comparison, Experiment, ExperimentOutcome};
 pub use inter::InterDcStudy;
 pub use intra::{IntraDcStudy, StudyConfig};
-pub use loadgen::{LoadReport, LoadgenOptions, OpenLoopOptions, OverloadReport};
+pub use loadgen::{LoadReport, LoadgenOptions};
 pub use profile::{phase_rows, render_profile_json, render_profile_table, PhaseRow};
 pub use resilience::{resilient_get, FetchResult, Outcome, RetryCauses, RetryPolicy};
 pub use routes::{RoutesConfig, RoutesStudy};
 pub use scenario::{RunContext, Scenario, ScenarioOutcome, StudyKind};
 pub use serve::{RunningServer, ServeOptions};
-pub use supervisor::{
-    FaultMode, FaultPlan, FaultSpec, ReplicaOutcome, ReplicaStatus, SupervisorConfig, FAULT_ENV,
-};
 pub use survivability::{SurvivabilityConfig, SurvivabilityStudy};
-pub use sweep::{run_supervised, run_sweep, SweepConfig, SweepOutcome, SweepRow};
-pub use traffic::{Arrival, TrafficConfig};
+pub use sweep::{run_sweep, SweepConfig, SweepOutcome, SweepRow};
 
 // Re-export the substrate crates under one roof so downstream users and
 // the examples need a single dependency.

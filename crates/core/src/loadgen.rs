@@ -22,10 +22,7 @@
 //! the run becomes a resilience harness: it assumes the server is
 //! fault-injected, forces verification, and emits a pass/fail verdict
 //! (eventual-success rate ≥ `min_success`, undetected corruption
-//! exactly zero). With `--open-loop` it is the overload harness
-//! ([`run_open_loop`]): seeded Poisson arrivals from
-//! [`crate::traffic`] fire on their own clock at a multiple of the
-//! sustainable rate. Every mode writes its bench record only when
+//! exactly zero). Either mode writes its bench record only when
 //! `--bench-json PATH` names one.
 
 use crate::artifacts;
@@ -35,15 +32,12 @@ use crate::json;
 use crate::resilience::{self, Outcome, RetryCauses, RetryPolicy};
 use crate::scenario::Scenario;
 use crate::serve;
-use crate::traffic;
 use dcnr_server::client;
 use dcnr_sim::rng::derive_indexed_seed;
 use dcnr_sim::{seed_sequence, stream_rng};
 use rand::Rng;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Everything one `dcnr loadgen` run needs.
@@ -81,52 +75,6 @@ pub struct LoadgenOptions {
     pub chaos: bool,
     /// Minimum eventual-success rate the chaos verdict requires.
     pub min_success: f64,
-    /// Open-loop overload harness (`--open-loop`): `Some` switches the
-    /// run to [`run_open_loop`] and conflicts with `chaos`/`verify`.
-    pub open_loop: Option<OpenLoopOptions>,
-}
-
-/// The largest `--max-in-flight` an open-loop run accepts. The run
-/// starts one worker thread per unit before it dispatches anything.
-const MAX_IN_FLIGHT: usize = 256;
-
-/// Knobs for the `--open-loop` overload harness.
-#[derive(Debug, Clone)]
-pub struct OpenLoopOptions {
-    /// Sustainable rate (req/s) to scale the overload factor from;
-    /// `None` measures it with a short closed-loop calibration run.
-    pub rate: Option<f64>,
-    /// Offered load as a multiple of the sustainable rate.
-    pub overload: f64,
-    /// Total arrivals to schedule.
-    pub arrivals: usize,
-    /// Client-side concurrency bound: arrivals past this many
-    /// outstanding requests are dropped client-side (counted), keeping
-    /// the generator honest instead of turning into a connect flood.
-    /// Each unit is a worker thread, so at most 256.
-    pub max_in_flight: usize,
-    /// Verdict: goodput must stay at or above this fraction of the
-    /// sustainable rate.
-    pub goodput_floor: f64,
-    /// Verdict: p99 latency of *admitted* (200) requests must stay at
-    /// or below this.
-    pub p99_cap: Duration,
-    /// Verdict: at least this fraction of health probes must answer.
-    pub health_floor: f64,
-}
-
-impl Default for OpenLoopOptions {
-    fn default() -> Self {
-        Self {
-            rate: None,
-            overload: 2.0,
-            arrivals: 1000,
-            max_in_flight: 64,
-            goodput_floor: 0.5,
-            p99_cap: Duration::from_secs(1),
-            health_floor: 0.9,
-        }
-    }
 }
 
 impl Default for LoadgenOptions {
@@ -146,7 +94,6 @@ impl Default for LoadgenOptions {
             policy: RetryPolicy::default(),
             chaos: false,
             min_success: 0.99,
-            open_loop: None,
         }
     }
 }
@@ -659,445 +606,6 @@ fn write_bench(path: &str, append: bool, report: &LoadReport) -> Result<(), Dcnr
     Ok(())
 }
 
-/// Aggregated result of one open-loop overload run.
-#[derive(Debug, Clone)]
-pub struct OverloadReport {
-    /// The sustainable rate the overload factor was applied to (req/s).
-    pub sustainable_rps: f64,
-    /// `"measured"` (closed-loop calibration) or `"given"` (`--rate`).
-    pub rate_source: &'static str,
-    /// The offered open-loop rate (`sustainable * overload`).
-    pub offered_rps: f64,
-    /// The overload multiple.
-    pub overload: f64,
-    /// Arrivals scheduled by the traffic model.
-    pub arrivals: usize,
-    /// Arrivals actually dispatched to the server.
-    pub dispatched: usize,
-    /// Arrivals dropped client-side at the in-flight bound.
-    pub client_dropped: usize,
-    /// Dispatched requests answered 200 (goodput; includes stale).
-    pub good: usize,
-    /// Of the `good` responses, how many were flagged `X-Dcnr-Stale`.
-    pub stale: usize,
-    /// Dispatched requests shed with 503.
-    pub shed: usize,
-    /// Dispatched requests that failed on transport or other statuses.
-    pub errors: usize,
-    /// 200 responses per second of overload-phase wall clock.
-    pub goodput_rps: f64,
-    /// Latency percentiles over *admitted* (200) requests, µs:
-    /// (p50, p95, p99, mean, max).
-    pub admitted_latency_micros: (u64, u64, u64, u64, u64),
-    /// Health probes issued while the overload ran.
-    pub health_probes: usize,
-    /// Health probes answered 200.
-    pub health_ok: usize,
-    /// Overload-phase wall clock.
-    pub wall: Duration,
-    /// The goodput floor (fraction of sustainable) the verdict requires.
-    pub goodput_floor: f64,
-    /// The admitted-p99 cap the verdict requires.
-    pub p99_cap: Duration,
-    /// The health answer-rate floor the verdict requires.
-    pub health_floor: f64,
-    /// Human-readable report.
-    pub rendered: String,
-}
-
-impl OverloadReport {
-    /// The overload verdict: under ≥ the configured overload multiple,
-    /// goodput holds the floor, the admitted-request tail stays
-    /// bounded, and health probes keep answering.
-    pub fn verdict_pass(&self) -> bool {
-        self.goodput_rps >= self.goodput_floor * self.sustainable_rps
-            && Duration::from_micros(self.admitted_latency_micros.2) <= self.p99_cap
-            && self.health_probes > 0
-            && self.health_ok as f64 >= self.health_floor * self.health_probes as f64
-    }
-}
-
-/// Per-worker tallies for the open-loop dispatcher.
-#[derive(Debug, Default)]
-struct OpenTally {
-    good: usize,
-    stale: usize,
-    shed: usize,
-    errors: usize,
-    latencies: Vec<u64>,
-}
-
-/// The dispatcher/worker rendezvous: a plain bounded-by-`in_flight`
-/// job queue. `in_flight` counts jobs queued *or* executing, so the
-/// bound covers total outstanding work, not just the backlog.
-struct OpenLoopShared {
-    jobs: Mutex<VecDeque<(u64, usize)>>,
-    available: Condvar,
-    closed: AtomicBool,
-    in_flight: AtomicUsize,
-}
-
-/// Runs the open-loop overload harness: calibrate (or take `--rate`),
-/// schedule `arrivals` with the seeded traffic model at
-/// `sustainable * overload`, dispatch them on their own clock with a
-/// bounded in-flight cap, probe health throughout, and render a
-/// pass/fail verdict. Fails with [`DcnrError::Failed`] when the
-/// verdict does not pass (after writing the bench record).
-pub fn run_open_loop(opts: &LoadgenOptions) -> Result<OverloadReport, DcnrError> {
-    let Some(ol) = &opts.open_loop else {
-        return Err(DcnrError::Usage(
-            "run_open_loop requires open_loop options".into(),
-        ));
-    };
-    if opts.chaos || opts.verify {
-        return Err(DcnrError::Usage(
-            "--open-loop conflicts with --chaos and --verify".into(),
-        ));
-    }
-    if !(1..=MAX_IN_FLIGHT).contains(&ol.max_in_flight) {
-        return Err(DcnrError::Usage(format!(
-            "--max-in-flight must be in 1..={MAX_IN_FLIGHT}, got {}",
-            ol.max_in_flight
-        )));
-    }
-    let mix = build_mix(opts)?;
-
-    // Phase 1: the sustainable rate — measured closed-loop unless given.
-    let (sustainable, rate_source) = match ol.rate {
-        Some(rate) => (rate, "given"),
-        None => {
-            let calib = LoadgenOptions {
-                clients: 4,
-                requests: 32,
-                verify: false,
-                chaos: false,
-                bench_json: None,
-                bench_append: false,
-                open_loop: None,
-                ..opts.clone()
-            };
-            (run(&calib)?.throughput_rps, "measured")
-        }
-    };
-    if !sustainable.is_finite() || sustainable <= 0.0 {
-        return Err(DcnrError::Failed(format!(
-            "open-loop: sustainable rate {sustainable} is unusable"
-        )));
-    }
-    let offered = sustainable * ol.overload;
-
-    // Phase 2: the arrival schedule, drawn as the dispatcher consumes it.
-    let cfg = traffic::TrafficConfig {
-        seed: opts.mix_seed,
-        rate_per_sec: offered,
-        arrivals: ol.arrivals,
-        mix_entries: u32::try_from(mix.len())
-            .map_err(|_| DcnrError::Usage("open-loop: mix too large".into()))?,
-    };
-    let arrivals = traffic::generate(&cfg)?;
-
-    // Phase 3: open-loop dispatch. The dispatcher owns the clock and
-    // never waits on a response; workers do single-attempt requests (a
-    // retry layer would re-close the loop and hide the overload).
-    let shared = Arc::new(OpenLoopShared {
-        jobs: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-        closed: AtomicBool::new(false),
-        in_flight: AtomicUsize::new(0),
-    });
-    let mix = Arc::new(mix);
-    let started = Instant::now();
-    // No more workers than arrivals: that many can never be busy.
-    let workers: Vec<_> = (0..ol.max_in_flight.min(cfg.arrivals))
-        .map(|i| {
-            let shared = shared.clone();
-            let mix = mix.clone();
-            let addr = opts.addr.clone();
-            let timeout = opts.timeout;
-            std::thread::Builder::new()
-                .name(format!("dcnr-openloop-{i}"))
-                .spawn(move || open_loop_worker(&shared, &mix, &addr, timeout))
-                .map_err(|e| DcnrError::Failed(format!("spawn open-loop worker: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
-    let prober = {
-        let addr = opts.addr.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("dcnr-openloop-health".into())
-            .spawn(move || health_prober(&addr, &flag))
-            .map_err(|e| DcnrError::Failed(format!("spawn health prober: {e}")))?;
-        (handle, stop)
-    };
-
-    let mut client_dropped = 0usize;
-    let mut dispatched = 0usize;
-    for arrival in arrivals {
-        let due = started + Duration::from_micros(arrival.at_micros);
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
-        }
-        // The in-flight bound is what keeps the generator open-loop
-        // *and* honest: beyond it the arrival is recorded as dropped
-        // rather than silently deferred (which would close the loop).
-        if shared.in_flight.load(Ordering::Acquire) >= ol.max_in_flight {
-            client_dropped += 1;
-            continue;
-        }
-        shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        let mut jobs = lock_unpoisoned(&shared.jobs);
-        jobs.push_back((arrival.at_micros, arrival.mix as usize % mix.len()));
-        drop(jobs);
-        shared.available.notify_one();
-        dispatched += 1;
-    }
-    shared.closed.store(true, Ordering::SeqCst);
-    shared.available.notify_all();
-    let mut tally = OpenTally::default();
-    for w in workers {
-        let t = w
-            .join()
-            .map_err(|_| DcnrError::Failed("open-loop worker panicked".into()))?;
-        tally.good += t.good;
-        tally.stale += t.stale;
-        tally.shed += t.shed;
-        tally.errors += t.errors;
-        tally.latencies.extend(t.latencies);
-    }
-    let wall = started.elapsed();
-    prober.1.store(true, Ordering::SeqCst);
-    let (health_probes, health_ok) = prober
-        .0
-        .join()
-        .map_err(|_| DcnrError::Failed("health prober panicked".into()))?;
-
-    tally.latencies.sort_unstable();
-    let admitted_latency_micros = latency_summary(&tally.latencies);
-    let goodput_rps = tally.good as f64 / wall.as_secs_f64().max(1e-9);
-
-    let mut report = OverloadReport {
-        sustainable_rps: sustainable,
-        rate_source,
-        offered_rps: cfg.rate_per_sec,
-        overload: cfg.rate_per_sec / sustainable,
-        arrivals: cfg.arrivals,
-        dispatched,
-        client_dropped,
-        good: tally.good,
-        stale: tally.stale,
-        shed: tally.shed,
-        errors: tally.errors,
-        goodput_rps,
-        admitted_latency_micros,
-        health_probes,
-        health_ok,
-        wall,
-        goodput_floor: ol.goodput_floor,
-        p99_cap: ol.p99_cap,
-        health_floor: ol.health_floor,
-        rendered: String::new(),
-    };
-    let mut rendered = String::new();
-    let _ = writeln!(rendered, "open-loop overload against http://{}", opts.addr);
-    let _ = writeln!(
-        rendered,
-        "  sustainable {sustainable:.1} req/s ({rate_source})  offered {:.1} req/s ({:.2}x)  arrivals {}",
-        report.offered_rps, report.overload, report.arrivals
-    );
-    let _ = writeln!(
-        rendered,
-        "  dispatched {}  client-dropped {}  good {}  stale {}  shed {}  errors {}  wall {:.3}s",
-        report.dispatched,
-        report.client_dropped,
-        report.good,
-        report.stale,
-        report.shed,
-        report.errors,
-        wall.as_secs_f64()
-    );
-    let _ = writeln!(
-        rendered,
-        "  goodput {goodput_rps:.1} req/s (floor {:.1})  admitted p50 {} p99 {} max {} micros (cap {})",
-        report.goodput_floor * sustainable,
-        admitted_latency_micros.0,
-        admitted_latency_micros.2,
-        admitted_latency_micros.4,
-        report.p99_cap.as_micros()
-    );
-    let _ = writeln!(
-        rendered,
-        "  health {}/{} answered (floor {:.0}%)",
-        report.health_ok,
-        report.health_probes,
-        report.health_floor * 100.0
-    );
-    let _ = writeln!(
-        rendered,
-        "  overload verdict: {}",
-        if report.verdict_pass() {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    report.rendered = rendered;
-
-    if let Some(path) = &opts.bench_json {
-        write_overload_bench(path, &report)?;
-    }
-    if !report.verdict_pass() {
-        return Err(DcnrError::Failed(format!(
-            "open-loop overload verdict FAIL: goodput {:.1}/{:.1} req/s, admitted p99 {}µs (cap {}µs), health {}/{}",
-            report.goodput_rps,
-            report.goodput_floor * report.sustainable_rps,
-            report.admitted_latency_micros.2,
-            report.p99_cap.as_micros(),
-            report.health_ok,
-            report.health_probes
-        )));
-    }
-    Ok(report)
-}
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// One open-loop worker: single-attempt GETs, no retries, outcome
-/// classification only. Latency is recorded for admitted (200)
-/// responses — that is the tail the verdict bounds.
-fn open_loop_worker(
-    shared: &OpenLoopShared,
-    mix: &[MixEntry],
-    addr: &str,
-    timeout: Duration,
-) -> OpenTally {
-    let mut tally = OpenTally::default();
-    loop {
-        let job = {
-            let mut jobs = lock_unpoisoned(&shared.jobs);
-            loop {
-                if let Some(j) = jobs.pop_front() {
-                    break Some(j);
-                }
-                if shared.closed.load(Ordering::SeqCst) {
-                    break None;
-                }
-                jobs = shared
-                    .available
-                    .wait(jobs)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
-        let Some((_at, mix_idx)) = job else {
-            return tally;
-        };
-        let sent = Instant::now();
-        match client::get(addr, &mix[mix_idx].target, Some(timeout)) {
-            Ok(resp) if resp.status == 200 => {
-                tally.good += 1;
-                if resp.header("x-dcnr-stale").is_some() {
-                    tally.stale += 1;
-                }
-                tally.latencies.push(sent.elapsed().as_micros() as u64);
-            }
-            Ok(resp) if resp.status == 503 => tally.shed += 1,
-            Ok(_) | Err(_) => tally.errors += 1,
-        }
-        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Probes `/healthz` and `/readyz` alternately (~50ms cadence, 1s
-/// timeout) until told to stop; returns `(probes, answered_200)`.
-fn health_prober(addr: &str, stop: &AtomicBool) -> (usize, usize) {
-    let mut probes = 0usize;
-    let mut ok = 0usize;
-    let targets = ["/healthz", "/readyz"];
-    while !stop.load(Ordering::SeqCst) {
-        let target = targets[probes % targets.len()];
-        probes += 1;
-        if let Ok(resp) = client::get(addr, target, Some(Duration::from_secs(1))) {
-            if resp.status == 200 {
-                ok += 1;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    (probes, ok)
-}
-
-/// Writes `BENCH_overload.json`: a two-phase record (calibrate →
-/// overload) re-validated with the in-tree JSON parser before landing
-/// on disk.
-fn write_overload_bench(path: &str, report: &OverloadReport) -> Result<(), DcnrError> {
-    let mut out = String::from("{\n  \"phases\": [\n    {\n");
-    let _ = writeln!(out, "      \"phase\": \"calibrate\",");
-    let _ = writeln!(out, "      \"rate_source\": \"{}\",", report.rate_source);
-    let _ = writeln!(
-        out,
-        "      \"sustainable_rps\": {:.3}",
-        report.sustainable_rps
-    );
-    out.push_str("    },\n    {\n");
-    let _ = writeln!(out, "      \"phase\": \"overload\",");
-    let _ = writeln!(out, "      \"offered_rps\": {:.3},", report.offered_rps);
-    let _ = writeln!(out, "      \"overload\": {:.3},", report.overload);
-    let _ = writeln!(out, "      \"arrivals\": {},", report.arrivals);
-    let _ = writeln!(out, "      \"dispatched\": {},", report.dispatched);
-    let _ = writeln!(out, "      \"client_dropped\": {},", report.client_dropped);
-    let _ = writeln!(
-        out,
-        "      \"outcomes\": {{ \"good\": {}, \"stale\": {}, \"shed\": {}, \"errors\": {} }},",
-        report.good, report.stale, report.shed, report.errors
-    );
-    let _ = writeln!(
-        out,
-        "      \"wall_secs\": {:.6},",
-        report.wall.as_secs_f64()
-    );
-    let _ = writeln!(out, "      \"goodput_rps\": {:.3},", report.goodput_rps);
-    let _ = writeln!(
-        out,
-        "      \"goodput_floor_rps\": {:.3},",
-        report.goodput_floor * report.sustainable_rps
-    );
-    let (p50, p95, p99, mean, max) = report.admitted_latency_micros;
-    let _ = writeln!(
-        out,
-        "      \"admitted_latency_micros\": {{ \"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}, \"mean\": {mean}, \"max\": {max} }},"
-    );
-    let _ = writeln!(
-        out,
-        "      \"p99_cap_micros\": {},",
-        report.p99_cap.as_micros()
-    );
-    let _ = writeln!(
-        out,
-        "      \"health\": {{ \"probes\": {}, \"ok\": {}, \"floor\": {:.3} }},",
-        report.health_probes, report.health_ok, report.health_floor
-    );
-    let _ = writeln!(
-        out,
-        "      \"verdict\": \"{}\"",
-        if report.verdict_pass() {
-            "pass"
-        } else {
-            "fail"
-        }
-    );
-    out.push_str("    }\n  ]\n}\n");
-    json::parse(&out)
-        .map_err(|e| DcnrError::Failed(format!("{path}: bench JSON would be malformed: {e}")))?;
-    std::fs::write(path, out).map_err(|e| DcnrError::Io {
-        path: path.to_string(),
-        message: e.to_string(),
-    })?;
-    Ok(())
-}
-
 /// Parses a comma-separated artifact list (`fig15,fig16,table4`).
 pub fn parse_artifact_list(list: &str) -> Result<Vec<Experiment>, DcnrError> {
     let mut out = Vec::new();
@@ -1113,6 +621,7 @@ pub fn parse_artifact_list(list: &str) -> Result<Vec<Experiment>, DcnrError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::{parse_loadgen_args, ArgScanner};
 
     #[test]
     fn mix_is_deterministic_and_covers_every_artifact_and_seed() {
@@ -1209,6 +718,30 @@ mod tests {
     }
 
     #[test]
+    fn removed_open_loop_flags_are_unrecognized_usage_errors() {
+        for case in [
+            &["--open-loop"][..],
+            &["--rate", "200"],
+            &["--overload", "2"],
+            &["--arrivals", "400"],
+            &["--max-in-flight", "32"],
+            &["--goodput-floor", "0.2"],
+            &["--p99-cap-ms", "2000"],
+            &["--health-floor", "0.8"],
+        ] {
+            // What `dcnr loadgen` does: the parser leaves every flag it
+            // does not own for the scenario query.
+            let mut args = ArgScanner::new(case.iter().map(|a| a.to_string()).collect());
+            let mut opts = parse_loadgen_args(&mut args).unwrap();
+            opts.scenario_args = args.into_rest();
+            let err = build_mix(&opts).unwrap_err();
+            assert_eq!(err.kind(), "usage", "{case:?}: {err}");
+            assert_eq!(err.exit_code(), 2, "{case:?}");
+            assert!(err.to_string().contains(case[0]), "{case:?}: {err}");
+        }
+    }
+
+    #[test]
     fn artifact_lists_parse_and_reject_unknown_keys() {
         let list = parse_artifact_list("fig15, fig16,table4").unwrap();
         assert_eq!(
@@ -1291,92 +824,6 @@ mod tests {
         assert_eq!(percentile(&s, 50.0), 50, "nearest rank on even samples");
         assert_eq!(percentile(&s, 95.0), 100);
         assert_eq!(percentile(&s, 99.0), 100);
-    }
-
-    fn passing_overload_report() -> OverloadReport {
-        OverloadReport {
-            sustainable_rps: 100.0,
-            rate_source: "measured",
-            offered_rps: 200.0,
-            overload: 2.0,
-            arrivals: 1000,
-            dispatched: 900,
-            client_dropped: 100,
-            good: 600,
-            stale: 20,
-            shed: 250,
-            errors: 50,
-            goodput_rps: 60.0,
-            admitted_latency_micros: (5_000, 40_000, 90_000, 12_000, 150_000),
-            health_probes: 40,
-            health_ok: 40,
-            wall: Duration::from_secs(10),
-            goodput_floor: 0.5,
-            p99_cap: Duration::from_secs(1),
-            health_floor: 0.9,
-            rendered: String::new(),
-        }
-    }
-
-    #[test]
-    fn overload_verdicts_gate_on_goodput_tail_and_health() {
-        assert!(passing_overload_report().verdict_pass());
-        let mut r = passing_overload_report();
-        r.goodput_rps = 49.0; // below 0.5 * 100
-        assert!(!r.verdict_pass(), "goodput floor");
-        let mut r = passing_overload_report();
-        r.admitted_latency_micros.2 = 1_200_000; // p99 over the cap
-        assert!(!r.verdict_pass(), "admitted p99 cap");
-        let mut r = passing_overload_report();
-        r.health_ok = 30; // 30/40 < 0.9
-        assert!(!r.verdict_pass(), "health floor");
-        let mut r = passing_overload_report();
-        r.health_probes = 0;
-        r.health_ok = 0;
-        assert!(!r.verdict_pass(), "no probes at all is a fail, not 0/0");
-    }
-
-    #[test]
-    fn open_loop_rejects_max_in_flight_past_the_bound_before_starting_threads() {
-        // Nothing listens on port 1: a run that got as far as its
-        // workers would fail its verdict, not with a usage error.
-        let opts = LoadgenOptions {
-            addr: "127.0.0.1:1".into(),
-            open_loop: Some(OpenLoopOptions {
-                max_in_flight: 257,
-                arrivals: 10,
-                rate: Some(100.0),
-                ..OpenLoopOptions::default()
-            }),
-            ..LoadgenOptions::default()
-        };
-        let err = run_open_loop(&opts).unwrap_err();
-        assert_eq!(err.kind(), "usage", "{err}");
-        let message = err.to_string();
-        assert!(message.contains("--max-in-flight"), "{message}");
-        assert!(message.contains("256"), "{message}");
-    }
-
-    #[test]
-    fn overload_bench_records_parse_with_both_phases() {
-        let dir = std::env::temp_dir().join(format!("dcnr-overload-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench.json").display().to_string();
-        write_overload_bench(&path, &passing_overload_report()).unwrap();
-        let parsed = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let phases = parsed.get("phases").unwrap().as_arr().unwrap();
-        assert_eq!(phases.len(), 2);
-        assert_eq!(
-            phases[0].get("phase").unwrap().as_str().unwrap(),
-            "calibrate"
-        );
-        assert_eq!(
-            phases[1].get("phase").unwrap().as_str().unwrap(),
-            "overload"
-        );
-        assert_eq!(phases[1].get("verdict").unwrap().as_str().unwrap(), "pass");
-        assert_eq!(phases[1].get("arrivals").unwrap().as_u64().unwrap(), 1000);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -320,8 +320,7 @@ impl RunContext {
     /// Fallible [`RunContext::execute`]: validates the scenario first
     /// and converts a study/artifact panic into a typed
     /// [`DcnrError::Panic`] instead of unwinding through the caller.
-    /// This is the boundary the supervision layer (and the CLI) run
-    /// scenarios behind.
+    /// This is the boundary the CLI runs scenarios behind.
     pub fn try_execute(&self) -> Result<ScenarioOutcome, DcnrError> {
         self.scenario.validate()?;
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute())).map_err(

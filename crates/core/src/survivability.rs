@@ -19,7 +19,7 @@
 //!   age order against one incrementally-updated
 //!   [`ForwardingState`], and read capacity off a fixed age grid —
 //!   Monte-Carlo lifespan curves whose cross-seed bands come from the
-//!   supervised multi-seed sweep runner.
+//!   multi-seed sweep runner.
 //!
 //! Determinism: every sample stream derives from the scenario seed via
 //! `derive_indexed_seed`; no wall-clock anywhere, so artifact bytes are

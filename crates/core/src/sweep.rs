@@ -1,34 +1,38 @@
-//! The multi-seed sweep runner: N replicas of one scenario, a
-//! supervised worker pool, and cross-seed confidence bands.
+//! The multi-seed sweep runner: N replicas of one scenario, a worker
+//! pool, and cross-seed confidence bands.
 //!
 //! A sweep takes a base [`Scenario`], mints `seeds` replicas that
 //! differ **only** in master seed (via [`dcnr_sim::seed_sequence`]),
-//! executes them under the supervision layer
-//! ([`crate::supervisor`]) — panic isolation, watchdog deadlines,
-//! bounded retry, quarantine — and folds every comparison metric into a
-//! [`Band`] — mean, spread, and a bootstrap confidence interval —
-//! rendered as "paper value vs. measured band" rows.
+//! runs each under exactly its planned seed on a `jobs`-wide pool, and
+//! folds every comparison metric into a [`Band`] — mean, spread, and a
+//! bootstrap confidence interval — rendered as "paper value vs.
+//! measured band" rows. The bands cover exactly the seeds the report
+//! header names: a replica that panics fails the whole sweep with a
+//! [`DcnrError::Panic`] naming its index and planned seed.
 //!
 //! Determinism contract: the aggregated outcome is **byte-identical**
-//! regardless of worker count, and each surviving replica's result is
-//! byte-identical with or without failures elsewhere. Replica outputs
-//! depend only on the seed their successful attempt ran under, results
-//! land in per-replica slots keyed by index (not completion order), and
-//! aggregation runs single-threaded after the join, drawing each
-//! metric's bootstrap randomness from its own derived stream. With a
-//! checkpoint directory, completed replicas persist as JSON shards
-//! ([`crate::checkpoint`]) and a resumed or re-run sweep loads them
-//! instead of recomputing — and still renders byte-identical output.
+//! regardless of worker count. Replica outputs depend only on their
+//! planned seed, results land in per-replica slots keyed by index (not
+//! completion order), and aggregation runs single-threaded after the
+//! join, drawing each metric's bootstrap randomness from its own
+//! derived stream. With a checkpoint directory, completed replicas
+//! persist as JSON shards ([`crate::checkpoint`]) and a resumed or
+//! re-run sweep loads them instead of recomputing — and still renders
+//! byte-identical output.
 
 use crate::checkpoint::{self, Manifest, ReplicaRecord};
-use crate::error::DcnrError;
-use crate::scenario::Scenario;
-use crate::supervisor::{self, effective_seed, ReplicaOutcome, ReplicaStatus, SupervisorConfig};
+use crate::error::{panic_message, DcnrError};
+use crate::scenario::{RunContext, Scenario};
 use dcnr_sim::{seed_sequence, stream_rng};
 use dcnr_stats::{aggregate_partial, Band};
+use dcnr_telemetry::logger;
 use dcnr_telemetry::metrics::MetricsSnapshot;
 use dcnr_telemetry::trace::TraceSnapshot;
 use std::fmt::Write as _;
+use std::panic::AssertUnwindSafe;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// How to sweep: the base workload plus replication knobs.
 #[derive(Debug, Clone, Copy)]
@@ -94,12 +98,12 @@ pub struct SweepRow {
     pub metric: String,
     /// The paper's reported value.
     pub paper: f64,
-    /// The cross-seed measurement band over the surviving replicas.
+    /// The cross-seed measurement band over the replicas that have it.
     pub band: Band,
     /// How many replicas were planned.
     pub planned: usize,
-    /// How many planned replicas contributed no value (failed, or did
-    /// not emit this metric).
+    /// How many planned replicas contributed no value (no valid shard,
+    /// or the replica did not emit this metric).
     pub missing: usize,
 }
 
@@ -110,22 +114,16 @@ pub struct SweepOutcome {
     pub config: SweepConfig,
     /// The derived replica seeds, in replica order.
     pub replica_seeds: Vec<u64>,
-    /// How many replicas completed AND passed their own acceptance.
+    /// How many replicas passed their own acceptance.
     pub passed_replicas: usize,
-    /// How many replicas failed outright (quarantined or
-    /// deadline-killed) and contributed nothing.
-    pub failed_replicas: usize,
-    /// Per-replica supervision records, in replica order.
-    pub outcomes: Vec<ReplicaOutcome>,
+    /// How many replica results were loaded from checkpoint shards
+    /// instead of executed.
+    pub cache_hits: usize,
     /// Aggregated rows, in order of first appearance across replicas.
     pub rows: Vec<SweepRow>,
     /// The rendered band report. Deliberately omits the worker count so
     /// the bytes are identical for any `jobs` value.
     pub rendered: String,
-    /// The rendered supervision report (per-replica outcome, retries,
-    /// cache hits, quarantines, deadline kills). Also jobs-free and
-    /// wall-clock-free, so it is deterministic for a given fault plan.
-    pub supervision: String,
     /// The replicas' metrics, folded in replica-index order. `None`
     /// when the sweep ran without a telemetry collector installed.
     pub replica_metrics: Option<MetricsSnapshot>,
@@ -134,58 +132,26 @@ pub struct SweepOutcome {
     pub replica_trace: Option<TraceSnapshot>,
 }
 
-impl SweepOutcome {
-    /// How many replicas completed (fresh or from cache).
-    pub fn completed_replicas(&self) -> usize {
-        self.outcomes.iter().filter(|o| !o.failed()).count()
-    }
-
-    /// How many replica results were loaded from checkpoint shards.
-    pub fn cache_hits(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.cached()).count()
-    }
-
-    /// The `--max-failures` gate: `Ok` when at most `max_failures`
-    /// replicas failed, a [`DcnrError::Failed`] otherwise.
-    pub fn gate(&self, max_failures: u32) -> Result<(), DcnrError> {
-        if self.failed_replicas as u64 <= u64::from(max_failures) {
-            Ok(())
-        } else {
-            Err(DcnrError::Failed(format!(
-                "sweep degraded beyond --max-failures: {} of {} replicas failed (allowed {})",
-                self.failed_replicas,
-                self.replica_seeds.len(),
-                max_failures
-            )))
-        }
-    }
-}
-
-/// Runs the sweep with the default supervision policy (no deadline, one
-/// retry, no checkpoint). Returns `Err` for settings that fail
-/// [`SweepConfig::check`] or an invalid base scenario; individual
-/// replica failures degrade the aggregate instead of failing the sweep.
-pub fn run_sweep(config: SweepConfig) -> Result<SweepOutcome, DcnrError> {
-    run_supervised(config, &SupervisorConfig::default())
-}
-
-/// Runs the sweep under an explicit supervision policy: watchdog
-/// deadline, bounded retry, fault injection (tests), and checkpointing.
-pub fn run_supervised(
+/// Runs the sweep, checkpointing into `checkpoint` when given: the
+/// directory's manifest must describe this sweep (it is written when
+/// absent), and every shard whose seed is its replica's planned seed is
+/// loaded instead of re-executed. Returns `Err` for settings that fail
+/// [`SweepConfig::check`], an invalid base scenario, a checkpoint
+/// error, or a replica panic ([`DcnrError::Panic`], the lowest panicking
+/// index).
+pub fn run_sweep(
     config: SweepConfig,
-    sup: &SupervisorConfig,
+    checkpoint: Option<&Path>,
 ) -> Result<SweepOutcome, DcnrError> {
     config.check().map_err(DcnrError::Config)?;
     config.base.validate()?;
     let replica_seeds = seed_sequence(config.base.seed, "sweep.replica", config.seeds);
     let n = replica_seeds.len();
-    let jobs = config.jobs.min(n);
 
     // Checkpoint prologue: verify (or create) the manifest, then load
     // every valid shard so its replica is never re-executed.
-    let mut cached: Vec<(Option<ReplicaRecord>, Option<String>)> =
-        (0..n).map(|_| (None, None)).collect();
-    if let Some(dir) = &sup.checkpoint {
+    let mut records: Vec<Option<ReplicaRecord>> = vec![None; n];
+    if let Some(dir) = checkpoint {
         checkpoint::prepare_dir(dir)?;
         let manifest = Manifest::from_config(&config);
         match checkpoint::read_manifest(dir)? {
@@ -193,30 +159,64 @@ pub fn run_supervised(
             None => checkpoint::write_manifest(dir, &manifest)?,
         }
         let read = dcnr_telemetry::span("checkpoint.read");
-        for (i, slot) in cached.iter_mut().enumerate() {
+        for (i, slot) in records.iter_mut().enumerate() {
             match checkpoint::read_shard(dir, i) {
-                Ok(Some(rec)) => {
-                    if rec.seed == effective_seed(replica_seeds[i], rec.attempt) {
-                        slot.0 = Some(rec);
-                    } else {
-                        slot.1 =
-                            Some("shard seed does not belong to this sweep; re-executing".into());
-                    }
-                }
+                Ok(Some(rec)) if rec.seed == replica_seeds[i] => *slot = Some(rec),
+                Ok(Some(rec)) => logger::warn(format!(
+                    "replica {i}: shard seed {:#x} is not the planned seed {:#x}; re-executing",
+                    rec.seed, replica_seeds[i]
+                )),
                 Ok(None) => {}
-                Err(e) => slot.1 = Some(format!("ignored invalid shard ({e}); re-executing")),
+                Err(e) => logger::warn(format!(
+                    "replica {i}: ignored invalid shard ({e}); re-executing"
+                )),
             }
         }
         read.finish();
     }
+    let cache_hits = records.iter().flatten().count();
+    if cache_hits > 0 {
+        dcnr_telemetry::counter_add("dcnr_sweep_cache_hits_total", &[], cache_hits as u64);
+    }
 
-    let (outcomes, records, telemetries) =
-        supervisor::supervise(&config.base, &replica_seeds, jobs, sup, cached)?;
+    // Each replica gets its own collector (workers never share one), so
+    // its snapshots merge exactly however replicas interleave.
+    let collect_telemetry = dcnr_telemetry::active();
+    let base = config.base;
+    let pending: Vec<usize> = (0..n).filter(|&i| records[i].is_none()).collect();
+    let mut telemetries: Vec<Option<(MetricsSnapshot, TraceSnapshot)>> = vec![None; n];
+    run_pool(
+        &replica_seeds,
+        &pending,
+        config.jobs,
+        |replica, seed| {
+            let handle = collect_telemetry.then(dcnr_telemetry::Telemetry::new_handle);
+            let _guard = handle.clone().map(dcnr_telemetry::installed);
+            let out = RunContext::new(base.with_seed(seed)).execute();
+            let record = ReplicaRecord {
+                replica,
+                seed,
+                passed: out.passed,
+                comparisons: out.comparisons,
+            };
+            (record, handle.map(|h| h.snapshots()))
+        },
+        |i, (record, telemetry)| {
+            if let Some(dir) = checkpoint {
+                let write = dcnr_telemetry::span("checkpoint.write");
+                checkpoint::write_shard(dir, &record)?;
+                write.finish();
+            }
+            records[i] = Some(record);
+            telemetries[i] = telemetry;
+            Ok(())
+        },
+    )?;
 
     // Fold per-replica telemetry in replica-index order: counter merge
     // is exact integer addition and trace merge is concatenation, so
     // the folded snapshots are independent of worker count.
-    let (replica_metrics, replica_trace) = if dcnr_telemetry::active() {
+    let (replica_metrics, replica_trace) = if collect_telemetry {
         let mut metrics = MetricsSnapshot::default();
         let mut trace = TraceSnapshot::default();
         for (m, t) in telemetries.iter().flatten() {
@@ -228,12 +228,6 @@ pub fn run_supervised(
         (None, None)
     };
 
-    let passed_replicas = outcomes
-        .iter()
-        .filter(|o| matches!(o.status, ReplicaStatus::Completed { passed: true, .. }))
-        .count();
-    let failed_replicas = outcomes.iter().filter(|o| o.failed()).count();
-
     let aggregate = dcnr_telemetry::span("sweep.aggregate");
     let rows = aggregate_rows(
         config.base.seed,
@@ -242,39 +236,88 @@ pub fn run_supervised(
         config.confidence,
     );
     aggregate.finish();
-    let rendered = render(
-        &config,
-        &replica_seeds,
-        passed_replicas,
-        failed_replicas,
-        &rows,
-    );
-    let supervision = supervisor::render_supervision(sup, &outcomes);
+    let rendered = render(&config, &replica_seeds, &records, &rows);
     Ok(SweepOutcome {
         config,
         replica_seeds,
-        passed_replicas,
-        failed_replicas,
-        outcomes,
+        passed_replicas: records.iter().flatten().filter(|r| r.passed).count(),
+        cache_hits,
         rows,
         rendered,
-        supervision,
         replica_metrics,
         replica_trace,
+    })
+}
+
+/// The replica pool: `jobs` scoped threads claim indices from
+/// `pending` through one atomic counter and run `replica(i, seeds[i])`
+/// behind `catch_unwind`; the calling thread hands each result to
+/// `done` as it arrives. After a panic no worker claims another index,
+/// but indices are claimed in order, so every lower index has already
+/// been claimed and runs to the end: the error is always the
+/// lowest-index panic, whatever the worker count.
+fn run_pool<T: Send>(
+    seeds: &[u64],
+    pending: &[usize],
+    jobs: usize,
+    replica: impl Fn(usize, u64) -> T + Sync,
+    mut done: impl FnMut(usize, T) -> Result<(), DcnrError>,
+) -> Result<(), DcnrError> {
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for _ in 0..jobs.min(pending.len()) {
+            let tx = tx.clone();
+            let (next, stop, replica) = (&next, &stop, &replica);
+            scope.spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    let Some(&i) = pending.get(next.fetch_add(1, Ordering::SeqCst)) else {
+                        break;
+                    };
+                    let result =
+                        std::panic::catch_unwind(AssertUnwindSafe(|| replica(i, seeds[i])));
+                    if result.is_err() {
+                        stop.store(true, Ordering::SeqCst);
+                    }
+                    if tx.send((i, result)).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        let mut panicked: Option<(usize, String)> = None;
+        for (i, result) in rx {
+            match result {
+                Ok(value) => done(i, value)?,
+                Err(payload) => {
+                    if panicked.as_ref().is_none_or(|&(j, _)| i < j) {
+                        panicked = Some((i, panic_message(payload.as_ref())));
+                    }
+                }
+            }
+        }
+        match panicked {
+            None => Ok(()),
+            Some((i, message)) => Err(DcnrError::Panic {
+                context: format!("replica {i} (seed {:#x})", seeds[i]),
+                message,
+            }),
+        }
     })
 }
 
 /// Renders the aggregated band report for an existing checkpoint
 /// directory **without executing anything**: the sweep definition comes
 /// from `dir`'s manifest and every replica from its shard. Shards that
-/// are missing, invalid, or belong to a different seed schedule count
-/// as failed replicas (the report degrades exactly like a live sweep
-/// with those replicas quarantined). For a complete checkpoint the
-/// output is byte-identical to the sweep that wrote it — this is what
-/// the report server's `GET /sweeps/{dir}` serves. A manifest whose
-/// settings fail [`SweepConfig::check`] is a checkpoint error, which
-/// the server answers with 404.
-pub fn report_from_checkpoint(dir: &std::path::Path) -> Result<String, DcnrError> {
+/// are missing, invalid, or not run under their replica's planned seed
+/// leave that replica's slot empty, and the report says how many. For a
+/// complete checkpoint the output is byte-identical to the sweep that
+/// wrote it — this is what the report server's `GET /sweeps/{dir}`
+/// serves. A manifest whose settings fail [`SweepConfig::check`] is a
+/// checkpoint error, which the server answers with 404.
+pub fn report_from_checkpoint(dir: &Path) -> Result<String, DcnrError> {
     let manifest = checkpoint::read_manifest(dir)?.ok_or_else(|| DcnrError::Checkpoint {
         path: dir.display().to_string(),
         message: "no manifest.json here; not a sweep checkpoint".into(),
@@ -286,23 +329,17 @@ pub fn report_from_checkpoint(dir: &std::path::Path) -> Result<String, DcnrError
         .iter()
         .enumerate()
         .map(|(i, &planned)| match checkpoint::read_shard(dir, i) {
-            Ok(Some(rec)) if rec.seed == effective_seed(planned, rec.attempt) => Some(rec),
+            Ok(Some(rec)) if rec.seed == planned => Some(rec),
             _ => None,
         })
         .collect();
-    let passed = records
-        .iter()
-        .flatten()
-        .filter(|record| record.passed)
-        .count();
-    let failed = records.iter().filter(|record| record.is_none()).count();
     let rows = aggregate_rows(
         config.base.seed,
         &records,
         config.resamples,
         config.confidence,
     );
-    Ok(render(&config, &replica_seeds, passed, failed, &rows))
+    Ok(render(&config, &replica_seeds, &records, &rows))
 }
 
 /// Joins per-replica comparisons by metric **name** (artifact rows can
@@ -359,10 +396,11 @@ fn aggregate_rows(
 fn render(
     config: &SweepConfig,
     replica_seeds: &[u64],
-    passed_replicas: usize,
-    failed_replicas: usize,
+    records: &[Option<ReplicaRecord>],
     rows: &[SweepRow],
 ) -> String {
+    let passed_replicas = records.iter().flatten().filter(|r| r.passed).count();
+    let missing_replicas = records.iter().filter(|r| r.is_none()).count();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -383,11 +421,10 @@ fn render(
         passed_replicas,
         replica_seeds.len()
     );
-    if failed_replicas > 0 {
+    if missing_replicas > 0 {
         let _ = writeln!(
             out,
-            "DEGRADED: {failed_replicas} of {} replicas failed; bands cover survivors only \
-             (see the supervision report)",
+            "DEGRADED: {missing_replicas} of {} replicas have no valid shard; bands cover the rest",
             replica_seeds.len()
         );
     }
@@ -446,7 +483,6 @@ mod tests {
     fn record(replica: usize, comparisons: Vec<Comparison>) -> Option<ReplicaRecord> {
         Some(ReplicaRecord {
             replica,
-            attempt: 0,
             seed: replica as u64,
             passed: true,
             comparisons,
@@ -455,17 +491,25 @@ mod tests {
 
     #[test]
     fn rejects_zero_seeds_and_bad_scenarios() {
-        let err = run_sweep(SweepConfig::new(small_base(StudyKind::Backbone), 0, 1)).unwrap_err();
+        let err = run_sweep(
+            SweepConfig::new(small_base(StudyKind::Backbone), 0, 1),
+            None,
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), "config");
         let mut bad = small_base(StudyKind::Intra);
         bad.scale = -1.0;
-        let err = run_sweep(SweepConfig::new(bad, 2, 1)).unwrap_err();
+        let err = run_sweep(SweepConfig::new(bad, 2, 1), None).unwrap_err();
         assert_eq!(err.kind(), "config");
     }
 
     #[test]
     fn rejects_zero_jobs() {
-        let err = run_sweep(SweepConfig::new(small_base(StudyKind::Backbone), 2, 0)).unwrap_err();
+        let err = run_sweep(
+            SweepConfig::new(small_base(StudyKind::Backbone), 2, 0),
+            None,
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), "config");
         assert!(err.to_string().contains("worker"), "{err}");
     }
@@ -474,7 +518,7 @@ mod tests {
     fn rejects_zero_resamples() {
         let mut config = SweepConfig::new(small_base(StudyKind::Backbone), 2, 1);
         config.resamples = 0;
-        let err = run_sweep(config).unwrap_err();
+        let err = run_sweep(config, None).unwrap_err();
         assert_eq!(err.kind(), "config");
         assert!(err.to_string().contains("resample"), "{err}");
     }
@@ -484,7 +528,7 @@ mod tests {
         for confidence in [1.5, f64::NAN, -1.0, 0.0, 1.0] {
             let mut config = SweepConfig::new(small_base(StudyKind::Backbone), 2, 1);
             config.confidence = confidence;
-            let err = run_sweep(config).unwrap_err();
+            let err = run_sweep(config, None).unwrap_err();
             assert_eq!(err.kind(), "config", "{confidence}");
             assert!(err.to_string().contains("confidence"), "{err}");
         }
@@ -533,7 +577,7 @@ mod tests {
             record(2, vec![c("x", 1.2)]),
         ];
         let mut degraded = healthy.clone();
-        degraded[1] = None; // replica 1 quarantined
+        degraded[1] = None; // replica 1 has no valid shard
         let h = aggregate_rows(42, &healthy, 300, 0.9);
         let d = aggregate_rows(42, &degraded, 300, 0.9);
         assert_eq!(d[0].band.n, 2);
@@ -567,36 +611,62 @@ mod tests {
 
     #[test]
     fn backbone_sweep_bands_cover_their_own_mean() {
-        let out = run_sweep(SweepConfig::new(small_base(StudyKind::Backbone), 3, 2)).unwrap();
+        let out = run_sweep(
+            SweepConfig::new(small_base(StudyKind::Backbone), 3, 2),
+            None,
+        )
+        .unwrap();
         assert_eq!(out.replica_seeds.len(), 3);
         assert!(!out.rows.is_empty());
         for row in &out.rows {
             assert_eq!(row.band.n, 3, "{}", row.metric);
             assert!(row.band.covers(row.band.mean), "{}", row.metric);
         }
-        assert_eq!(out.failed_replicas, 0);
-        assert_eq!(out.cache_hits(), 0);
+        assert_eq!(out.cache_hits, 0);
         assert!(out.rendered.contains("sweep: backbone scenario"));
         assert!(!out.rendered.contains("jobs"), "report must omit jobs");
-        assert!(!out.supervision.contains("jobs"), "supervision too");
+        assert!(!out.rendered.contains("DEGRADED"));
     }
 
     #[test]
     fn chaos_sweep_counts_replica_verdicts() {
-        let out = run_sweep(SweepConfig::new(small_base(StudyKind::Chaos), 2, 2)).unwrap();
+        let out = run_sweep(SweepConfig::new(small_base(StudyKind::Chaos), 2, 2), None).unwrap();
         assert_eq!(out.passed_replicas, 2, "drill rates stay in tolerance");
         assert!(out.rows.iter().all(|r| r.paper == 0.0));
     }
 
     #[test]
-    fn gate_enforces_max_failures() {
-        let out = run_sweep(SweepConfig::new(small_base(StudyKind::Backbone), 2, 2)).unwrap();
-        assert!(out.gate(0).is_ok(), "healthy run passes a zero budget");
-        let mut degraded = out;
-        degraded.failed_replicas = 2;
-        assert!(degraded.gate(2).is_ok());
-        let err = degraded.gate(1).unwrap_err();
-        assert_eq!(err.kind(), "failed");
-        assert!(err.to_string().contains("max-failures"), "{err}");
+    fn a_panicking_replica_fails_the_pool_naming_its_planned_seed() {
+        let seeds = [0xA0, 0xA1, 0xA2, 0xA3];
+        for jobs in [1, 2] {
+            let mut completed = Vec::new();
+            let err = run_pool(
+                &seeds,
+                &[0, 1, 2, 3],
+                jobs,
+                |i, seed| {
+                    assert_eq!(seed, seeds[i], "each replica runs its planned seed");
+                    if i == 1 {
+                        panic!("replica one blew up");
+                    }
+                    i
+                },
+                |i, value| {
+                    assert_eq!(i, value);
+                    completed.push(i);
+                    Ok(())
+                },
+            )
+            .unwrap_err();
+            assert_eq!(err.kind(), "panic", "jobs {jobs}");
+            assert_eq!(err.exit_code(), 1, "jobs {jobs}");
+            let text = err.to_string();
+            assert!(
+                text.contains("replica 1 (seed 0xa1)"),
+                "jobs {jobs}: {text}"
+            );
+            assert!(text.contains("replica one blew up"), "jobs {jobs}: {text}");
+            assert!(completed.contains(&0), "jobs {jobs}: lower indices finish");
+        }
     }
 }

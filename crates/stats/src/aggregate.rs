@@ -127,16 +127,16 @@ pub fn aggregate<R: Rng + ?Sized>(
 }
 
 /// A [`Band`] computed from a partial result set: the band over the
-/// replicas that survived, plus an honest account of how many were
+/// replicas that have a value, plus an honest account of how many were
 /// planned and how many contributed nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialBand {
-    /// The band over the surviving values (`band.n` survivors).
+    /// The band over the present values (`band.n` of them).
     pub band: Band,
     /// How many replicas were planned (the slot count).
     pub planned: usize,
-    /// How many slots were empty (failed, quarantined, killed, or
-    /// simply absent from that replica's output).
+    /// How many slots were empty (no valid checkpoint shard, or the
+    /// metric was absent from that replica's output).
     pub missing: usize,
 }
 
@@ -149,12 +149,14 @@ impl PartialBand {
 
 /// Degraded-mode [`aggregate`]: one `Option<f64>` slot per planned
 /// replica, where `None` marks a replica that produced no value for
-/// this metric (it crashed, blew its deadline, or was quarantined).
+/// this metric (its checkpoint shard is missing, or its output lacks
+/// the metric).
 ///
-/// Survivor values are banded exactly as [`aggregate`] would band them
-/// — the same slots with failures elsewhere yield the same band — and
-/// the `planned`/`missing` counts let callers report the degradation
-/// instead of hiding it. Returns `None` when no slot survived.
+/// Present values are banded exactly as [`aggregate`] would band them
+/// — the same values with empty slots elsewhere yield the same band —
+/// and the `planned`/`missing` counts let callers report the
+/// degradation instead of hiding it. Returns `None` when every slot is
+/// empty.
 pub fn aggregate_partial<R: Rng + ?Sized>(
     rng: &mut R,
     slots: &[Option<f64>],

@@ -1,10 +1,10 @@
 //! A minimal leveled stderr logger shared by the CLI and the sweep
-//! supervisor.
+//! runner.
 //!
 //! One process-wide verbosity knob (an atomic, no locks, no globals to
 //! initialize); messages at or below the knob print to stderr verbatim
-//! — no timestamps or prefixes, so existing progress text (and the
-//! grep-able supervision report) is unchanged at the default level.
+//! — no timestamps or prefixes, so existing progress text is unchanged
+//! at the default level.
 //! `--quiet` drops to [`Level::Error`], `-v` raises to
 //! [`Level::Debug`].
 

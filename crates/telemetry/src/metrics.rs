@@ -155,9 +155,9 @@ pub struct Registry {
 }
 
 fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
-    // A panicking replica thread is caught and quarantined by the
-    // supervisor; its half-updated counters are still integers, so the
-    // registry stays usable.
+    // A thread that panicked while holding a lock (a sweep replica or a
+    // server worker, both caught by `catch_unwind`) left its
+    // half-updated counters as integers, so the registry stays usable.
     r.unwrap_or_else(PoisonError::into_inner)
 }
 

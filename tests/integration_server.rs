@@ -7,7 +7,7 @@
 
 use dcnr_core::serve::{self, ServeOptions};
 use dcnr_core::telemetry::prometheus;
-use dcnr_core::{Experiment, Scenario, StudyKind, SupervisorConfig, SweepConfig};
+use dcnr_core::{checkpoint, Experiment, Scenario, StudyKind, SweepConfig};
 use dcnr_server::client;
 use std::sync::Arc;
 use std::time::Duration;
@@ -212,7 +212,7 @@ fn sweeps_route_serves_the_checkpoint_report_byte_identically() {
     let dir = root.join("nightly");
     std::fs::create_dir_all(&dir).unwrap();
 
-    // A tiny supervised sweep that checkpoints into the directory.
+    // A tiny sweep that checkpoints into the directory.
     let base = Scenario {
         scale: 0.25,
         backbone: dcnr_core::backbone::topo::BackboneParams {
@@ -222,11 +222,7 @@ fn sweeps_route_serves_the_checkpoint_report_byte_identically() {
         },
         ..Scenario::cli_default(StudyKind::Backbone)
     };
-    let sup = SupervisorConfig {
-        checkpoint: Some(dir.clone()),
-        ..SupervisorConfig::default()
-    };
-    let live = dcnr_core::run_supervised(SweepConfig::new(base, 2, 1), &sup).unwrap();
+    let live = dcnr_core::run_sweep(SweepConfig::new(base, 2, 1), Some(&dir)).unwrap();
 
     let server = serve::start(&ServeOptions {
         addr: "127.0.0.1:0".into(),
@@ -241,6 +237,23 @@ fn sweeps_route_serves_the_checkpoint_report_byte_identically() {
         live.rendered,
         "the served report must be byte-identical to the live sweep"
     );
+
+    // A partial checkpoint still answers 200: the report says how many
+    // replicas have no valid shard and bands the rest.
+    let partial = root.join("partial");
+    std::fs::create_dir_all(&partial).unwrap();
+    for name in ["manifest.json", "replica-0000.json"] {
+        std::fs::copy(dir.join(name), partial.join(name)).unwrap();
+    }
+    assert!(!checkpoint::shard_path(&partial, 1).exists());
+    let resp = get(&server, "/sweeps/partial");
+    assert_eq!(resp.status, 200);
+    let body = String::from_utf8(resp.body).unwrap();
+    assert!(
+        body.contains("DEGRADED: 1 of 2 replicas have no valid shard; bands cover the rest"),
+        "{body}"
+    );
+    assert!(body.contains("[1/2 replicas]"), "{body}");
 
     // Traversal and absent checkpoints are rejected, not resolved.
     assert_eq!(get(&server, "/sweeps/..").status, 400);

@@ -4,9 +4,7 @@
 //! sweeps carry cross-seed bands with checkpoint/resume byte-identity.
 
 use dcnr_core::survivability::{ElementClass, SurvivabilityConfig, SurvivabilityStudy, FRACTIONS};
-use dcnr_core::{
-    checkpoint, run_supervised, run_sweep, RunContext, Scenario, SupervisorConfig, SweepConfig,
-};
+use dcnr_core::{checkpoint, run_sweep, RunContext, Scenario, SweepConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -88,8 +86,8 @@ fn element_class_rankings_flip_between_switch_and_server_loss() {
 #[test]
 fn survivability_sweep_is_byte_identical_for_any_worker_count() {
     let base = quarter(0x5EED);
-    let serial = run_sweep(SweepConfig::new(base, 4, 1)).unwrap();
-    let parallel = run_sweep(SweepConfig::new(base, 4, 2)).unwrap();
+    let serial = run_sweep(SweepConfig::new(base, 4, 1), None).unwrap();
+    let parallel = run_sweep(SweepConfig::new(base, 4, 2), None).unwrap();
     assert_eq!(serial.rendered, parallel.rendered);
     assert_eq!(serial.replica_seeds, parallel.replica_seeds);
 
@@ -119,11 +117,7 @@ fn survivability_sweep_is_byte_identical_for_any_worker_count() {
 fn survivability_checkpoint_resumes_byte_identically() {
     let config = SweepConfig::new(quarter(0xC4), 3, 2);
     let dir = temp_dir("resume");
-    let sup = SupervisorConfig {
-        checkpoint: Some(dir.clone()),
-        ..SupervisorConfig::default()
-    };
-    let first = run_supervised(config, &sup).unwrap();
+    let first = run_sweep(config, Some(&dir)).unwrap();
     for i in 0..3 {
         assert!(checkpoint::shard_path(&dir, i).exists(), "shard {i}");
     }
@@ -131,8 +125,8 @@ fn survivability_checkpoint_resumes_byte_identically() {
     // Drop one shard; the resume re-executes only that replica and
     // renders the same bytes.
     std::fs::remove_file(checkpoint::shard_path(&dir, 1)).unwrap();
-    let resumed = run_supervised(config, &sup).unwrap();
+    let resumed = run_sweep(config, Some(&dir)).unwrap();
     assert_eq!(first.rendered, resumed.rendered);
-    assert_eq!(resumed.cache_hits(), 2, "two replicas served from shards");
+    assert_eq!(resumed.cache_hits, 2, "two replicas served from shards");
     std::fs::remove_dir_all(&dir).ok();
 }

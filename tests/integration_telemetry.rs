@@ -50,14 +50,13 @@ fn scenario_reports_are_byte_identical_with_telemetry_on() {
 #[test]
 fn sweep_output_is_byte_identical_with_telemetry_on() {
     let base = small(StudyKind::Backbone, 0xBEE5);
-    let plain = run_sweep(SweepConfig::new(base, 3, 2)).unwrap();
+    let plain = run_sweep(SweepConfig::new(base, 3, 2), None).unwrap();
     let handle = Telemetry::new_handle();
     let observed = {
         let _guard = installed(handle);
-        run_sweep(SweepConfig::new(base, 3, 2)).unwrap()
+        run_sweep(SweepConfig::new(base, 3, 2), None).unwrap()
     };
     assert_eq!(plain.rendered, observed.rendered);
-    assert_eq!(plain.supervision, observed.supervision);
     assert!(plain.replica_metrics.is_none(), "no collector, no folding");
     let merged = observed.replica_metrics.expect("collector installed");
     assert!(
@@ -76,7 +75,7 @@ fn merged_sweep_totals_are_independent_of_worker_count() {
         let handle = Telemetry::new_handle();
         let out = {
             let _guard = installed(handle);
-            run_sweep(SweepConfig::new(base, 3, jobs)).unwrap()
+            run_sweep(SweepConfig::new(base, 3, jobs), None).unwrap()
         };
         (
             out.replica_metrics.expect("collector installed"),
