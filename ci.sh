@@ -54,6 +54,20 @@ dcnr_retries_status=0
     echo "expected exit 2 for sweep --retries, got $dcnr_retries_status" >&2
     exit 1
 }
+# A mistyped loadgen scenario flag fails as the command line's own
+# error, named as typed, before any load is driven.
+dcnr_typo_status=0
+./target/release/dcnr loadgen --sacle 2 \
+    >"$DCNR_TMP/loadgen_typo.out" 2>"$DCNR_TMP/loadgen_typo.err" || dcnr_typo_status=$?
+[ "$dcnr_typo_status" -eq 2 ] || {
+    echo "expected exit 2 for loadgen --sacle, got $dcnr_typo_status" >&2
+    exit 1
+}
+grep -q '"--sacle"' "$DCNR_TMP/loadgen_typo.err"
+if grep -q -e 'query string' -e 'driving' "$DCNR_TMP/loadgen_typo.out" "$DCNR_TMP/loadgen_typo.err"; then
+    echo "loadgen --sacle reads as a query-string error or drove load" >&2
+    exit 1
+fi
 
 echo "==> telemetry smoke (sweep bytes identical with --metrics/--trace on)"
 # The hard invariant: telemetry must not perturb a single RNG draw, so

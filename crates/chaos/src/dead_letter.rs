@@ -10,6 +10,7 @@
 
 use crate::config::ChaosConfig;
 use dcnr_sim::SimTime;
+use dcnr_telemetry::{CounterFamily, StageTrace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Write;
@@ -80,6 +81,11 @@ impl<T> PartialOrd for Entry<T> {
 }
 
 /// A retry scheduler over simulated time.
+///
+/// Its telemetry is a stage batch bound to the collector installed when
+/// the queue is created: each scheduled retry is tallied per reason
+/// and traced locally, and both reach the collector when the queue
+/// drops (see [`dcnr_telemetry::StageTrace`]).
 #[derive(Debug)]
 pub struct DeadLetterQueue<T> {
     heap: BinaryHeap<Reverse<Entry<T>>>,
@@ -87,6 +93,8 @@ pub struct DeadLetterQueue<T> {
     quarantined: Vec<(T, QuarantineReason)>,
     /// Total retries ever scheduled.
     pub retries_scheduled: u64,
+    retries: CounterFamily<4>,
+    trace: StageTrace,
 }
 
 impl<T> Default for DeadLetterQueue<T> {
@@ -103,6 +111,12 @@ impl<T> DeadLetterQueue<T> {
             seq: 0,
             quarantined: Vec::new(),
             retries_scheduled: 0,
+            retries: CounterFamily::new(
+                "dcnr_chaos_dlq_retries_total",
+                "reason",
+                QuarantineReason::ALL.map(QuarantineReason::label),
+            ),
+            trace: dcnr_telemetry::stage_trace(),
         }
     }
 
@@ -125,12 +139,8 @@ impl<T> DeadLetterQueue<T> {
         let seq = self.seq;
         self.seq += 1;
         self.retries_scheduled += 1;
-        dcnr_telemetry::counter_add(
-            "dcnr_chaos_dlq_retries_total",
-            &[("reason", reason.label())],
-            1,
-        );
-        dcnr_telemetry::trace_event(
+        self.retries.inc(reason as usize);
+        self.trace.event(
             retry_at.as_secs(),
             "dead_letter_retry",
             [u64::from(attempts), reason as u64, 0, 0],
@@ -227,6 +237,60 @@ mod tests {
         q.defer(&cfg(), t0, 1, "zeroth", QuarantineReason::ParseFailed);
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, i)| i)).collect();
         assert_eq!(order, vec!["zeroth", "first", "second"]);
+    }
+
+    #[test]
+    fn deferrals_leave_the_telemetry_of_recording_each_event_in_turn() {
+        // Twice a trace's retention, so the batch drops from the middle
+        // as the shared trace would; the last attempt count exhausts the
+        // budget and records nothing.
+        let cfg = cfg();
+        let deferrals: Vec<(SimTime, u32, QuarantineReason)> = (0..1_100u64)
+            .map(|i| {
+                (
+                    SimTime::from_secs(i * 97 % 5_000),
+                    1 + (i % u64::from(cfg.max_attempts)) as u32,
+                    QuarantineReason::ALL[(i % 3) as usize],
+                )
+            })
+            .collect();
+        let batched = dcnr_telemetry::Telemetry::new_handle();
+        {
+            let _guard = dcnr_telemetry::installed(batched.clone());
+            let mut q = DeadLetterQueue::new();
+            for &(now, attempts, reason) in &deferrals {
+                q.defer(&cfg, now, attempts, (), reason);
+            }
+        }
+        let direct = dcnr_telemetry::Telemetry::new_handle();
+        {
+            let _guard = dcnr_telemetry::installed(direct.clone());
+            for &(now, attempts, reason) in deferrals.iter().filter(|d| d.1 < cfg.max_attempts) {
+                dcnr_telemetry::counter_add(
+                    "dcnr_chaos_dlq_retries_total",
+                    &[("reason", reason.label())],
+                    1,
+                );
+                dcnr_telemetry::trace_event(
+                    (now + cfg.backoff(attempts)).as_secs(),
+                    "dead_letter_retry",
+                    [u64::from(attempts), reason as u64, 0, 0],
+                    write_retry,
+                );
+            }
+        }
+        let (batched_metrics, batched_trace) = batched.snapshots();
+        let (direct_metrics, direct_trace) = direct.snapshots();
+        assert!(batched_trace.dropped() > 0);
+        assert_eq!(batched_trace, direct_trace);
+        assert_eq!(batched_metrics, direct_metrics);
+        assert_eq!(
+            batched_metrics.counter_value("dcnr_chaos_dlq_retries_total", &[("reason", "parse")]),
+            deferrals
+                .iter()
+                .filter(|d| d.1 < cfg.max_attempts && d.2 == QuarantineReason::ParseFailed)
+                .count() as u64
+        );
     }
 
     #[test]

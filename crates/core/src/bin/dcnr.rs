@@ -486,10 +486,6 @@ fn cmd_serve(mut args: ArgScanner) -> Result<(), DcnrError> {
 fn cmd_loadgen(mut args: ArgScanner) -> Result<(), DcnrError> {
     let mut opts = parse_loadgen_args(&mut args)?;
     opts.scenario_args = args.into_rest();
-    logger::info(format!(
-        "driving http://{} with {} clients x {} requests...",
-        opts.addr, opts.clients, opts.requests
-    ));
     let report = loadgen::run(&opts)?;
     print!("{}", report.rendered);
     if let Some(path) = &opts.bench_json {

@@ -26,6 +26,7 @@
 //! `--bench-json PATH` names one.
 
 use crate::artifacts;
+use crate::cli::{apply_scenario_flags, ArgScanner};
 use crate::error::DcnrError;
 use crate::experiments::Experiment;
 use crate::json;
@@ -35,6 +36,7 @@ use crate::serve;
 use dcnr_server::client;
 use dcnr_sim::rng::derive_indexed_seed;
 use dcnr_sim::{seed_sequence, stream_rng};
+use dcnr_telemetry::logger;
 use rand::Rng;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -201,8 +203,10 @@ impl ClientTally {
 }
 
 /// Builds the deterministic request mix: every artifact crossed with
-/// `scenario_seeds` seeds minted from its base scenario's seed. Each
-/// target's query is the user's own scenario flags with `seed`
+/// `scenario_seeds` seeds minted from its base scenario's seed. The
+/// base scenario is read from the user's scenario flags as typed,
+/// through the CLI's own parser, so a typo fails as it does on
+/// `dcnr intra`. Each target's query is those flags with `seed`
 /// replaced by the minted seed, and each entry's scenario is what the
 /// server resolves that query to, so `--verify` compares against the
 /// server's own render for every scenario flag.
@@ -217,16 +221,17 @@ fn build_mix(opts: &LoadgenOptions) -> Result<Vec<MixEntry>, DcnrError> {
     }
     let seeds = u32::try_from(opts.scenario_seeds)
         .map_err(|_| DcnrError::Usage("loadgen: --scenario-seeds too large".into()))?;
-    let pairs = query_pairs(&opts.scenario_args)?;
-    let user_query = pairs.join("&");
-    let unseeded: String = pairs
+    let unseeded: String = query_pairs(&opts.scenario_args)
         .iter()
         .filter(|p| p.split('=').next() != Some("seed"))
         .map(|p| format!("&{p}"))
         .collect();
     let mut mix = Vec::new();
     for &e in &opts.artifacts {
-        let base = serve::scenario_for_artifact(e, &user_query)?;
+        let mut args = ArgScanner::new(opts.scenario_args.clone());
+        let study = artifacts::descriptor(e).study;
+        let base = apply_scenario_flags(&mut args, Scenario::cli_default(study))?;
+        args.finish()?;
         for seed in seed_sequence(base.seed, "loadgen.scenario", seeds) {
             let query = format!("seed={seed}{unseeded}");
             mix.push(MixEntry {
@@ -241,24 +246,21 @@ fn build_mix(opts: &LoadgenOptions) -> Result<Vec<MixEntry>, DcnrError> {
 
 /// Rewrites scenario flags into query pairs, the inverse of the rewrite
 /// [`serve::scenario_from_query`] applies: `--k v` and `--k=v` become
-/// `k=v`, and a bare `--k` becomes `k`. As in [`crate::cli::ArgScanner`],
-/// a flag takes the next argument as its value unless that starts with
-/// `--`.
-fn query_pairs(args: &[String]) -> Result<Vec<String>, DcnrError> {
+/// `k=v`, and a bare `--k` becomes `k`. As in [`ArgScanner`], a flag
+/// takes the next argument as its value unless that starts with `--`.
+/// [`build_mix`] sends no pair before it has parsed `args` as CLI
+/// flags, so every argument is a flag or a flag's value.
+fn query_pairs(args: &[String]) -> Vec<String> {
     let mut pairs = Vec::new();
     let mut args = args.iter().peekable();
     while let Some(arg) = args.next() {
-        let flag = arg.strip_prefix("--").ok_or_else(|| {
-            DcnrError::Usage(format!(
-                "loadgen: unrecognized argument {arg:?} (run `dcnr help` for the flag list)"
-            ))
-        })?;
+        let flag = arg.strip_prefix("--").unwrap_or(arg);
         match args.next_if(|v| !flag.contains('=') && !v.starts_with("--")) {
             Some(value) => pairs.push(format!("{flag}={value}")),
             None => pairs.push(flag.to_string()),
         }
     }
-    Ok(pairs)
+    pairs
 }
 
 /// Runs the closed loop against `opts.addr` and returns the aggregate.
@@ -268,6 +270,10 @@ fn query_pairs(args: &[String]) -> Result<Vec<String>, DcnrError> {
 /// differs from the local render.
 pub fn run(opts: &LoadgenOptions) -> Result<LoadReport, DcnrError> {
     let mix = Arc::new(build_mix(opts)?);
+    logger::info(format!(
+        "driving http://{} with {} clients x {} requests...",
+        opts.addr, opts.clients, opts.requests
+    ));
     let verify = opts.verify || opts.chaos;
     // Local expectations, rendered serially before the clock starts.
     let expected: Arc<Vec<Option<String>>> = Arc::new(if verify {
@@ -621,7 +627,7 @@ pub fn parse_artifact_list(list: &str) -> Result<Vec<Experiment>, DcnrError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cli::{parse_loadgen_args, ArgScanner};
+    use crate::cli::parse_loadgen_args;
 
     #[test]
     fn mix_is_deterministic_and_covers_every_artifact_and_seed() {
@@ -737,7 +743,14 @@ mod tests {
             let err = build_mix(&opts).unwrap_err();
             assert_eq!(err.kind(), "usage", "{case:?}: {err}");
             assert_eq!(err.exit_code(), 2, "{case:?}");
-            assert!(err.to_string().contains(case[0]), "{case:?}: {err}");
+            // Named as typed, as `dcnr intra` names it, not as the query
+            // pair it would have become.
+            let message = err.to_string();
+            assert!(
+                message.starts_with(&format!("unrecognized argument {:?}", case[0])),
+                "{case:?}: {err}"
+            );
+            assert!(!message.contains("query string"), "{case:?}: {err}");
         }
     }
 

@@ -29,6 +29,12 @@
 //! land within [`EmergentSeverityModel::AGGREGATE_TOLERANCE`] of the
 //! paper's 82/13/5 — that acceptance gate lives both in this module's
 //! tests and in the `routes.severity_mix` artifact.
+//!
+//! Every condition without `background` failures sees the same failure,
+//! so each sampled victim's healthy loss vector is taken once and read
+//! by all of them; only background conditions assess a failure set of
+//! their own. On the reference region's 100 sampled victims that is 100
+//! healthy passes plus 100 background cells, not 600 assessments.
 
 use crate::impact::{ImpactEngine, ImpactModel};
 use dcnr_faults::calibration::{self, INCIDENT_RATE, POPULATION, TYPE_ORDER};
@@ -138,7 +144,7 @@ impl EmergentSeverityModel {
     pub const AGGREGATE_TOLERANCE: f64 = 0.05;
 
     /// The process-wide model on the reference region. Computed once
-    /// (a few hundred engine assessments) and cached.
+    /// (100 healthy passes plus 100 background cells) and cached.
     pub fn reference() -> &'static Self {
         static REFERENCE: OnceLock<EmergentSeverityModel> = OnceLock::new();
         REFERENCE.get_or_init(|| {
@@ -167,16 +173,25 @@ impl EmergentSeverityModel {
             }
             let step = insts.len().div_ceil(MAX_INSTANCES).max(1);
             let picked: Vec<DeviceId> = insts.iter().copied().step_by(step).collect();
-            for (ci, cond) in conditions.iter().enumerate() {
-                for (vi, &victim) in picked.iter().enumerate() {
-                    let sev =
-                        severity_under(&mut engine, region, &mut base, victim, cond, (ti, ci, vi));
-                    let slot = match sev {
-                        SevLevel::Sev3 => 0,
-                        SevLevel::Sev2 => 1,
-                        SevLevel::Sev1 => 2,
-                    };
-                    mixes[ti][slot] += cond.weight / (total_weight * picked.len() as f64);
+            // One healthy pass per victim serves every condition without
+            // background failures; only background cells assess afresh.
+            let mut grid: Vec<Vec<SevLevel>> = vec![Vec::new(); conditions.len()];
+            for (vi, &victim) in picked.iter().enumerate() {
+                base.clear();
+                let (losses, partitioned) = engine.sorted_rack_losses(victim, &base);
+                for (ci, cond) in conditions.iter().enumerate() {
+                    grid[ci].push(if cond.background == 0 {
+                        severity_of_losses(&losses, partitioned, cond)
+                    } else {
+                        severity_under(&mut engine, region, &mut base, victim, cond, (ti, ci, vi))
+                    });
+                }
+            }
+            // Summed condition-major, victim-minor, the order of one
+            // assessment per cell, so every row keeps its bits.
+            for (cond, sevs) in conditions.iter().zip(&grid) {
+                for &sev in sevs {
+                    mixes[ti][slot(sev)] += cond.weight / (total_weight * picked.len() as f64);
                 }
             }
         }
@@ -268,6 +283,12 @@ fn severity_under(
         }
     }
     let (losses, partitioned) = engine.sorted_rack_losses(victim, base);
+    severity_of_losses(&losses, partitioned, cond)
+}
+
+/// Severity under `cond` of a failure whose per-rack losses, sorted
+/// worst first, are `losses`, with `partitioned` racks cut off.
+fn severity_of_losses(losses: &[f64], partitioned: usize, cond: &OperatingCondition) -> SevLevel {
     if losses.is_empty() {
         return SevLevel::Sev3;
     }
@@ -281,10 +302,20 @@ fn severity_under(
     model.severity_for(c_eff, p_eff)
 }
 
+/// The `[SEV3, SEV2, SEV1]` slot of `sev`.
+fn slot(sev: SevLevel) -> usize {
+    match sev {
+        SevLevel::Sev3 => 0,
+        SevLevel::Sev2 => 1,
+        SevLevel::Sev1 => 2,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcnr_faults::calibration::OVERALL_SEVERITY_2017;
+    use dcnr_topology::{ClusterParams, RegionBuilder};
 
     #[test]
     fn rows_are_valid_distributions() {
@@ -346,6 +377,110 @@ mod tests {
         let a = EmergentSeverityModel::compute(&region, &reference_conditions());
         let b = EmergentSeverityModel::compute(&region, &reference_conditions());
         assert_eq!(a.mixes, b.mixes);
+    }
+
+    #[test]
+    fn reference_mixes_are_pinned_bit_for_bit() {
+        // The reference rows as the per-cell build computed them: every
+        // intra replica's SEV draws follow from these exact bits.
+        const PINNED: [[u64; 3]; 7] = [
+            [0x3fea8f5c28f5c295, 0x3fc0a3d70a3d70a5, 0x3fa47ae147ae147b],
+            [0x3fe7fffffffffffe, 0x3fb47ae147ae147b, 0x3fc5c28f5c28f5c4],
+            [0x3fe8000000000005, 0x3fc5c28f5c28f5c6, 0x3fb47ae147ae147b],
+            [0x3fea8f5c28f5c28f, 0x3fc0a3d70a3d70a5, 0x3fa47ae147ae147b],
+            [0x3fea8f5c28f5c295, 0x3fc5c28f5c28f5c5, 0x0000000000000000],
+            [0x3fea8f5c28f5c295, 0x3fb70a3d70a3d70d, 0x3fb47ae147ae147b],
+            [0x3febd70a3d70a3d7, 0x3fb47ae147ae1479, 0x3fa9999999999999],
+        ];
+        let m = EmergentSeverityModel::reference();
+        assert_eq!(m.mixes.map(|row| row.map(f64::to_bits)), PINNED);
+    }
+
+    /// The oracle for [`EmergentSeverityModel::compute`]: a fresh
+    /// [`severity_under`] per (condition, victim) cell, summed
+    /// condition-major, victim-minor.
+    fn per_cell_mixes(region: &Region, conditions: &[OperatingCondition]) -> [[f64; 3]; 7] {
+        let topo = &region.topology;
+        let mut engine = ImpactEngine::new(ImpactModel::default(), topo);
+        let mut instances: [Vec<DeviceId>; 7] = Default::default();
+        for d in topo.devices() {
+            if let Some(i) = calibration::type_index(d.device_type) {
+                instances[i].push(d.id);
+            }
+        }
+        let total_weight: f64 = conditions.iter().map(|c| c.weight).sum();
+        let mut base = FailureSet::new(topo);
+        let mut mixes = [[0.0f64; 3]; 7];
+        for (ti, insts) in instances.iter().enumerate() {
+            if insts.is_empty() {
+                mixes[ti] = [1.0, 0.0, 0.0];
+                continue;
+            }
+            let step = insts.len().div_ceil(MAX_INSTANCES).max(1);
+            let picked: Vec<DeviceId> = insts.iter().copied().step_by(step).collect();
+            for (ci, cond) in conditions.iter().enumerate() {
+                for (vi, &victim) in picked.iter().enumerate() {
+                    let sev =
+                        severity_under(&mut engine, region, &mut base, victim, cond, (ti, ci, vi));
+                    mixes[ti][slot(sev)] += cond.weight / (total_weight * picked.len() as f64);
+                }
+            }
+        }
+        mixes
+    }
+
+    fn assert_matches_per_cell(region: &Region, conditions: &[OperatingCondition]) {
+        let got = EmergentSeverityModel::compute(region, conditions).mixes;
+        let want = per_cell_mixes(region, conditions);
+        assert_eq!(
+            got.map(|row| row.map(f64::to_bits)),
+            want.map(|row| row.map(f64::to_bits)),
+            "{got:?} vs {want:?} under {conditions:?}"
+        );
+    }
+
+    #[test]
+    fn compute_matches_the_per_cell_oracle_bit_for_bit() {
+        let region = Region::mixed_reference();
+        let reference = reference_conditions();
+        assert_matches_per_cell(&region, &reference);
+        let mut background_first = reference;
+        background_first.rotate_right(1);
+        assert_eq!(background_first[0].background, 1);
+        assert_matches_per_cell(&region, &background_first);
+        let mut two_backgrounds = reference.to_vec();
+        two_backgrounds.push(OperatingCondition {
+            weight: 0.03,
+            utilization: 0.90,
+            footprint: 0.10,
+            background: 2,
+        });
+        assert_matches_per_cell(&region, &two_backgrounds);
+        let no_background: Vec<OperatingCondition> = reference
+            .iter()
+            .copied()
+            .filter(|c| c.background == 0)
+            .collect();
+        assert_matches_per_cell(&region, &no_background);
+    }
+
+    #[test]
+    fn cluster_only_region_matches_the_per_cell_oracle() {
+        // No fabric tiers: the ESW/SSW/FSW rows take the empty-type
+        // `[1, 0, 0]` branch.
+        let region = RegionBuilder::new()
+            .cluster_dc(ClusterParams {
+                clusters: 2,
+                racks_per_cluster: 20,
+                csws_per_cluster: 4,
+                csas: 2,
+                cores: 2,
+                rack_uplink_gbps: 10.0,
+            })
+            .build();
+        let m = EmergentSeverityModel::compute(&region, &reference_conditions());
+        assert_eq!(m.mix(DeviceType::Fsw), [1.0, 0.0, 0.0]);
+        assert_matches_per_cell(&region, &reference_conditions());
     }
 
     #[test]

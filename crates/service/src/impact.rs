@@ -167,7 +167,9 @@ impl<'a> ImpactEngine<'a> {
     /// The per-rack ECMP loss of failing `victim` on top of `base`:
     /// 1.0 for a rack with no surviving core route, otherwise the
     /// fraction of its base-surviving paths removed. Returned in
-    /// `self.racks` order via the callback to avoid allocation.
+    /// `self.racks` order via the callback to avoid allocation. An
+    /// empty `base` reads the healthy path counts the tables were built
+    /// with, so the tables move once, straight to the victim.
     fn for_each_rack_loss(
         &mut self,
         victim: DeviceId,
@@ -175,9 +177,16 @@ impl<'a> ImpactEngine<'a> {
         mut f: impl FnMut(DeviceId, f64),
     ) {
         self.scratch.clone_from(base);
-        self.forwarding.apply(self.topo, &self.scratch);
+        let healthy = base.is_empty();
+        if !healthy {
+            self.forwarding.apply(self.topo, &self.scratch);
+        }
         for (i, &rack) in self.racks.iter().enumerate() {
-            self.base_paths[i] = self.forwarding.core_paths(rack);
+            self.base_paths[i] = if healthy {
+                self.forwarding.healthy_core_paths(rack)
+            } else {
+                self.forwarding.core_paths(rack)
+            };
         }
         self.scratch.fail(victim);
         self.forwarding.apply(self.topo, &self.scratch);
@@ -423,6 +432,27 @@ mod tests {
         let stats = engine.forwarding_stats();
         assert_eq!(stats.builds, 1, "engine never rebuilds from scratch");
         assert!(stats.invalidations >= victims.len() as u64);
+    }
+
+    #[test]
+    fn healthy_losses_after_a_based_assessment_match_a_fresh_engine() {
+        // An empty base reads the build-time healthy path counts instead
+        // of moving the tables back to the empty set; whatever set the
+        // tables were left under, the answer is a fresh engine's.
+        let (t, dc) = cluster();
+        let p = Placement::default_mix(&t);
+        let model = ImpactModel::default();
+        let mut engine = ImpactEngine::new(model, &t);
+        let healthy = FailureSet::new(&t);
+        let mut base = FailureSet::new(&t);
+        base.fail(dc.csws[0][0]);
+        base.fail(dc.cores[0]);
+        for d in t.devices() {
+            engine.assess(&p, d.id, &base);
+            let fresh = ImpactEngine::new(model, &t).sorted_rack_losses(d.id, &healthy);
+            assert_eq!(engine.sorted_rack_losses(d.id, &healthy), fresh, "{d:?}");
+        }
+        assert_eq!(engine.forwarding_stats().builds, 1);
     }
 
     #[test]
