@@ -32,6 +32,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> forwarding properties (release, 512 cases)"
+# Incremental forwarding tables must equal a fresh build's, and their
+# reachability must equal BFS, after every fail or restore step. Which
+# devices an apply recomputes depends on the tiers a failure touches,
+# so these properties run at eight times the default case count.
+PROPTEST_CASES=512 cargo test --release -q -p dcnr-topology -- forwarding zoo_incremental
+
 echo "==> sweep smoke (release, byte-identity across worker counts)"
 cargo build --release --bin dcnr
 ./target/release/dcnr sweep --scenario backbone --seeds 2 --jobs 2 \

@@ -195,12 +195,13 @@ impl<'t> SweepScratch<'t> {
         }
     }
 
-    /// Reachable-live-server ordered-pair fraction and surviving ECMP
-    /// capacity fraction under the currently-applied failure set.
-    fn measure(&self) -> (f64, f64) {
+    /// Reachable-live-server ordered-pair fraction under the
+    /// currently-applied failure set. Reads the component labels, so
+    /// the first call after an `apply` relabels.
+    fn pair_survivability(&mut self) -> f64 {
         let total = self.servers.len();
         if total < 2 {
-            return (0.0, 0.0);
+            return 0.0;
         }
         // Group live servers by component via O(1) `reachable` against
         // a small set of representatives (no per-sample allocation
@@ -219,21 +220,22 @@ impl<'t> SweepScratch<'t> {
             }
         }
         let surviving_pairs: u64 = reps.iter().map(|&(_, c)| c * (c - 1)).sum();
-        let total_pairs = (total * (total - 1)) as f64;
+        surviving_pairs as f64 / (total * (total - 1)) as f64
+    }
+
+    /// Surviving ECMP capacity fraction under the currently-applied
+    /// failure set (path counts only; the labels are not read).
+    fn capacity(&self) -> f64 {
+        if self.servers.len() < 2 || self.healthy_paths <= 0.0 {
+            return 0.0;
+        }
         let capacity: f64 = self
             .servers
             .iter()
             .filter(|&&s| self.forwarding.is_live(s))
             .map(|&s| self.forwarding.core_paths(s) as f64)
             .sum();
-        (
-            surviving_pairs as f64 / total_pairs,
-            if self.healthy_paths > 0.0 {
-                capacity / self.healthy_paths
-            } else {
-                0.0
-            },
-        )
+        capacity / self.healthy_paths
     }
 }
 
@@ -293,9 +295,8 @@ fn sweep_curve(
                 cut += 1;
             }
             scratch.forwarding.apply(scratch.topo, &scratch.failed);
-            let (pairs, capacity) = scratch.measure();
-            acc[fi].0 += pairs;
-            acc[fi].1 += capacity;
+            acc[fi].0 += scratch.pair_survivability();
+            acc[fi].1 += scratch.capacity();
             *samples += 1;
         }
     }
@@ -373,7 +374,7 @@ fn lifespan_replay(topo: &Topology, seed: u64) -> Vec<AgePoint> {
                 next += 1;
             }
             scratch.forwarding.apply(topo, &scratch.failed);
-            let (_, capacity) = scratch.measure();
+            let capacity = scratch.capacity();
             g.mean_capacity += capacity;
             g.min_capacity = g.min_capacity.min(capacity);
             g.max_capacity = g.max_capacity.max(capacity);

@@ -34,7 +34,10 @@
 //! so each sampled victim's healthy loss vector is taken once and read
 //! by all of them; only background conditions assess a failure set of
 //! their own. On the reference region's 100 sampled victims that is 100
-//! healthy passes plus 100 background cells, not 600 assessments.
+//! healthy passes plus 100 background cells, not 600 assessments: 300
+//! forwarding-table moves, each recomputing only the downward cone of
+//! the devices it fails or restores (one device for a rack switch) and
+//! none relabelling components, which no loss reader needs.
 
 use crate::impact::{ImpactEngine, ImpactModel};
 use dcnr_faults::calibration::{self, INCIDENT_RATE, POPULATION, TYPE_ORDER};
@@ -144,7 +147,8 @@ impl EmergentSeverityModel {
     pub const AGGREGATE_TOLERANCE: f64 = 0.05;
 
     /// The process-wide model on the reference region. Computed once
-    /// (100 healthy passes plus 100 background cells) and cached.
+    /// (100 healthy passes plus 100 background cells, 300 cone-scoped
+    /// table moves) and cached.
     pub fn reference() -> &'static Self {
         static REFERENCE: OnceLock<EmergentSeverityModel> = OnceLock::new();
         REFERENCE.get_or_init(|| {

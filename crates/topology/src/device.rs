@@ -128,7 +128,7 @@ impl DeviceType {
     /// never descends and climbs again ("valley routing"). The routing
     /// queries use this rank only *relatively* (strict comparisons), so
     /// the absolute numbers are free to shift when new tiers appear.
-    pub fn tier_rank(self) -> u8 {
+    pub const fn tier_rank(self) -> u8 {
         match self {
             DeviceType::Server => 0,
             DeviceType::Rsw => 1,

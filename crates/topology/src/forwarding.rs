@@ -19,21 +19,31 @@
 //!   capacity-loss primitive the service-impact layer derives request
 //!   failures from, replacing the old blast-radius heuristics.
 //!
-//! Invalidation is incremental: [`ForwardingState::apply`] diffs the new
-//! failure set against the one the tables reflect, relabels components
-//! (scratch-reusing, allocation-free after warm-up), and recomputes path
-//! counts and next hops only for the data centers that contain a changed
-//! device or one of its neighbors. Up-paths terminate at the Core tier
-//! and the only cross-DC links are Core–BBR, so a change cannot affect
-//! path counts beyond that horizon.
+//! Invalidation only does work a change can reach. A device's path
+//! count depends only on its own state, its up-links and its higher-rank
+//! neighbors' counts, so [`ForwardingState::apply`] recomputes the
+//! devices whose state changed and both endpoints of every changed link,
+//! then, in decreasing tier rank, each lower-rank neighbor of a device
+//! whose count changed: the failure's downward cone, and no further (one
+//! device for a rack switch, the switch plus its racks for a cluster
+//! switch). The link diff is skipped while neither the applied nor the
+//! new set has a failed link. Component labels are not touched by
+//! `apply` at all: the first reachability query after it relabels, so
+//! callers that only read path counts (the impact engine) never pay for
+//! them. Both passes read one compact copy of the adjacency, built with
+//! the state, and reuse their scratch: no allocation after warm-up.
 
 use crate::device::{DeviceId, DeviceType};
-use crate::graph::Topology;
+use crate::graph::{LinkId, Topology};
 use crate::routing::FailureSet;
 use std::collections::VecDeque;
 
 /// Component label meaning "failed device; member of no component".
 const NO_COMPONENT: u32 = u32::MAX;
+
+/// The tier rank of the Core tier, the terminal of every up-path (no
+/// other device type shares it).
+const CORE_RANK: u8 = DeviceType::Core.tier_rank();
 
 /// Counters describing how much work a [`ForwardingState`] has done —
 /// the numbers the telemetry layer exports as
@@ -49,6 +59,13 @@ pub struct ForwardingStats {
     pub devices_recomputed: u64,
 }
 
+/// One entry of the compact adjacency: a neighbor and the link to it.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    nbr: u32,
+    link: u32,
+}
+
 /// Materialized forwarding tables for one topology under one failure
 /// set. Create with [`ForwardingState::new`], then move between failure
 /// sets with [`ForwardingState::apply`].
@@ -58,19 +75,34 @@ pub struct ForwardingState {
     failed: Vec<bool>,
     /// The link-failure bitmap the tables currently reflect.
     link_failed: Vec<bool>,
-    /// Connected-component label per device ([`NO_COMPONENT`] = failed).
+    /// Number of failed links in `link_failed`.
+    failed_links: usize,
+    /// Connected-component label per device ([`NO_COMPONENT`] = failed);
+    /// valid only while `labels_stale` is false.
     component: Vec<u32>,
+    /// Set by every table move; the next reachability query relabels.
+    labels_stale: bool,
     /// Strictly-upward path counts to the Core tier with nothing failed.
     healthy_paths: Vec<u64>,
     /// Strictly-upward path counts under the current failure set.
     live_paths: Vec<u64>,
-    /// Per-device live upward next hops (neighbors one tier-rank-class
-    /// up with a surviving path to a live Core). Inner vectors keep
-    /// their capacity across rebuilds.
+    /// Tier rank per device.
+    rank: Vec<u8>,
+    /// Compact adjacency: device `i`'s entries are
+    /// `edges[start[i]..start[i + 1]]`, its higher-rank neighbors first
+    /// (up to `up_end[i]`), each run in topology neighbor order.
+    edges: Vec<Edge>,
+    start: Vec<u32>,
+    up_end: Vec<u32>,
+    /// Per-device live upward next hops (higher-rank neighbors with a
+    /// surviving path to a live Core), in topology neighbor order.
+    /// Inner vectors keep their capacity across applies.
     next_hops: Vec<Vec<DeviceId>>,
-    /// Devices in decreasing tier-rank order (the DAG sweep order).
-    sweep_order: Vec<u32>,
-    /// BFS scratch, reused across rebuilds.
+    /// Devices awaiting a recompute, one stack per tier rank.
+    pending: Vec<Vec<u32>>,
+    /// Whether a device is in `pending`.
+    queued: Vec<bool>,
+    /// BFS scratch, reused across relabels.
     queue: VecDeque<u32>,
     stats: ForwardingStats,
 }
@@ -79,77 +111,96 @@ impl ForwardingState {
     /// Builds the healthy forwarding state for `topo`.
     pub fn new(topo: &Topology) -> Self {
         let n = topo.device_count();
-        let mut sweep_order: Vec<u32> = (0..n as u32).collect();
-        sweep_order.sort_by_key(|&i| {
-            let d = topo.device(DeviceId(i));
-            (std::cmp::Reverse(d.device_type.tier_rank()), i)
-        });
+        let rank: Vec<u8> = topo
+            .devices()
+            .iter()
+            .map(|d| d.device_type.tier_rank())
+            .collect();
+        let mut edges = Vec::with_capacity(2 * topo.link_count());
+        let mut start = Vec::with_capacity(n + 1);
+        let mut up_end = Vec::with_capacity(n);
+        let edge = |&(nbr, l): &(DeviceId, LinkId)| Edge {
+            nbr: nbr.0,
+            link: l.0,
+        };
+        for d in topo.devices() {
+            let mine = rank[d.id.index()];
+            let neighbors = topo.neighbors(d.id);
+            start.push(edges.len() as u32);
+            edges.extend(
+                neighbors
+                    .iter()
+                    .filter(|(nbr, _)| rank[nbr.index()] > mine)
+                    .map(edge),
+            );
+            up_end.push(edges.len() as u32);
+            edges.extend(
+                neighbors
+                    .iter()
+                    .filter(|(nbr, _)| rank[nbr.index()] <= mine)
+                    .map(edge),
+            );
+        }
+        start.push(edges.len() as u32);
+        let ranks = rank.iter().max().map_or(0, |&r| usize::from(r) + 1);
         let mut state = Self {
             failed: vec![false; n],
             link_failed: vec![false; topo.link_count()],
+            failed_links: 0,
             component: vec![NO_COMPONENT; n],
+            labels_stale: true,
             healthy_paths: vec![0; n],
             live_paths: vec![0; n],
             next_hops: vec![Vec::new(); n],
-            sweep_order,
+            rank,
+            edges,
+            start,
+            up_end,
+            pending: vec![Vec::new(); ranks],
+            queued: vec![false; n],
             queue: VecDeque::new(),
             stats: ForwardingStats::default(),
         };
-        state.rebuild_components(topo);
-        state.recompute_paths(topo, None);
+        for i in 0..n as u32 {
+            state.enqueue(i);
+        }
+        state.sweep();
         state.healthy_paths.clone_from(&state.live_paths);
         state.stats.builds += 1;
         state
     }
 
-    /// Moves the tables to `failed`, doing incremental work proportional
-    /// to the data centers touched by the diff. Returns `true` if the
+    /// Moves the tables to `failed`, recomputing only the downward cone
+    /// of the devices and links that changed. Returns `true` if the
     /// failure set differed from the one already applied (an
     /// invalidation), `false` for a no-op.
     pub fn apply(&mut self, topo: &Topology, failed: &FailureSet) -> bool {
-        let mut dirty_dcs: Vec<u16> = Vec::new();
         let mut changed = false;
         for i in 0..self.failed.len() {
-            let id = DeviceId(i as u32);
-            let now = failed.is_failed(id);
+            let now = failed.is_failed(DeviceId(i as u32));
             if now != self.failed[i] {
-                changed = true;
                 self.failed[i] = now;
-                let dc = topo.device(id).datacenter;
-                if !dirty_dcs.contains(&dc) {
-                    dirty_dcs.push(dc);
-                }
-                // Up-paths can cross a DC boundary only over a direct
-                // link, so the neighbor DCs bound the blast of the diff.
-                for &(nbr, _) in topo.neighbors(id) {
-                    let ndc = topo.device(nbr).datacenter;
-                    if !dirty_dcs.contains(&ndc) {
-                        dirty_dcs.push(ndc);
-                    }
-                }
+                self.enqueue(i as u32);
+                changed = true;
             }
         }
-        for i in 0..self.link_failed.len() {
-            let link = topo.link(crate::graph::LinkId(i as u32));
-            let now = failed.is_link_failed(link.id);
-            if now != self.link_failed[i] {
-                changed = true;
-                self.link_failed[i] = now;
-                // A link change can only affect path counts through its
-                // two endpoints, so their DCs bound the recompute scope.
-                for end in [link.a, link.b] {
-                    let dc = topo.device(end).datacenter;
-                    if !dirty_dcs.contains(&dc) {
-                        dirty_dcs.push(dc);
-                    }
+        if self.failed_links > 0 || failed.failed_link_count() > 0 {
+            for link in topo.links() {
+                let now = failed.is_link_failed(link.id);
+                if now != self.link_failed[link.id.index()] {
+                    self.link_failed[link.id.index()] = now;
+                    self.enqueue(link.a.0);
+                    self.enqueue(link.b.0);
+                    changed = true;
                 }
             }
+            self.failed_links = failed.failed_link_count();
         }
         if !changed {
             return false;
         }
-        self.rebuild_components(topo);
-        self.recompute_paths(topo, Some(&dirty_dcs));
+        self.labels_stale = true;
+        self.stats.devices_recomputed += self.sweep();
         self.stats.invalidations += 1;
         true
     }
@@ -166,17 +217,14 @@ impl ForwardingState {
 
     /// Whether `a` can reach `b` through live devices — exactly the BFS
     /// oracle's answer: `false` whenever either endpoint is failed,
-    /// `true` for a live device and itself.
-    pub fn reachable(&self, a: DeviceId, b: DeviceId) -> bool {
+    /// `true` for a live device and itself. The first query after a
+    /// table move relabels the components.
+    pub fn reachable(&mut self, a: DeviceId, b: DeviceId) -> bool {
+        if self.labels_stale {
+            self.relabel();
+        }
         let ca = self.component[a.index()];
         ca != NO_COMPONENT && ca == self.component[b.index()]
-    }
-
-    /// Whether `src` can reach any live device of type `target`.
-    pub fn reaches_type(&self, topo: &Topology, src: DeviceId, target: DeviceType) -> bool {
-        topo.devices()
-            .iter()
-            .any(|d| d.device_type == target && self.reachable(src, d.id))
     }
 
     /// Strictly-upward path count from `d` to the Core tier with the
@@ -230,16 +278,74 @@ impl ForwardingState {
             .collect()
     }
 
+    /// Queues device `i` for the next [`Self::sweep`].
+    fn enqueue(&mut self, i: u32) {
+        let idx = i as usize;
+        if !self.queued[idx] {
+            self.queued[idx] = true;
+            self.pending[usize::from(self.rank[idx])].push(i);
+        }
+    }
+
+    /// Recomputes the queued devices in decreasing tier rank, queueing
+    /// each lower-rank neighbor of a device whose path count changed, so
+    /// every sum reads final upstream counts. Returns how many devices
+    /// it recomputed.
+    fn sweep(&mut self) -> u64 {
+        let mut recomputed = 0;
+        for r in (0..self.pending.len()).rev() {
+            while let Some(i) = self.pending[r].pop() {
+                let i = i as usize;
+                self.queued[i] = false;
+                recomputed += 1;
+                if self.recompute(i) {
+                    for e in self.up_end[i]..self.start[i + 1] {
+                        let j = self.edges[e as usize].nbr;
+                        if usize::from(self.rank[j as usize]) < r {
+                            self.enqueue(j);
+                        }
+                    }
+                }
+            }
+        }
+        recomputed
+    }
+
+    /// Recomputes device `i`'s path count and next hops from its
+    /// higher-rank neighbors; returns whether the count changed.
+    fn recompute(&mut self, i: usize) -> bool {
+        let hops = &mut self.next_hops[i];
+        hops.clear();
+        let total = if self.failed[i] {
+            0
+        } else if self.rank[i] == CORE_RANK {
+            1
+        } else {
+            let mut total: u64 = 0;
+            for &Edge { nbr, link } in &self.edges[self.start[i] as usize..self.up_end[i] as usize]
+            {
+                let j = nbr as usize;
+                if self.failed[j] || self.link_failed[link as usize] {
+                    continue;
+                }
+                let up = self.live_paths[j];
+                if up > 0 {
+                    total = total.saturating_add(up);
+                    hops.push(DeviceId(nbr));
+                }
+            }
+            total
+        };
+        std::mem::replace(&mut self.live_paths[i], total) != total
+    }
+
     /// Relabels connected components over the live devices (full pass,
     /// allocation-free after warm-up).
-    fn rebuild_components(&mut self, topo: &Topology) {
-        let n = self.failed.len();
-        for c in self.component.iter_mut() {
-            *c = NO_COMPONENT;
-        }
+    fn relabel(&mut self) {
+        self.component.fill(NO_COMPONENT);
         self.queue.clear();
         let mut next_label: u32 = 0;
-        for start in 0..n {
+        for start in 0..self.failed.len() {
             if self.failed[start] || self.component[start] != NO_COMPONENT {
                 continue;
             }
@@ -248,62 +354,22 @@ impl ForwardingState {
             self.component[start] = label;
             self.queue.push_back(start as u32);
             while let Some(u) = self.queue.pop_front() {
-                for &(nbr, l) in topo.neighbors(DeviceId(u)) {
-                    let v = nbr.index();
+                let u = u as usize;
+                for &Edge { nbr, link } in
+                    &self.edges[self.start[u] as usize..self.start[u + 1] as usize]
+                {
+                    let v = nbr as usize;
                     if !self.failed[v]
-                        && !self.link_failed[l.index()]
+                        && !self.link_failed[link as usize]
                         && self.component[v] == NO_COMPONENT
                     {
                         self.component[v] = label;
-                        self.queue.push_back(v as u32);
+                        self.queue.push_back(nbr);
                     }
                 }
             }
         }
-    }
-
-    /// Recomputes `live_paths` and next hops, either for every device
-    /// (`scope: None`) or only for devices whose data center is in
-    /// `scope`. Devices are visited in decreasing tier rank so each
-    /// sum reads fully-computed upstream counts.
-    fn recompute_paths(&mut self, topo: &Topology, scope: Option<&[u16]>) {
-        for idx in 0..self.sweep_order.len() {
-            let i = self.sweep_order[idx] as usize;
-            let id = DeviceId(i as u32);
-            let device = topo.device(id);
-            if let Some(dcs) = scope {
-                if !dcs.contains(&device.datacenter) {
-                    continue;
-                }
-            }
-            self.stats.devices_recomputed += u64::from(scope.is_some());
-            self.next_hops[i].clear();
-            if self.failed[i] {
-                self.live_paths[i] = 0;
-                continue;
-            }
-            if device.device_type == DeviceType::Core {
-                self.live_paths[i] = 1;
-                continue;
-            }
-            let rank = device.device_type.tier_rank();
-            let mut total: u64 = 0;
-            for &(nbr, l) in topo.neighbors(id) {
-                let j = nbr.index();
-                if self.failed[j]
-                    || self.link_failed[l.index()]
-                    || topo.device(nbr).device_type.tier_rank() <= rank
-                {
-                    continue;
-                }
-                let up = self.live_paths[j];
-                if up > 0 {
-                    total = total.saturating_add(up);
-                    self.next_hops[i].push(nbr);
-                }
-            }
-            self.live_paths[i] = total;
-        }
+        self.labels_stale = false;
     }
 }
 
@@ -492,6 +558,63 @@ mod tests {
         failed.restore_link(uplink);
         assert!(fs.apply(&t, &failed));
         assert!(fs.has_core_route(rsw));
+    }
+
+    /// Applies `failed` and returns how many devices it recomputed.
+    fn recomputed_by(fs: &mut ForwardingState, t: &Topology, failed: &FailureSet) -> u64 {
+        let before = fs.stats().devices_recomputed;
+        assert!(fs.apply(t, failed));
+        fs.stats().devices_recomputed - before
+    }
+
+    #[test]
+    fn a_failure_recomputes_only_its_downward_cone() {
+        let (t, dc) = cluster_topo();
+        let mut fs = ForwardingState::new(&t);
+        let mut failed = FailureSet::new(&t);
+        // A rack switch has nothing below it: only its own count moves.
+        let rsw = dc.rsws[0][0];
+        failed.fail(rsw);
+        assert_eq!(recomputed_by(&mut fs, &t, &failed), 1);
+        failed.restore(rsw);
+        assert_eq!(recomputed_by(&mut fs, &t, &failed), 1);
+        assert_eq!(fs.core_paths(rsw), 16);
+        // A cluster switch takes its cluster's racks with it, and no
+        // other cluster's.
+        let csw = dc.csws[1][2];
+        let cone = 1 + dc.rsws[1].len() as u64;
+        failed.fail(csw);
+        assert_eq!(recomputed_by(&mut fs, &t, &failed), cone);
+        assert_eq!(fs.core_paths(dc.rsws[1][0]), 12);
+        failed.restore(csw);
+        assert_eq!(recomputed_by(&mut fs, &t, &failed), cone);
+        assert_eq!(fs.core_paths(dc.rsws[1][0]), 16);
+    }
+
+    #[test]
+    fn labels_are_relabelled_by_the_first_query_after_an_apply() {
+        let (t, dc) = cluster_topo();
+        let mut fs = ForwardingState::new(&t);
+        assert!(
+            fs.labels_stale,
+            "a build leaves labelling to the first query"
+        );
+        let rsw = dc.rsws[0][0];
+        assert!(fs.reachable(rsw, dc.cores[0]));
+        assert!(!fs.labels_stale);
+        let mut failed = FailureSet::new(&t);
+        failed.fail(rsw);
+        assert!(fs.apply(&t, &failed));
+        // No query followed the apply, so no relabel ran: the failed
+        // rack still carries its healthy label.
+        assert!(fs.labels_stale);
+        assert_ne!(fs.component[rsw.index()], NO_COMPONENT);
+        assert!(!fs.reachable(rsw, rsw));
+        assert!(!fs.labels_stale);
+        assert_eq!(fs.component[rsw.index()], NO_COMPONENT);
+        // A no-op apply keeps the fresh labels.
+        assert!(!fs.apply(&t, &failed));
+        assert!(!fs.labels_stale);
     }
 
     #[test]

@@ -277,6 +277,62 @@ proptest! {
     }
 
     #[test]
+    fn forwarding_fail_and_restore_steps_match_rebuild_and_bfs(
+        member_idx in 0usize..crate::zoo::ZOO.len(),
+        scale in 0.2f64..1.2,
+        steps in proptest::collection::vec((any::<u16>(), any::<bool>(), 0u8..4, 0u8..4), 1..24),
+    ) {
+        // Counts go back *up* on restores, which the add-only
+        // invalidation properties never exercise. Each step fails a
+        // device or link (op 0 or 1) or restores a failed one (op 2 or
+        // 3), then the tables must equal a fresh build's; one step in
+        // four also checks reachability against BFS, and the labels
+        // stay stale in between.
+        let topo = crate::zoo::ZOO[member_idx].build(scale);
+        let mut incremental = ForwardingState::new(&topo);
+        let mut failed = FailureSet::new(&topo);
+        let mut down_devices = Vec::new();
+        let mut down_links = Vec::new();
+        for &(p, is_link, op, check) in &steps {
+            let p = p as usize;
+            match (op < 2, is_link) {
+                (true, false) => {
+                    let d = topo.devices()[p % topo.device_count()].id;
+                    failed.fail(d);
+                    down_devices.push(d);
+                }
+                (true, true) => {
+                    let l = topo.links()[p % topo.link_count()].id;
+                    failed.fail_link(l);
+                    down_links.push(l);
+                }
+                (false, false) if !down_devices.is_empty() => {
+                    failed.restore(down_devices.swap_remove(p % down_devices.len()));
+                }
+                (false, true) if !down_links.is_empty() => {
+                    failed.restore_link(down_links.swap_remove(p % down_links.len()));
+                }
+                (false, _) => {}
+            }
+            incremental.apply(&topo, &failed);
+            let mut fresh = ForwardingState::new(&topo);
+            fresh.apply(&topo, &failed);
+            for d in topo.devices() {
+                prop_assert_eq!(incremental.core_paths(d.id), fresh.core_paths(d.id));
+                prop_assert_eq!(incremental.next_hops(d.id), fresh.next_hops(d.id));
+            }
+            if check == 0 {
+                for a in topo.devices() {
+                    let seen = reachable_from(&topo, a.id, &failed);
+                    for b in topo.devices() {
+                        prop_assert_eq!(incremental.reachable(a.id, b.id), seen[b.id.index()]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn failure_set_len_tracks_fail_restore(ops in proptest::collection::vec((0usize..50, any::<bool>()), 0..100)) {
         let mut topo = Topology::new();
         for i in 0..50u32 {

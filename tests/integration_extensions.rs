@@ -1,13 +1,15 @@
 //! Integration tests for the extension modules (DESIGN.md §5a): WAN
 //! rerouting, cross-DC planes, drills, and Kaplan–Meier cross-checks —
-//! each exercised against a full study run.
+//! each exercised against a full study run — plus the emergent severity
+//! mix's committed bytes.
 
 use dcnr_core::backbone::topo::BackboneParams;
 use dcnr_core::backbone::wan::{self, RerouteImpact};
 use dcnr_core::backbone::{BackboneSimConfig, CrossDcPlanes};
+use dcnr_core::serve::render_artifact_text;
 use dcnr_core::service::{disaster_drill, FaultInjectionDrill, ImpactModel, Placement};
 use dcnr_core::topology::Region;
-use dcnr_core::InterDcStudy;
+use dcnr_core::{Experiment, InterDcStudy, Scenario, StudyKind};
 use std::collections::HashSet;
 
 fn inter() -> InterDcStudy {
@@ -118,4 +120,29 @@ fn kaplan_meier_cross_check_is_consistent() {
     // Survival is a proper tail function.
     assert!(km.survival_at(0.0) <= 1.0);
     assert!(km.survival_at(1e9) >= 0.0);
+}
+
+#[test]
+fn severity_mix_artifact_bytes_match_the_committed_golden() {
+    // The emergent mixes follow from the ECMP path losses of 100 sampled
+    // failures on the reference region, each an incremental forwarding
+    // apply, so these bytes pin the incremental path recompute.
+    const GOLDEN: &str = include_str!("golden/routes_severity_mix.txt");
+    let rendered = render_artifact_text(
+        &Scenario::cli_default(StudyKind::Routes),
+        Experiment::RoutesSeverityMix,
+    )
+    .expect("the default routes scenario is valid");
+    let first_diff = rendered
+        .lines()
+        .zip(GOLDEN.lines())
+        .position(|(got, want)| got != want)
+        .map(|i| i + 1);
+    assert!(
+        rendered == GOLDEN,
+        "the routes.severity_mix artifact drifted from tests/golden/routes_severity_mix.txt \
+         (first differing line: {first_diff:?}); if the change is intended, regenerate it \
+         with `cargo run --release -q --bin dcnr -- artifact routes.severity_mix \
+         > tests/golden/routes_severity_mix.txt`"
+    );
 }

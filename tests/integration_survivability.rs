@@ -4,7 +4,7 @@
 //! sweeps carry cross-seed bands with checkpoint/resume byte-identity.
 
 use dcnr_core::survivability::{ElementClass, SurvivabilityConfig, SurvivabilityStudy, FRACTIONS};
-use dcnr_core::{checkpoint, run_sweep, RunContext, Scenario, SweepConfig};
+use dcnr_core::{checkpoint, run_sweep, RunContext, Scenario, StudyKind, SweepConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -129,4 +129,51 @@ fn survivability_checkpoint_resumes_byte_identically() {
     assert_eq!(first.rendered, resumed.rendered);
     assert_eq!(resumed.cache_hits, 2, "two replicas served from shards");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Renders `dcnr survivability --scale 0.25 [--topology ID]` in process
+/// and compares it with the committed golden named `golden`.
+fn assert_cli_render_matches(topology: Option<&'static str>, golden: &str, name: &str) {
+    let base = Scenario::cli_default(StudyKind::Survivability);
+    let rendered = RunContext::new(Scenario {
+        scale: 0.25,
+        topology: topology.unwrap_or(base.topology),
+        ..base
+    })
+    .execute()
+    .rendered;
+    let first_diff = rendered
+        .lines()
+        .zip(golden.lines())
+        .position(|(got, want)| got != want)
+        .map(|i| i + 1);
+    let flag = topology.map_or(String::new(), |t| format!(" --topology {t}"));
+    assert!(
+        rendered == golden,
+        "the survivability report drifted from tests/golden/{name} \
+         (first differing line: {first_diff:?}); if the change is intended, \
+         regenerate it with `cargo run --release -q --bin dcnr -- survivability \
+         --scale 0.25{flag} > tests/golden/{name}`"
+    );
+}
+
+#[test]
+fn survivability_report_bytes_match_the_committed_golden() {
+    // Every ranking sample reads the forwarding state's reachability
+    // labels after an incremental apply, so these bytes pin the labels
+    // as well as the ECMP path counts behind the capacity column.
+    assert_cli_render_matches(
+        None,
+        include_str!("golden/survivability_scale0.25.txt"),
+        "survivability_scale0.25.txt",
+    );
+}
+
+#[test]
+fn dcell_survivability_report_bytes_match_the_committed_golden() {
+    assert_cli_render_matches(
+        Some("dcell"),
+        include_str!("golden/survivability_dcell_scale0.25.txt"),
+        "survivability_dcell_scale0.25.txt",
+    );
 }
