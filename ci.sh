@@ -235,6 +235,15 @@ DCNR_ADDR=$(cat "$DCNR_TMP/serve_port")
     --clients 4 --requests 6 --verify \
     --artifacts fig15,fig16,table4 --scale 0.25 --edges 40 --vendors 16 \
     >/dev/null
+# The server renders every artifact of a scenario from one resident
+# study: 2 scenario seeds, 2 backbone simulations, however many misses.
+./target/release/dcnr -q fetch "$DCNR_ADDR" /metrics >"$DCNR_TMP/serve_studies.prom"
+grep -qx 'dcnr_phase_duration_micros_count{phase="backbone.sim"} 2' \
+    "$DCNR_TMP/serve_studies.prom" || {
+    echo "serve ran the backbone study other than once per scenario:" >&2
+    grep 'phase="backbone.sim"' "$DCNR_TMP/serve_studies.prom" >&2 || true
+    exit 1
+}
 # Every scenario flag reaches the server: with --topology the verified
 # surv.lifespan bodies must be the dcell render, not the default's.
 ./target/release/dcnr -q loadgen --addr "$DCNR_ADDR" --verify \

@@ -17,8 +17,9 @@
 //! in with transport errors.
 //!
 //! With `--verify`, every response body is compared byte-for-byte
-//! against [`crate::serve::render_artifact_text`] computed locally —
-//! the load test doubles as the cache-coherence test. With `--chaos`
+//! against the bytes [`crate::serve::render_artifact_text`] prints,
+//! rendered locally with one study run per scenario — the load test
+//! doubles as the cache-coherence test. With `--chaos`
 //! the run becomes a resilience harness: it assumes the server is
 //! fault-injected, forces verification, and emits a pass/fail verdict
 //! (eventual-success rate ≥ `min_success`, undetected corruption
@@ -31,7 +32,7 @@ use crate::error::DcnrError;
 use crate::experiments::Experiment;
 use crate::json;
 use crate::resilience::{self, Outcome, RetryCauses, RetryPolicy};
-use crate::scenario::Scenario;
+use crate::scenario::{RunContext, Scenario};
 use crate::serve;
 use dcnr_server::client;
 use dcnr_sim::rng::derive_indexed_seed;
@@ -263,6 +264,32 @@ fn query_pairs(args: &[String]) -> Vec<String> {
     pairs
 }
 
+/// Renders every mix entry's expected body, in mix order. Entries are
+/// visited grouped by scenario and each group renders from one
+/// [`RunContext`] through the server's own render helper, so each
+/// scenario's study runs once and only one context is alive at a time.
+/// [`build_mix`] resolved every scenario through the server's query
+/// parser, which validates it.
+fn render_expected(mix: &[MixEntry]) -> Result<Vec<String>, DcnrError> {
+    let mut order: Vec<(String, usize)> = mix
+        .iter()
+        .enumerate()
+        .map(|(i, m)| (serve::scenario_key(&m.scenario), i))
+        .collect();
+    order.sort();
+    let mut expected = vec![String::new(); mix.len()];
+    let mut current: Option<(&str, RunContext)> = None;
+    for (key, i) in &order {
+        let m = &mix[*i];
+        let ctx = match &current {
+            Some((k, ctx)) if k == key => ctx,
+            _ => &current.insert((key, RunContext::new(m.scenario))).1,
+        };
+        expected[*i] = serve::render_from(ctx, m.experiment)?;
+    }
+    Ok(expected)
+}
+
 /// Runs the closed loop against `opts.addr` and returns the aggregate.
 ///
 /// Fails with [`DcnrError::Failed`] when no request succeeds (server
@@ -277,9 +304,7 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadReport, DcnrError> {
     let verify = opts.verify || opts.chaos;
     // Local expectations, rendered serially before the clock starts.
     let expected: Arc<Vec<Option<String>>> = Arc::new(if verify {
-        mix.iter()
-            .map(|m| serve::render_artifact_text(&m.scenario, m.experiment).map(Some))
-            .collect::<Result<_, _>>()?
+        render_expected(&mix)?.into_iter().map(Some).collect()
     } else {
         mix.iter().map(|_| None).collect()
     });
@@ -666,6 +691,35 @@ mod tests {
             ..LoadgenOptions::default()
         };
         assert_eq!(build_mix(&bad).unwrap_err().kind(), "usage");
+    }
+
+    #[test]
+    fn verify_renders_run_each_scenario_study_once() {
+        let opts = LoadgenOptions {
+            scenario_args: ["--scale", "0.25", "--edges", "40", "--vendors", "16"]
+                .map(String::from)
+                .to_vec(),
+            ..LoadgenOptions::default()
+        };
+        let mix = build_mix(&opts).unwrap();
+        let telemetry = dcnr_telemetry::Telemetry::new_handle();
+        let expected = {
+            let _guard = dcnr_telemetry::installed(telemetry.clone());
+            render_expected(&mix).unwrap()
+        };
+        let sims = crate::profile::phase_rows(&telemetry.metrics.snapshot())
+            .into_iter()
+            .find(|r| r.phase == "backbone.sim")
+            .map(|r| r.calls);
+        // Three backbone artifacts over two scenario seeds.
+        assert_eq!(mix.len(), 6);
+        assert_eq!(sims, Some(2));
+        for (m, body) in mix.iter().zip(&expected) {
+            assert_eq!(
+                *body,
+                serve::render_artifact_text(&m.scenario, m.experiment).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -18,12 +18,20 @@
 //! to `dcnr artifact {id}` with the same flags. Both paths build the
 //! scenario from [`Scenario::cli_default`] for the artifact's study and
 //! apply the **same** [`crate::cli::apply_scenario_flags`] (query pairs
-//! are rewritten to `--flag=value` arguments), then render through
-//! [`render_artifact_text`]. The cache is keyed like a checkpoint shard
-//! — scenario kind + seed + artifact id, with the scenario's `Debug`
-//! rendering as the same safety net [`crate::checkpoint::Manifest`]
-//! uses — so a hit can never serve a response the miss path would not
-//! have produced.
+//! are rewritten to `--flag=value` arguments), then render one block
+//! from a [`RunContext`] through the same private helper. The cache is
+//! keyed like a checkpoint shard — scenario kind + seed + artifact id,
+//! with the scenario's `Debug` rendering as the same safety net
+//! [`crate::checkpoint::Manifest`] uses — so a hit can never serve a
+//! response the miss path would not have produced.
+//!
+//! One study per scenario: `dcnr artifact` runs a fresh context, while
+//! the server keeps the contexts of the four most recently rendered
+//! scenarios, keyed by the scenario part of that key. Every miss
+//! renders from its scenario's shared context, so a dashboard asking
+//! for five backbone figures of one scenario runs the backbone
+//! simulation once; concurrent misses on one scenario wait on the
+//! context's `OnceLock` for that single run.
 
 use crate::artifacts;
 use crate::cli::{apply_scenario_flags, ArgScanner};
@@ -141,6 +149,16 @@ impl RenderFaultPlan {
     }
 }
 
+/// How many scenarios' run contexts the server keeps resident. Four
+/// matches the default worker count, so each worker can be rendering a
+/// different scenario without evicting another's study. Measured as
+/// resident-set growth, a CLI-default (scale 10) intra context holds
+/// about 23 MiB, a backbone context about 3 MiB at any scale and a
+/// scale-0.15 intra context about 0.3 MiB, so the set stays under
+/// about 93 MiB. A context evicted mid-render lives on in its renders'
+/// `Arc`s until they finish.
+const RESIDENT_CONTEXTS: usize = 4;
+
 /// Shared state behind the request handler.
 struct ServeState {
     /// Metrics only: nothing reads a trace back out of the server, so
@@ -148,6 +166,9 @@ struct ServeState {
     telemetry: TelemetryHandle,
     /// Rendered-artifact result cache.
     cache: Mutex<LruCache<String, Arc<String>>>,
+    /// The run contexts of the most recently rendered scenarios, keyed
+    /// by [`scenario_key`]; misses render from these.
+    contexts: Mutex<LruCache<String, Arc<RunContext>>>,
     /// Last-known-good renders, retained past `cache` eviction so the
     /// degraded paths (breaker open, render failure, saturation) can
     /// serve something honest — always flagged with `X-Dcnr-Stale`.
@@ -224,6 +245,7 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
             ..Telemetry::default()
         }),
         cache: Mutex::new(LruCache::new(opts.cache_entries.max(1))),
+        contexts: Mutex::new(LruCache::new(RESIDENT_CONTEXTS)),
         stale: Mutex::new(LruCache::new(opts.cache_entries.max(1) * 8)),
         stats: stats.clone(),
         sweep_root: opts.sweep_root.clone(),
@@ -463,9 +485,10 @@ fn metrics_response(state: &ServeState) -> Response {
     response
 }
 
-/// Locks a cache or the breaker map. Every update to them is a single
-/// map operation that leaves the data valid, so a guard poisoned by a
-/// panicking handler is still safe to use.
+/// Locks a cache, the resident contexts or the breaker map. Every
+/// update to them is a single map operation that leaves the data
+/// valid, so a guard poisoned by a panicking handler is still safe to
+/// use.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -585,7 +608,7 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
             message: "injected render fault".into(),
         })
     } else {
-        render_artifact_text(&scenario, experiment)
+        resident_context(state, &scenario).and_then(|ctx| render_from(&ctx, experiment))
     };
 
     match rendered {
@@ -674,10 +697,17 @@ pub fn scenario_from_query(base: Scenario, query: &str) -> Result<Scenario, Dcnr
     Ok(scenario)
 }
 
-/// The result-cache key for (`scenario`, `artifact`): kind + master
-/// seed + artifact id, plus the scenario's `Debug` rendering as the
-/// exact-match safety net the checkpoint manifest uses — any scenario
-/// knob, present or future, distinguishes cache entries.
+/// The run-context key for `scenario`: kind + master seed, plus the
+/// scenario's `Debug` rendering as the exact-match safety net the
+/// checkpoint manifest uses — any scenario knob, present or future,
+/// distinguishes contexts.
+pub(crate) fn scenario_key(scenario: &Scenario) -> String {
+    format!("{}|{:#018x}|{:?}", scenario.kind, scenario.seed, scenario)
+}
+
+/// The result-cache key for (`scenario`, `artifact`): the scenario's
+/// run-context key (kind + master seed + its `Debug` rendering) with
+/// the artifact id, formatted in one pass because every hit builds it.
 pub fn cache_key(scenario: &Scenario, artifact: &str) -> String {
     format!(
         "{}|{:#018x}|{}|{:?}",
@@ -685,14 +715,36 @@ pub fn cache_key(scenario: &Scenario, artifact: &str) -> String {
     )
 }
 
-/// Renders one artifact for `scenario`: validate, run the (lazily
-/// cached) study, render the block — with a study panic converted to a
-/// typed error at this boundary, exactly like `RunContext::try_execute`.
-/// Both `dcnr artifact` and the server's miss path call this, which is
-/// what makes their bytes identical.
+/// The resident context for `scenario`, inserted (most recently used)
+/// if absent. Validates first, so an invalid scenario never occupies a
+/// slot. The lock covers only the lookup: the study runs later, inside
+/// the context's `OnceLock`, so different scenarios render concurrently.
+fn resident_context(state: &ServeState, scenario: &Scenario) -> Result<Arc<RunContext>, DcnrError> {
+    scenario.validate()?;
+    let key = scenario_key(scenario);
+    let mut contexts = lock(&state.contexts);
+    if let Some(ctx) = contexts.get(&key) {
+        return Ok(ctx.clone());
+    }
+    let ctx = Arc::new(RunContext::new(*scenario));
+    contexts.insert(key, ctx.clone());
+    Ok(ctx)
+}
+
+/// Renders one artifact for `scenario` from a fresh context: validate,
+/// run the study, render the block. `dcnr artifact` prints this; the
+/// server's miss path renders through the same private helper over its
+/// resident context, which is what makes their bytes identical.
 pub fn render_artifact_text(scenario: &Scenario, e: Experiment) -> Result<String, DcnrError> {
     scenario.validate()?;
-    let ctx = RunContext::new(*scenario);
+    render_from(&RunContext::new(*scenario), e)
+}
+
+/// Renders artifact `e`'s block from `ctx`, running its study on first
+/// use, with a panic converted to a typed error at this boundary,
+/// exactly like `RunContext::try_execute`. A study that panics leaves
+/// its `OnceLock` empty, so the next render of the context retries it.
+pub(crate) fn render_from(ctx: &RunContext, e: Experiment) -> Result<String, DcnrError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         artifacts::render_block(&ctx.artifact(e))
     }))
@@ -700,8 +752,8 @@ pub fn render_artifact_text(scenario: &Scenario, e: Experiment) -> Result<String
         context: format!(
             "artifact {} ({} scenario seed {:#x})",
             e.key(),
-            scenario.kind,
-            scenario.seed
+            ctx.scenario().kind,
+            ctx.scenario().seed
         ),
         message: panic_message(payload.as_ref()),
     })
@@ -774,6 +826,31 @@ mod tests {
                 .kind(),
             "config"
         );
+    }
+
+    #[test]
+    fn an_invalid_scenario_answers_400_and_inserts_no_context() {
+        let server = start(&ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            ..ServeOptions::default()
+        })
+        .unwrap();
+        let state = &server.state;
+        let req = Request {
+            method: "GET".into(),
+            path: "/artifacts/fig15".into(),
+            query: "scale=-1".into(),
+            headers: Vec::new(),
+        };
+        assert_eq!(handle(state, &req).status, 400);
+        let mut invalid = Scenario::cli_default(StudyKind::Backbone);
+        invalid.scale = -1.0;
+        let err = resident_context(state, &invalid)
+            .err()
+            .expect("-1 is not a scale");
+        assert_eq!(err.kind(), "config");
+        assert!(lock(&state.contexts).is_empty());
+        server.shutdown_and_join();
     }
 
     #[test]

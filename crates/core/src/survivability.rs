@@ -229,12 +229,14 @@ impl<'t> SweepScratch<'t> {
         if self.servers.len() < 2 || self.healthy_paths <= 0.0 {
             return 0.0;
         }
-        let capacity: f64 = self
+        // Folded from +0.0: `f64`'s `sum` of no live server is -0.0,
+        // which renders as "-0.0000".
+        let capacity = self
             .servers
             .iter()
             .filter(|&&s| self.forwarding.is_live(s))
             .map(|&s| self.forwarding.core_paths(s) as f64)
-            .sum();
+            .fold(0.0, |sum, paths| sum + paths);
         capacity / self.healthy_paths
     }
 }
@@ -673,6 +675,17 @@ mod tests {
                 "fat-tree surviving pairs stay connected: {p:?} vs {baseline}"
             );
         }
+    }
+
+    #[test]
+    fn capacity_with_no_live_server_is_positive_zero() {
+        let topo = zoo::find("fat-tree").unwrap().build(0.25);
+        let mut scratch = SweepScratch::new(&topo);
+        for &s in &scratch.servers {
+            scratch.failed.fail(s);
+        }
+        scratch.forwarding.apply(&topo, &scratch.failed);
+        assert_eq!(scratch.capacity().to_bits(), 0);
     }
 
     #[test]

@@ -45,6 +45,16 @@ fn validated_metrics(server: &serve::RunningServer) -> String {
     body
 }
 
+/// How many times the server ran `phase` (a study span), read from
+/// its phase-duration histogram count.
+fn phase_runs(server: &serve::RunningServer, phase: &str) -> f64 {
+    let series = format!("dcnr_phase_duration_micros_count{{phase=\"{phase}\"}} ");
+    validated_metrics(server)
+        .lines()
+        .find_map(|l| l.strip_prefix(&series))
+        .map_or(0.0, |v| v.parse().expect("a numeric sample"))
+}
+
 /// Sums the samples of `name` (across label sets) in a metrics body.
 fn metric_total(body: &str, name: &str) -> f64 {
     body.lines()
@@ -119,6 +129,11 @@ fn artifact_bodies_are_byte_identical_to_the_cli_render_cold_and_warm() {
             let bodies = handle.join().expect("client thread");
             assert_eq!(bodies, expected, "{round}: HTTP bytes must equal the CLI's");
         }
+        if round == "cold" {
+            // The three artifacts share one scenario, so all twelve
+            // cold requests render from one backbone simulation.
+            assert_eq!(phase_runs(&server, "backbone.sim"), 1.0);
+        }
     }
 
     let metrics = validated_metrics(&server);
@@ -134,6 +149,31 @@ fn artifact_bodies_are_byte_identical_to_the_cli_render_cold_and_warm() {
         Ok(server) => server.shutdown_and_join(),
         Err(_) => panic!("client threads were joined; the Arc must be unique"),
     }
+}
+
+#[test]
+fn resident_studies_serve_the_newest_scenarios_and_evicted_ones_rerun() {
+    let server = small_server(false);
+    let target = |e: Experiment, seed: u64| {
+        format!(
+            "/artifacts/{}?seed={seed}&scale=0.25&edges=40&vendors=16",
+            e.key()
+        )
+    };
+    // One artifact for each of five scenarios: five studies, and the
+    // fifth evicts the first scenario's context.
+    for seed in 1..=5 {
+        assert_eq!(get(&server, &target(Experiment::Fig15, seed)).status, 200);
+    }
+    assert_eq!(phase_runs(&server, "backbone.sim"), 5.0);
+    // A second artifact of the newest scenario renders from its
+    // resident study...
+    assert_eq!(get(&server, &target(Experiment::Fig16, 5)).status, 200);
+    assert_eq!(phase_runs(&server, "backbone.sim"), 5.0);
+    // ...while the first scenario's study runs again.
+    assert_eq!(get(&server, &target(Experiment::Fig16, 1)).status, 200);
+    assert_eq!(phase_runs(&server, "backbone.sim"), 6.0);
+    server.shutdown_and_join();
 }
 
 #[test]
