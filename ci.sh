@@ -231,6 +231,18 @@ DCNR_ADDR=$(cat "$DCNR_TMP/serve_port")
 # Liveness, then a verified closed-loop load run: every response body is
 # compared byte-for-byte against a local render of the same scenario.
 ./target/release/dcnr fetch "$DCNR_ADDR" /healthz | grep -q '^ok$'
+# Memory gate: four CLI-default intra scenarios fill the resident
+# contexts. A study keeps Table 1 and its SEVs, not one triage outcome
+# per issue, so the server measured about 26 MiB of VmRSS here (about
+# 85 MiB when every outcome was kept).
+for dcnr_seed in 1 2 3 4; do
+    ./target/release/dcnr -q fetch "$DCNR_ADDR" "/artifacts/table1?seed=$dcnr_seed" >/dev/null
+done
+dcnr_rss_kb=$(awk '/^VmRSS:/ { print $2 }' "/proc/$DCNR_SERVE_PID/status")
+[ -n "$dcnr_rss_kb" ] && [ "$dcnr_rss_kb" -le $((48 * 1024)) ] || {
+    echo "serve holds ${dcnr_rss_kb:-?} kB of VmRSS with four intra scenarios (limit 48 MiB)" >&2
+    exit 1
+}
 ./target/release/dcnr -q loadgen --addr "$DCNR_ADDR" \
     --clients 4 --requests 6 --verify \
     --artifacts fig15,fig16,table4 --scale 0.25 --edges 40 --vendors 16 \

@@ -340,7 +340,7 @@ fn table1(ctx: &RunContext) -> ExperimentOutcome {
     }
     ExperimentOutcome {
         experiment: Experiment::Table1,
-        rendered: report::render_table1(&report),
+        rendered: report::render_table1(report),
         comparisons,
     }
 }

@@ -11,7 +11,7 @@ use dcnr_faults::hazard::HazardConfig;
 use dcnr_faults::{
     calibration, FleetGrowth, HazardModel, IssueGenerator, RootCause, RootCauseModel,
 };
-use dcnr_remediation::{RemediationEngine, RemediationOutcome, Table1Report};
+use dcnr_remediation::{RemediationEngine, Table1Accumulator, Table1Report};
 use dcnr_service::SevGenerator;
 use dcnr_sev::{MetricsExt, SevDb, SevLevel};
 use dcnr_sim::StudyCalendar;
@@ -25,7 +25,8 @@ pub struct StudyConfig {
     /// Fleet scale multiplier. 1.0 is the calibrated baseline fleet;
     /// the default of 10.0 produces "thousands of incidents" like the
     /// paper's dataset (§4.2) from ~390k raw issues; a release-build
-    /// replica takes ~0.1–0.12 s on a 2-vCPU VM.
+    /// `dcnr intra` takes ~0.05 s on a 2-vCPU VM and peaks at ~9.5 MiB
+    /// resident.
     pub scale: f64,
     /// Master seed; every derived stream is deterministic in it.
     pub seed: u64,
@@ -47,16 +48,24 @@ impl Default for StudyConfig {
 }
 
 /// A completed intra-DC study: the SEV database plus everything needed
-/// to reproduce Tables 1–2 and Figures 2–14.
+/// to reproduce Tables 1–2 and Figures 2–14. It keeps no per-issue
+/// record: Table 1 is folded during triage, and only the escalated
+/// issues, the ones that become SEVs, outlive it.
 pub struct IntraDcStudy {
     config: StudyConfig,
     growth: FleetGrowth,
     db: SevDb,
-    outcomes: Vec<RemediationOutcome>,
+    issue_count: usize,
+    table1: Table1Report,
 }
 
 impl IntraDcStudy {
-    /// Runs the full pipeline.
+    /// Runs the full pipeline as one pass over the merged issue stream:
+    /// each issue is triaged, folded into Table 1 and, if it escalated,
+    /// kept for SEV ingest. The result equals the staged public pipeline
+    /// ([`IssueGenerator::generate`], [`RemediationEngine::triage_all`],
+    /// then [`Table1Report::from_outcomes`] and
+    /// [`SevGenerator::ingest`]) without holding its outcome vector.
     pub fn run(config: StudyConfig) -> Self {
         let build = dcnr_telemetry::span("intra.fleet_build");
         let growth = FleetGrowth::scaled(config.scale);
@@ -68,20 +77,29 @@ impl IntraDcStudy {
             config.seed,
         );
         build.finish();
-        let issues = generator.generate(config.window);
+        let issues = generator.merged(config.window);
+        let issue_count = issues.len();
         let remediation = dcnr_telemetry::span("intra.remediation");
         let mut engine = RemediationEngine::new(hazard, config.seed);
-        let outcomes = engine.triage_all(issues);
+        let mut table1 = Table1Accumulator::default();
+        let mut escalated = Vec::new();
+        for outcome in engine.triage_stream(issues) {
+            table1.observe(&outcome);
+            if outcome.is_escalated() {
+                escalated.push(outcome);
+            }
+        }
         remediation.finish();
         let sev = dcnr_telemetry::span("intra.sev_analysis");
         let mut db = SevDb::new();
-        SevGenerator::new(config.seed).ingest(&outcomes, &mut db);
+        SevGenerator::new(config.seed).ingest(&escalated, &mut db);
         sev.finish();
         Self {
             config,
             growth,
             db,
-            outcomes,
+            issue_count,
+            table1: table1.finish(),
         }
     }
 
@@ -100,9 +118,9 @@ impl IntraDcStudy {
         &self.growth
     }
 
-    /// All remediation outcomes (incident + non-incident issues).
-    pub fn outcomes(&self) -> &[RemediationOutcome] {
-        &self.outcomes
+    /// How many raw issues triage saw (incident and non-incident).
+    pub fn issue_count(&self) -> usize {
+        self.issue_count
     }
 
     /// First study year.
@@ -123,8 +141,8 @@ impl IntraDcStudy {
 
     /// **Table 1** — automated repair ratio / priority / wait / repair
     /// time per covered device type, measured from the triage outcomes.
-    pub fn table1_automated_repair(&self) -> Table1Report {
-        Table1Report::from_outcomes(self.outcomes.iter())
+    pub fn table1_automated_repair(&self) -> &Table1Report {
+        &self.table1
     }
 
     /// **Table 2** — root-cause shares over all seven years (multi-cause
@@ -366,7 +384,7 @@ mod tests {
     #[test]
     fn pipeline_produces_thousands_of_issues_hundreds_of_sevs() {
         let s = study();
-        assert!(s.outcomes().len() > 10_000, "issues {}", s.outcomes().len());
+        assert!(s.issue_count() > 10_000, "issues {}", s.issue_count());
         assert!(s.db().len() > 400, "sevs {}", s.db().len());
         assert!(s.db().len() < 3000, "sevs {}", s.db().len());
     }

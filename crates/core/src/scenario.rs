@@ -446,7 +446,7 @@ impl RunContext {
                 let s = self.intra();
                 format!(
                     "dataset: {} issues -> {} SEVs (2011-2017)",
-                    s.outcomes().len(),
+                    s.issue_count(),
                     s.db().len()
                 )
             }

@@ -151,12 +151,12 @@ impl RenderFaultPlan {
 
 /// How many scenarios' run contexts the server keeps resident. Four
 /// matches the default worker count, so each worker can be rendering a
-/// different scenario without evicting another's study. Measured as
-/// resident-set growth, a CLI-default (scale 10) intra context holds
-/// about 23 MiB, a backbone context about 3 MiB at any scale and a
-/// scale-0.15 intra context about 0.3 MiB, so the set stays under
-/// about 93 MiB. A context evicted mid-render lives on in its renders'
-/// `Arc`s until they finish.
+/// different scenario without evicting another's study. Measured as the
+/// server's resident-set growth, four CLI-default (scale 10) intra
+/// contexts add about 23 MiB (a study keeps its SEVs and Table 1, not
+/// its triage outcomes), a backbone context about 3 MiB at any scale
+/// and a scale-0.15 intra context about 0.35 MiB. A context evicted
+/// mid-render lives on in its renders' `Arc`s until they finish.
 const RESIDENT_CONTEXTS: usize = 4;
 
 /// Shared state behind the request handler.
@@ -617,9 +617,11 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
                 .entry(artifact_key)
                 .or_insert_with(|| CircuitBreaker::new(state.breaker_config))
                 .record_success();
+            // Each guard is released at the end of its statement; what an
+            // insert evicted drops only when this arm ends.
             let body = Arc::new(text.clone());
-            lock(&state.cache).insert(key.clone(), body.clone());
-            lock(&state.stale).insert(key, body);
+            let _evicted = lock(&state.cache).insert(key.clone(), body.clone());
+            let _evicted_stale = lock(&state.stale).insert(key, body);
             Response::ok(text)
         }
         Err(e @ (DcnrError::Config(_) | DcnrError::Usage(_))) => {
@@ -718,7 +720,9 @@ pub fn cache_key(scenario: &Scenario, artifact: &str) -> String {
 /// The resident context for `scenario`, inserted (most recently used)
 /// if absent. Validates first, so an invalid scenario never occupies a
 /// slot. The lock covers only the lookup: the study runs later, inside
-/// the context's `OnceLock`, so different scenarios render concurrently.
+/// the context's `OnceLock`, so different scenarios render concurrently,
+/// and an evicted context is freed after the lock is released, so no
+/// other miss's lookup waits on a study being dropped.
 fn resident_context(state: &ServeState, scenario: &Scenario) -> Result<Arc<RunContext>, DcnrError> {
     scenario.validate()?;
     let key = scenario_key(scenario);
@@ -727,7 +731,9 @@ fn resident_context(state: &ServeState, scenario: &Scenario) -> Result<Arc<RunCo
         return Ok(ctx.clone());
     }
     let ctx = Arc::new(RunContext::new(*scenario));
-    contexts.insert(key, ctx.clone());
+    let evicted = contexts.insert(key, ctx.clone());
+    drop(contexts);
+    drop(evicted);
     Ok(ctx)
 }
 

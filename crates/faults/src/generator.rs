@@ -176,12 +176,85 @@ impl IssueGenerator {
     /// Generates the full multi-type issue stream for `window`, merged
     /// and time-ordered.
     pub fn generate(&self, window: StudyCalendar) -> Vec<RawIssue> {
-        let mut all: Vec<RawIssue> = DeviceType::INTRA_DC
-            .iter()
-            .flat_map(|&t| self.generate_type(t, window))
-            .collect();
-        all.sort_by_key(|i| i.at);
-        all
+        self.merged(window).collect()
+    }
+
+    /// The issues [`generate`](Self::generate) returns, yielded one at a
+    /// time. Each type's stream is generated up front, in
+    /// [`DeviceType::INTRA_DC`] order; the merge then hands out issues
+    /// without copying the streams into one sorted vector.
+    pub fn merged(&self, window: StudyCalendar) -> MergedIssues {
+        MergedIssues {
+            streams: DeviceType::INTRA_DC.map(|t| self.generate_type(t, window).into_iter()),
+            current: 0,
+            run: 0,
+        }
+    }
+}
+
+/// A k-way merge of the per-type issue streams, ordered by `at`. Issues
+/// at the same instant come in [`DeviceType::INTRA_DC`] order, and within
+/// one type in generation order: the order of concatenating the streams
+/// and sorting the result stably by `at`.
+///
+/// Issues are handed out in runs: one stream's issues up to the next
+/// head of any other stream, so the heads are compared once per switch
+/// between streams rather than once per issue.
+#[derive(Debug)]
+pub struct MergedIssues {
+    streams: [std::vec::IntoIter<RawIssue>; DeviceType::INTRA_DC.len()],
+    /// The stream the current run comes from.
+    current: usize,
+    /// How many issues the current run has left.
+    run: usize,
+}
+
+impl MergedIssues {
+    /// Starts the next run, or returns `false` once every stream is
+    /// drained. Every issue is ordered by `(at, stream index)`: the
+    /// stream with the least head runs while its issues come before the
+    /// least head among the others.
+    fn next_run(&mut self) -> bool {
+        let head =
+            |(i, s): (usize, &std::vec::IntoIter<RawIssue>)| Some((s.as_slice().first()?.at, i));
+        let heads = || self.streams.iter().enumerate().filter_map(head);
+        let Some((_, current)) = heads().min() else {
+            return false;
+        };
+        let bound = heads().filter(|&(_, i)| i != current).min();
+        let issues = self.streams[current].as_slice();
+        self.run = match bound {
+            Some(bound) => issues
+                .iter()
+                .take_while(|x| (x.at, current) < bound)
+                .count(),
+            None => issues.len(),
+        };
+        self.current = current;
+        true
+    }
+}
+
+impl Iterator for MergedIssues {
+    type Item = RawIssue;
+
+    fn next(&mut self) -> Option<RawIssue> {
+        if self.run == 0 && !self.next_run() {
+            return None;
+        }
+        self.run -= 1;
+        self.streams[self.current].next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.len();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for MergedIssues {
+    fn len(&self) -> usize {
+        self.streams.iter().map(ExactSizeIterator::len).sum()
     }
 }
 
@@ -209,6 +282,27 @@ mod tests {
         assert!(!issues.is_empty());
         assert!(issues.windows(2).all(|p| p[0].at <= p[1].at));
         assert!(issues.iter().all(|i| w.contains(i.at)));
+    }
+
+    #[test]
+    fn merge_orders_ties_like_a_stable_sort_of_the_concatenated_streams() {
+        // The oracle is the concatenate-then-sort the merge replaced. At
+        // scale 2 some issues of different types share an instant, so
+        // the tie order is exercised, not only the time order.
+        let gen = IssueGenerator::paper(2.0, 7);
+        let w = StudyCalendar::intra_dc();
+        let mut oracle: Vec<RawIssue> = DeviceType::INTRA_DC
+            .iter()
+            .flat_map(|&t| gen.generate_type(t, w))
+            .collect();
+        oracle.sort_by_key(|i| i.at);
+        let merged = gen.generate(w);
+        let cross_type_ties = merged
+            .windows(2)
+            .filter(|p| p[0].at == p[1].at && p[0].device_type != p[1].device_type)
+            .count();
+        assert!(cross_type_ties > 0, "no two types share an instant");
+        assert!(merged == oracle, "merge order differs from the stable sort");
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod growth;
 pub mod hazard;
 pub mod root_cause;
 
-pub use generator::{device_name_of_word, IssueGenerator, RawIssue};
+pub use generator::{device_name_of_word, IssueGenerator, MergedIssues, RawIssue};
 pub use growth::FleetGrowth;
 pub use hazard::HazardModel;
 pub use root_cause::{RootCause, RootCauseModel};

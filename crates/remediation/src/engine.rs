@@ -182,26 +182,38 @@ impl RemediationEngine {
         }
     }
 
-    /// Triage a whole issue stream, preserving order. Its counters and
-    /// trace batch are bound once, to the collector installed when the
-    /// call starts, and flushed when it returns.
+    /// Triage a whole issue stream, preserving order: the outcomes of
+    /// [`triage_stream`](Self::triage_stream), collected.
     pub fn triage_all(&mut self, issues: Vec<RawIssue>) -> Vec<RemediationOutcome> {
+        self.triage_stream(issues).collect()
+    }
+
+    /// Triages `issues` one at a time, in order, as the returned
+    /// iterator is advanced, so a caller can fold the outcomes without
+    /// keeping them. Its counters and trace batch are bound once, to the
+    /// collector installed when this is called, and flushed when the
+    /// iterator drops.
+    pub fn triage_stream<'a, I>(
+        &'a mut self,
+        issues: I,
+    ) -> impl Iterator<Item = RemediationOutcome> + 'a
+    where
+        I: IntoIterator<Item = RawIssue>,
+        I::IntoIter: 'a,
+    {
         let mut telemetry = TriageTelemetry::resolve();
-        issues
-            .into_iter()
-            .map(|issue| {
-                let outcome = self.triage_inner(issue);
-                telemetry.observe(&outcome);
-                outcome
-            })
-            .collect()
+        issues.into_iter().map(move |issue| {
+            let outcome = self.triage_inner(issue);
+            telemetry.observe(&outcome);
+            outcome
+        })
     }
 }
 
-/// The triage counters and `repair_dispatch` trace of one
-/// `triage`/`triage_all` call. They observe each outcome strictly after
+/// The triage counters and `repair_dispatch` trace of one `triage` call
+/// or `triage_stream` iterator. They observe each outcome strictly after
 /// `triage_inner` made all of its RNG draws, and reach the collector
-/// when the call's `TriageTelemetry` drops.
+/// when the `TriageTelemetry` drops.
 struct TriageTelemetry {
     /// `auto_repaired`, `manually_resolved`, `escalated`.
     outcomes: CounterFamily<3>,

@@ -23,7 +23,8 @@
 //!   → scheduled repair → success | escalation to a human ticket.
 //!   Escalations are the incident candidates handed to `dcnr-service`.
 //! * [`report`] — Table 1 aggregation over a processed window: repair
-//!   ratio, average priority, average wait, average repair time.
+//!   ratio, average priority, average wait, average repair time, folded
+//!   one outcome at a time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,4 +39,4 @@ pub use action::RemediationAction;
 pub use engine::{RemediationEngine, RemediationOutcome, RepairRecord};
 pub use policy::RepairPolicy;
 pub use queue::{QueuedRepair, RepairQueue};
-pub use report::{DeviceRepairStats, Table1Report};
+pub use report::{DeviceRepairStats, Table1Accumulator, Table1Report};

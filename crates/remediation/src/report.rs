@@ -2,7 +2,9 @@
 //!
 //! Given a window of triage outcomes, compute per-device-type statistics
 //! in the exact shape of the paper's Table 1 so the bench harness can
-//! print the same rows.
+//! print the same rows. [`Table1Accumulator`] takes the outcomes one at
+//! a time, so the study folds the table during triage instead of
+//! keeping every outcome.
 
 use crate::engine::RemediationOutcome;
 use dcnr_topology::DeviceType;
@@ -45,46 +47,59 @@ pub struct Table1Report {
     rows: BTreeMap<DeviceType, DeviceRepairStats>,
 }
 
-impl Table1Report {
-    /// Aggregates triage outcomes into Table 1 rows. Only outcomes where
-    /// automation was involved contribute (manual resolutions and
-    /// manual escalations are outside the table's scope).
-    pub fn from_outcomes<'a>(outcomes: impl IntoIterator<Item = &'a RemediationOutcome>) -> Self {
-        #[derive(Clone, Copy, Default)]
-        struct Acc {
-            attempted: u64,
-            repaired: u64,
-            escalated: u64,
-            prio_sum: f64,
-            wait_sum: f64,
-            exec_sum: f64,
-        }
-        // Indexed by `t as usize`, the order of `DeviceType::ALL`.
-        let mut accs = [Acc::default(); DeviceType::ALL.len()];
-        for o in outcomes {
-            match o {
-                RemediationOutcome::AutoRepaired(r) => {
-                    let a = &mut accs[r.issue.device_type as usize];
-                    a.attempted += 1;
-                    a.repaired += 1;
-                    a.prio_sum += r.priority as f64;
-                    a.wait_sum += r.wait_secs;
-                    a.exec_sum += r.exec_secs;
-                }
-                RemediationOutcome::Escalated {
-                    issue,
-                    automation_attempted: true,
-                } => {
-                    let a = &mut accs[issue.device_type as usize];
-                    a.attempted += 1;
-                    a.escalated += 1;
-                }
-                _ => {}
+/// One type's running Table 1 sums.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowSums {
+    attempted: u64,
+    repaired: u64,
+    escalated: u64,
+    prio_sum: f64,
+    wait_sum: f64,
+    exec_sum: f64,
+}
+
+/// Table 1 folded one triage outcome at a time, so a pass over the
+/// issue stream can build it without keeping the outcomes. Only
+/// outcomes where automation was involved contribute (manual
+/// resolutions and manual escalations are outside the table's scope).
+/// Each type's sums add in observation order, so the finished report is
+/// bit-identical to [`Table1Report::from_outcomes`] over the same
+/// outcomes.
+#[derive(Debug, Clone, Default)]
+pub struct Table1Accumulator {
+    /// Indexed by `t as usize`, the order of `DeviceType::ALL`.
+    sums: [RowSums; DeviceType::ALL.len()],
+}
+
+impl Table1Accumulator {
+    /// Adds one outcome to its type's row.
+    pub fn observe(&mut self, outcome: &RemediationOutcome) {
+        match outcome {
+            RemediationOutcome::AutoRepaired(r) => {
+                let a = &mut self.sums[r.issue.device_type as usize];
+                a.attempted += 1;
+                a.repaired += 1;
+                a.prio_sum += r.priority as f64;
+                a.wait_sum += r.wait_secs;
+                a.exec_sum += r.exec_secs;
             }
+            RemediationOutcome::Escalated {
+                issue,
+                automation_attempted: true,
+            } => {
+                let a = &mut self.sums[issue.device_type as usize];
+                a.attempted += 1;
+                a.escalated += 1;
+            }
+            _ => {}
         }
+    }
+
+    /// The finished table: a row for every type automation attempted.
+    pub fn finish(self) -> Table1Report {
         let rows = DeviceType::ALL
             .into_iter()
-            .zip(accs)
+            .zip(self.sums)
             .filter(|(_, a)| a.attempted > 0)
             .map(|(t, a)| {
                 let n = a.repaired.max(1) as f64;
@@ -102,7 +117,21 @@ impl Table1Report {
                 )
             })
             .collect();
-        Self { rows }
+        Table1Report { rows }
+    }
+}
+
+impl Table1Report {
+    /// Aggregates triage outcomes into Table 1 rows: a
+    /// [`Table1Accumulator`] fold over them.
+    pub fn from_outcomes<'a>(outcomes: impl IntoIterator<Item = &'a RemediationOutcome>) -> Self {
+        outcomes
+            .into_iter()
+            .fold(Table1Accumulator::default(), |mut acc, o| {
+                acc.observe(o);
+                acc
+            })
+            .finish()
     }
 
     /// The row for `t`, if automation handled any of its issues.

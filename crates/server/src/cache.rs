@@ -44,8 +44,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Inserts `key -> value`, evicting the least-recently-used entry
     /// if the cache is at capacity and `key` is new. Returns the evicted
-    /// key, if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<K> {
+    /// entry, if any, so that a caller holding the cache behind a lock
+    /// can release the lock before the value drops.
+    pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
         self.tick += 1;
         let mut evicted = None;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
@@ -55,8 +56,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
                 .min_by_key(|(_, (t, _))| *t)
                 .map(|(k, _)| k.clone())
             {
-                self.entries.remove(&oldest);
-                evicted = Some(oldest);
+                evicted = self.entries.remove_entry(&oldest).map(|(k, (_, v))| (k, v));
             }
         }
         self.entries.insert(key, (self.tick, value));
@@ -89,11 +89,25 @@ mod tests {
         assert_eq!(cache.insert("a", 1), None);
         assert_eq!(cache.insert("b", 2), None);
         assert_eq!(cache.get("a"), Some(&1)); // refresh a; b is now LRU
-        assert_eq!(cache.insert("c", 3), Some("b"));
+        assert_eq!(cache.insert("c", 3), Some(("b", 2)));
         assert_eq!(cache.get("b"), None);
         assert_eq!(cache.get("a"), Some(&1));
         assert_eq!(cache.get("c"), Some(&3));
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn the_evicted_value_is_handed_back_not_kept() {
+        let mut cache = LruCache::new(1);
+        let first = std::sync::Arc::new(String::from("first"));
+        cache.insert("a", first.clone());
+        let (key, value) = cache
+            .insert("b", std::sync::Arc::new(String::new()))
+            .unwrap();
+        drop(first);
+        assert_eq!((key, value.as_str()), ("a", "first"));
+        assert_eq!(std::sync::Arc::strong_count(&value), 1);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

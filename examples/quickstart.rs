@@ -21,14 +21,14 @@ fn main() {
 
     println!(
         "issues triaged: {:>8}\nSEVs recorded : {:>8}\n",
-        intra.outcomes().len(),
+        intra.issue_count(),
         intra.db().len()
     );
 
     println!("Table 1 (automated repair, measured):");
     println!(
         "{}",
-        dcnr_core::report::render_table1(&intra.table1_automated_repair())
+        dcnr_core::report::render_table1(intra.table1_automated_repair())
     );
 
     println!("Table 2 (root causes, measured):");

@@ -24,7 +24,7 @@ fn run(name: &str, hazard: HazardConfig) -> IntraDcStudy {
     });
     println!(
         "{name:<28} issues {:>8}   SEVs {:>7}",
-        study.outcomes().len(),
+        study.issue_count(),
         study.db().len()
     );
     study

@@ -8,6 +8,7 @@
 
 use dcnr_core::backbone::BackboneSimConfig;
 use dcnr_core::faults::hazard::HazardConfig;
+use dcnr_core::faults::{FleetGrowth, HazardModel, IssueGenerator, RawIssue, RootCauseModel};
 use dcnr_core::{InterDcStudy, IntraDcStudy, StudyConfig};
 
 fn intra(seed: u64) -> IntraDcStudy {
@@ -23,7 +24,7 @@ fn intra_identical_seeds_identical_databases() {
     let a = intra(424242);
     let b = intra(424242);
     assert_eq!(a.db().records(), b.db().records());
-    assert_eq!(a.outcomes().len(), b.outcomes().len());
+    assert_eq!(a.issue_count(), b.issue_count());
 }
 
 #[test]
@@ -52,24 +53,31 @@ fn ablation_changes_only_the_escalation_side() {
     // Stream isolation: the ablation flips escalation decisions, but
     // the physical issue stream (count and timing) is identical because
     // the generator draws from its own streams.
-    let base = IntraDcStudy::run(StudyConfig {
+    let base = StudyConfig {
         scale: 1.0,
         seed: 9,
         ..Default::default()
-    });
-    let ablated = IntraDcStudy::run(StudyConfig {
-        scale: 1.0,
-        seed: 9,
+    };
+    let ablated = StudyConfig {
         hazard: HazardConfig {
             automation_enabled: false,
             drain_policy_enabled: true,
         },
-        ..Default::default()
-    });
-    assert_eq!(base.outcomes().len(), ablated.outcomes().len());
-    for (a, b) in base.outcomes().iter().zip(ablated.outcomes()) {
-        assert_eq!(a.issue().at, b.issue().at, "issue timing must not shift");
-        assert_eq!(a.issue().device_name(), b.issue().device_name());
+        ..base
+    };
+    let issues = |c: StudyConfig| -> Vec<RawIssue> {
+        IssueGenerator::new(
+            FleetGrowth::scaled(c.scale),
+            HazardModel::with_config(c.hazard),
+            RootCauseModel::paper(),
+            c.seed,
+        )
+        .generate(c.window)
+    };
+    let (a, b) = (issues(base), issues(ablated));
+    assert_eq!(a.len(), b.len());
+    for (a, b) in a.iter().zip(&b) {
+        assert_eq!(a, b, "the ablation must not shift the issue stream");
     }
 }
 

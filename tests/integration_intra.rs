@@ -205,28 +205,45 @@ fn esw_has_no_bug_sevs() {
 
 #[test]
 fn intra_report_bytes_match_the_committed_golden() {
-    // The whole intra report at a small scale, pinned byte for byte so a
-    // change to the store, the query layer or a render that should keep
-    // its output shows any drift here rather than in a later sweep.
-    const GOLDEN: &str = include_str!("golden/intra_scale0.15_seed7.txt");
-    let rendered = RunContext::new(Scenario {
-        scale: 0.15,
-        ..Scenario::intra(7)
-    })
-    .execute()
-    .rendered;
-    let first_diff = rendered
-        .lines()
-        .zip(GOLDEN.lines())
-        .position(|(got, want)| got != want)
-        .map(|i| i + 1);
-    assert!(
-        rendered == GOLDEN,
-        "the intra report drifted from tests/golden/intra_scale0.15_seed7.txt \
-         (first differing line: {first_diff:?}); if the change is intended, \
-         regenerate it with `cargo run --release -q --bin dcnr -- intra \
-         --scale 0.15 --seed 7 > tests/golden/intra_scale0.15_seed7.txt`"
-    );
+    // The whole intra report, pinned byte for byte so a change to the
+    // store, the query layer or a render that should keep its output
+    // shows any drift here rather than in a later sweep. At scale 2 the
+    // merged issue stream holds issues of different types at one
+    // instant. The merge's tie order itself is pinned in `dcnr-faults`:
+    // triage draws per type, so swapping such issues moves no triage
+    // draw, and the report shows it only when both escalate.
+    let goldens = [
+        (
+            0.15,
+            "intra_scale0.15_seed7.txt",
+            include_str!("golden/intra_scale0.15_seed7.txt"),
+        ),
+        (
+            2.0,
+            "intra_scale2_seed7.txt",
+            include_str!("golden/intra_scale2_seed7.txt"),
+        ),
+    ];
+    for (scale, file, golden) in goldens {
+        let rendered = RunContext::new(Scenario {
+            scale,
+            ..Scenario::intra(7)
+        })
+        .execute()
+        .rendered;
+        let first_diff = rendered
+            .lines()
+            .zip(golden.lines())
+            .position(|(got, want)| got != want)
+            .map(|i| i + 1);
+        assert!(
+            rendered == golden,
+            "the intra report drifted from tests/golden/{file} \
+             (first differing line: {first_diff:?}); if the change is intended, \
+             regenerate it with `cargo run --release -q --bin dcnr -- intra \
+             --scale {scale} --seed 7 > tests/golden/{file}`"
+        );
+    }
 }
 
 #[test]

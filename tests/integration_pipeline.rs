@@ -5,8 +5,10 @@
 
 use dcnr_core::backbone::{parse_email, render_email, BackboneSim, BackboneSimConfig, TicketDb};
 use dcnr_core::faults::hazard::HazardConfig;
-use dcnr_core::faults::{HazardModel, IssueGenerator};
-use dcnr_core::remediation::{RemediationEngine, RemediationOutcome};
+use dcnr_core::faults::{FleetGrowth, HazardModel, IssueGenerator, RootCauseModel};
+use dcnr_core::remediation::{
+    DeviceRepairStats, RemediationEngine, RemediationOutcome, Table1Report,
+};
 use dcnr_core::sim::StudyCalendar;
 use dcnr_core::{IntraDcStudy, RunContext, Scenario, StudyConfig, StudyKind};
 
@@ -33,6 +35,70 @@ fn incident_boundary_only_escalations_become_sevs() {
 }
 
 #[test]
+fn study_equals_the_staged_public_pipeline() {
+    // `IntraDcStudy::run` triages in one pass and keeps only Table 1 and
+    // the escalations; the staged calls keep every issue and outcome.
+    // Both must give the same SEVs, the same Table 1 bits and the same
+    // issue count, under every hazard configuration.
+    let row_bits = |r: &DeviceRepairStats| {
+        (
+            r.device_type,
+            (r.attempted, r.repaired, r.escalated),
+            r.avg_priority.to_bits(),
+            r.avg_wait_secs.to_bits(),
+            r.avg_exec_secs.to_bits(),
+        )
+    };
+    let hazards = [
+        HazardConfig::default(),
+        HazardConfig {
+            automation_enabled: false,
+            drain_policy_enabled: true,
+        },
+        HazardConfig {
+            automation_enabled: true,
+            drain_policy_enabled: false,
+        },
+    ];
+    for hazard_config in hazards {
+        for seed in [3, 17, 0xDC_2018] {
+            let config = StudyConfig {
+                scale: 0.5,
+                seed,
+                hazard: hazard_config,
+                ..Default::default()
+            };
+            let study = IntraDcStudy::run(config);
+
+            let hazard = HazardModel::with_config(config.hazard);
+            let issues = IssueGenerator::new(
+                FleetGrowth::scaled(config.scale),
+                hazard.clone(),
+                RootCauseModel::paper(),
+                config.seed,
+            )
+            .generate(config.window);
+            let outcomes = RemediationEngine::new(hazard, config.seed).triage_all(issues);
+            let table1 = Table1Report::from_outcomes(&outcomes);
+            let mut db = dcnr_core::sev::SevDb::new();
+            dcnr_core::service::SevGenerator::new(config.seed).ingest(&outcomes, &mut db);
+
+            let label = format!("{hazard_config:?} seed {seed}");
+            assert_eq!(study.issue_count(), outcomes.len(), "{label}");
+            assert!(study.db().records() == db.records(), "{label}: SEVs differ");
+            let study_rows: Vec<_> = study
+                .table1_automated_repair()
+                .rows()
+                .map(row_bits)
+                .collect();
+            let staged_rows: Vec<_> = table1.rows().map(row_bits).collect();
+            assert_eq!(study_rows, staged_rows, "{label}: Table 1 bits differ");
+            assert!(!db.is_empty(), "{label}");
+        }
+    }
+}
+
+#[test]
 fn automation_shield_quantified() {
     // §4.1.2's what-if, end to end: disabling automation multiplies
     // 2017 incidents dramatically while the issue stream is unchanged.
@@ -50,11 +116,7 @@ fn automation_shield_quantified() {
         },
         ..Default::default()
     });
-    assert_eq!(
-        on.outcomes().len(),
-        off.outcomes().len(),
-        "same physical issues"
-    );
+    assert_eq!(on.issue_count(), off.issue_count(), "same physical issues");
     let on_2017 = on.db().query().year(2017).count() as f64;
     let off_2017 = off.db().query().year(2017).count() as f64;
     assert!(

@@ -6,7 +6,8 @@
 //! and an intra study's counters and trace must account for every
 //! issue, repair and SEV it recorded.
 
-use dcnr_core::remediation::RemediationOutcome;
+use dcnr_core::faults::{FleetGrowth, HazardModel, IssueGenerator, RootCauseModel};
+use dcnr_core::remediation::{RemediationEngine, RemediationOutcome};
 use dcnr_core::sim::SimTime;
 use dcnr_core::telemetry::metrics::Key;
 use dcnr_core::telemetry::trace::TraceBuffer;
@@ -167,6 +168,20 @@ fn intra_counters_and_trace_account_for_every_event_exactly() {
     let study = ctx.intra();
     let (metrics, trace) = handle.snapshots();
 
+    // The study keeps no per-issue outcome, so they are rebuilt through
+    // the staged public pipeline, with no collector installed.
+    let config = ctx.scenario().intra_config();
+    let hazard = HazardModel::with_config(config.hazard);
+    let issues = IssueGenerator::new(
+        FleetGrowth::scaled(config.scale),
+        hazard.clone(),
+        RootCauseModel::paper(),
+        config.seed,
+    )
+    .generate(config.window);
+    let outcomes = RemediationEngine::new(hazard, config.seed).triage_all(issues);
+    assert_eq!(outcomes.len(), study.issue_count());
+
     // Every per-event series, counted from the study's own records.
     let mut expected: BTreeMap<Key, u64> = BTreeMap::new();
     let mut count = |name: &str, label: &str, value: &str| {
@@ -175,7 +190,7 @@ fn intra_counters_and_trace_account_for_every_event_exactly() {
             .or_default() += 1;
     };
     let mut auto_repaired = 0;
-    for outcome in study.outcomes() {
+    for outcome in &outcomes {
         let device_type = outcome.issue().device_type.name_prefix();
         count("dcnr_faults_issues_total", "device_type", device_type);
         let kind = match outcome {
@@ -202,7 +217,7 @@ fn intra_counters_and_trace_account_for_every_event_exactly() {
     );
 
     // One trace event per issue and per automated repair, two per SEV.
-    let (issues, sevs) = (study.outcomes().len(), study.db().len());
+    let (issues, sevs) = (outcomes.len(), study.db().len());
     assert!(auto_repaired > 0 && sevs > 0);
     assert_eq!(trace.seen, (issues + auto_repaired + 2 * sevs) as u64);
 
@@ -215,7 +230,7 @@ fn intra_counters_and_trace_account_for_every_event_exactly() {
             .or_default()
             .insert(detail);
     };
-    for outcome in study.outcomes() {
+    for outcome in &outcomes {
         let issue = outcome.issue();
         let name = issue.device_name();
         let cause = issue.root_cause;

@@ -1,6 +1,6 @@
 //! Property test for the server's artifact cache: [`LruCache`] must
 //! behave exactly like a recency-ordered `Vec` reference model — the
-//! same `get` results, the same evicted key from every `insert`, and
+//! same `get` results, the same evicted entry from every `insert`, and
 //! never more than `capacity` entries — for any interleaving of inserts
 //! and lookups.
 
@@ -41,14 +41,14 @@ impl Model {
     }
 
     /// Stores `k` as the most-recent entry; a new `k` in a full model
-    /// first evicts the least-recent one.
-    fn insert(&mut self, k: u8, v: u16) -> Option<u8> {
+    /// first evicts the least-recent one, and hands it back.
+    fn insert(&mut self, k: u8, v: u16) -> Option<(u8, u16)> {
         let evicted = match self.entries.iter().position(|&(key, _)| key == k) {
             Some(i) => {
                 self.entries.remove(i);
                 None
             }
-            None if self.entries.len() >= self.capacity => Some(self.entries.remove(0).0),
+            None if self.entries.len() >= self.capacity => Some(self.entries.remove(0)),
             None => None,
         };
         self.entries.push((k, v));
