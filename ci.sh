@@ -214,6 +214,15 @@ grep -q '"phase": "surv.ranking.sweep"' "$DCNR_TMP/surv_profile.json"
 grep -q '"phase": "surv.lifespan.replay"' "$DCNR_TMP/surv_profile.json"
 
 echo "==> serve smoke (ephemeral port, loadgen, byte-identity, graceful drain)"
+# A render that fails answers 500, which a retrying client can turn into
+# a verified success, so the serve smokes fail if any render failed. The
+# series appears only once a render has failed.
+dcnr_no_render_failures() {
+    if grep '^dcnr_server_render_failures_total' "$1" >&2; then
+        echo "a render failed during $2" >&2
+        exit 1
+    fi
+}
 # Start the report server on an ephemeral port in admin (test) mode.
 rm -f "$DCNR_TMP/serve_port"
 ./target/release/dcnr -q serve --addr 127.0.0.1:0 --admin \
@@ -260,11 +269,6 @@ grep -qx 'dcnr_phase_duration_micros_count{phase="backbone.sim"} 2' \
 # surv.lifespan bodies must be the dcell render, not the default's.
 ./target/release/dcnr -q loadgen --addr "$DCNR_ADDR" --verify \
     --artifacts surv.lifespan --scale 0.25 --topology dcell >/dev/null
-# /metrics must pass the strict Prometheus validator and report traffic.
-./target/release/dcnr -q fetch "$DCNR_ADDR" /metrics --validate \
-    >"$DCNR_TMP/serve_metrics.prom"
-grep -q '^dcnr_server_requests_total' "$DCNR_TMP/serve_metrics.prom"
-grep -q '^dcnr_server_cache_hits_total' "$DCNR_TMP/serve_metrics.prom"
 # One artifact fetched over HTTP must be byte-identical to the CLI.
 ./target/release/dcnr artifact fig15 --seed 11 --scale 0.25 \
     --edges 40 --vendors 16 >"$DCNR_TMP/artifact_cli.out"
@@ -280,6 +284,12 @@ cmp "$DCNR_TMP/artifact_cli.out" "$DCNR_TMP/artifact_http.out"
     '/artifacts/surv.lifespan?seed=11&scale=0.25&topology=dcell' \
     >"$DCNR_TMP/surv_http.out"
 cmp "$DCNR_TMP/surv_cli.out" "$DCNR_TMP/surv_http.out"
+# /metrics must pass the strict Prometheus validator and report traffic.
+./target/release/dcnr -q fetch "$DCNR_ADDR" /metrics --validate \
+    >"$DCNR_TMP/serve_metrics.prom"
+grep -q '^dcnr_server_requests_total' "$DCNR_TMP/serve_metrics.prom"
+grep -q '^dcnr_server_cache_hits_total' "$DCNR_TMP/serve_metrics.prom"
+dcnr_no_render_failures "$DCNR_TMP/serve_metrics.prom" "the serve smoke"
 # Graceful drain: /admin/shutdown must end the server with exit 0.
 ./target/release/dcnr -q fetch "$DCNR_ADDR" /admin/shutdown >/dev/null
 wait "$DCNR_SERVE_PID"
@@ -345,6 +355,7 @@ grep -q '"verdict": "pass"' "$DCNR_TMP/resilience_smoke.json"
     >"$DCNR_TMP/chaos_metrics.prom"
 grep -q '^dcnr_server_chaos_injections_total' "$DCNR_TMP/chaos_metrics.prom"
 grep -q '^dcnr_server_workers ' "$DCNR_TMP/chaos_metrics.prom"
+dcnr_no_render_failures "$DCNR_TMP/chaos_metrics.prom" "the chaos-serve smoke"
 ./target/release/dcnr -q fetch "$DCNR_ADDR" /admin/shutdown >/dev/null
 wait "$DCNR_CHAOS_PID"
 

@@ -118,11 +118,11 @@ USAGE:
                    an existing checkpoint directory under --sweep-root;
                    /metrics is live Prometheus text (requests, latency
                    histograms, cache hits/misses, shed count, chaos
-                   injections, breaker states, stale serves);
-                   /healthz and /readyz report liveness. --admin adds
-                   /admin/shutdown (graceful drain) for tests and
-                   scripts; SIGINT drains too. --addr with port 0 picks
-                   an ephemeral port, written to --port-file.
+                   injections); /healthz and /readyz report liveness.
+                   --admin adds /admin/shutdown (graceful drain) for
+                   tests and scripts; SIGINT drains too. --addr with
+                   port 0 picks an ephemeral port, written to
+                   --port-file.
                    Transport chaos (deterministic, seeded; off unless a
                    --chaos-* flag is set; zero rates are
                    byte-identical to off): --chaos-seed S plus
@@ -130,11 +130,8 @@ USAGE:
                    --chaos-delay-ms MS, --chaos-reset-rate R,
                    --chaos-truncate-rate R, --chaos-corrupt-rate R,
                    --chaos-stall-rate R, --chaos-stall-ms MS.
-                   Render failures trip a per-artifact circuit breaker
-                   (3 consecutive failures open it for 1 s, then one
-                   half-open probe); misses under an open breaker or a
-                   saturated queue serve the last good render flagged
-                   X-Dcnr-Stale, or shed 503 + Retry-After.
+                   While the queue is at least 3/4 full, cache misses
+                   shed 503 + Retry-After instead of rendering.
     dcnr loadgen   [--addr HOST:PORT] [--clients N] [--requests R]
                    [--mix-seed S] [--scenario-seeds K]
                    [--artifacts id,id,...] [--verify] [--chaos]
@@ -150,12 +147,13 @@ USAGE:
                    honoring the server's Retry-After on 503; outcomes
                    are classified ok / retried-ok / shed / gave-up /
                    corrupt. --verify compares every body byte-for-byte
-                   against a local render; --bench-json writes the run
-                   record (--bench-append adds to an existing file).
-                   --chaos is the resilience harness: verification is
-                   forced, the verdict fails unless the eventual
-                   success rate is >= --min-success (default 0.99) AND
-                   no corruption went undetected.
+                   against a local render, and the run fails (exit 1)
+                   unless the eventual success rate is >= --min-success
+                   (default 0.99) AND no corruption went undetected.
+                   --chaos is the resilience harness: it forces
+                   --verify and prints the verdict line. --bench-json
+                   writes the run record (--bench-append adds to an
+                   existing file).
     dcnr artifact  ID [scenario flags]
                    Render one registry artifact (every ID is listed by
                    `dcnr artifact --list`) for the scenario — the same
@@ -586,9 +584,6 @@ fn cmd_fetch(argv: Vec<String>) -> Result<(), DcnrError> {
             "{target}: succeeded after {} attempts",
             result.attempts
         ));
-    }
-    if result.stale {
-        logger::info(format!("{target}: response served stale (X-Dcnr-Stale)"));
     }
     let body = String::from_utf8_lossy(&response.body);
     if validate {

@@ -19,11 +19,12 @@
 //! With `--verify`, every response body is compared byte-for-byte
 //! against the bytes [`crate::serve::render_artifact_text`] prints,
 //! rendered locally with one study run per scenario — the load test
-//! doubles as the cache-coherence test. With `--chaos`
-//! the run becomes a resilience harness: it assumes the server is
-//! fault-injected, forces verification, and emits a pass/fail verdict
-//! (eventual-success rate ≥ `min_success`, undetected corruption
-//! exactly zero). Either mode writes its bench record only when
+//! doubles as the cache-coherence test. A verified run passes only
+//! when its eventual-success rate is at least `min_success` and no
+//! corruption went undetected, so it cannot pass having verified too
+//! few bodies. `--chaos` is the resilience harness against a
+//! fault-injected server: it forces verification and prints the
+//! verdict line. Either mode writes its bench record only when
 //! `--bench-json PATH` names one.
 
 use crate::artifacts;
@@ -73,10 +74,10 @@ pub struct LoadgenOptions {
     pub timeout: Duration,
     /// Retry/backoff/deadline policy for every request.
     pub policy: RetryPolicy,
-    /// Resilience-harness mode: verify every body and emit a pass/fail
-    /// verdict against `min_success` and zero undetected corruption.
+    /// Resilience-harness mode: forces `verify` and prints the verdict
+    /// line.
     pub chaos: bool,
-    /// Minimum eventual-success rate the chaos verdict requires.
+    /// Minimum eventual-success rate every verified run requires.
     pub min_success: f64,
 }
 
@@ -128,9 +129,6 @@ pub struct LoadReport {
     /// Requests that gave up on *detected* integrity failures
     /// (truncation / checksum mismatch on every attempt).
     pub corrupt: usize,
-    /// Successful responses flagged `X-Dcnr-Stale` by the server's
-    /// degraded paths.
-    pub stale: usize,
     /// Retry counts by cause across all clients.
     pub retries: RetryCauses,
     /// Byte-for-byte mismatches against the local render on responses
@@ -168,8 +166,8 @@ impl LoadReport {
         (self.ok + self.retried_ok) as f64 / total as f64
     }
 
-    /// The chaos-harness verdict: eventual success meets the floor and
-    /// corruption never slipped past the integrity checks.
+    /// The verdict of a verified run: eventual success meets the floor
+    /// and corruption never slipped past the integrity checks.
     pub fn verdict_pass(&self) -> bool {
         self.eventual_success_rate() >= self.min_success && self.verify_failures == 0
     }
@@ -183,7 +181,6 @@ struct ClientTally {
     shed: usize,
     gave_up: usize,
     corrupt: usize,
-    stale: usize,
     verify_failures: usize,
     retries: RetryCauses,
     latencies: Vec<u64>,
@@ -196,7 +193,6 @@ impl ClientTally {
         self.shed += other.shed;
         self.gave_up += other.gave_up;
         self.corrupt += other.corrupt;
-        self.stale += other.stale;
         self.verify_failures += other.verify_failures;
         self.retries.merge(&other.retries);
         self.latencies.extend(other.latencies);
@@ -293,8 +289,9 @@ fn render_expected(mix: &[MixEntry]) -> Result<Vec<String>, DcnrError> {
 /// Runs the closed loop against `opts.addr` and returns the aggregate.
 ///
 /// Fails with [`DcnrError::Failed`] when no request succeeds (server
-/// down or every response shed) or when `verify` finds any body that
-/// differs from the local render.
+/// down or every response shed), when `verify` finds any body that
+/// differs from the local render, or when a verified run's eventual
+/// success falls below `min_success`.
 pub fn run(opts: &LoadgenOptions) -> Result<LoadReport, DcnrError> {
     let mix = Arc::new(build_mix(opts)?);
     logger::info(format!(
@@ -340,9 +337,6 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadReport, DcnrError> {
                                     tally.ok += 1;
                                 } else {
                                     tally.retried_ok += 1;
-                                }
-                                if r.stale {
-                                    tally.stale += 1;
                                 }
                                 tally.latencies.push(r.elapsed.as_micros() as u64);
                                 // A body that passed Content-Length and
@@ -409,13 +403,12 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadReport, DcnrError> {
     );
     let _ = writeln!(
         rendered,
-        "  ok {}  retried-ok {}  shed {}  gave-up {}  corrupt {}  stale {}  wall {:.3}s  throughput {throughput_rps:.1} req/s",
+        "  ok {}  retried-ok {}  shed {}  gave-up {}  corrupt {}  wall {:.3}s  throughput {throughput_rps:.1} req/s",
         tally.ok,
         tally.retried_ok,
         tally.shed,
         tally.gave_up,
         tally.corrupt,
-        tally.stale,
         wall.as_secs_f64()
     );
     let _ = writeln!(
@@ -437,7 +430,6 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadReport, DcnrError> {
         shed: tally.shed,
         errors: tally.gave_up,
         corrupt: tally.corrupt,
-        stale: tally.stale,
         retries: tally.retries,
         verify_failures: tally.verify_failures,
         wall,
@@ -470,11 +462,12 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadReport, DcnrError> {
             report.verify_failures
         )));
     }
-    if opts.chaos && !report.verdict_pass() {
+    if verify && !report.verdict_pass() {
         return Err(DcnrError::Failed(format!(
-            "loadgen: chaos verdict FAIL — eventual success {:.2}% below the {:.2}% floor",
+            "loadgen: verdict FAIL — eventual success {:.2}% below the {:.2}% floor ({succeeded} of {} requests succeeded and were verified)",
             report.eventual_success_rate() * 100.0,
-            report.min_success * 100.0
+            report.min_success * 100.0,
+            opts.clients * opts.requests
         )));
     }
     Ok(report)
@@ -583,7 +576,6 @@ fn bench_record(report: &LoadReport) -> String {
         "      \"retries\": {{ \"shed\": {}, \"transport\": {}, \"integrity\": {}, \"status\": {} }},",
         report.retries.shed, report.retries.transport, report.retries.integrity, report.retries.status
     );
-    let _ = writeln!(out, "      \"stale_served\": {},", report.stale);
     if report.chaos {
         let _ = writeln!(
             out,
@@ -653,6 +645,7 @@ pub fn parse_artifact_list(list: &str) -> Result<Vec<Experiment>, DcnrError> {
 mod tests {
     use super::*;
     use crate::cli::parse_loadgen_args;
+    use crate::resilience::tests::{ok_response, scripted_server};
 
     #[test]
     fn mix_is_deterministic_and_covers_every_artifact_and_seed() {
@@ -829,7 +822,6 @@ mod tests {
             shed: 1,
             errors: 0,
             corrupt: 0,
-            stale: 1,
             retries: RetryCauses {
                 shed: 2,
                 transport: 1,
@@ -879,6 +871,34 @@ mod tests {
     }
 
     #[test]
+    fn a_verified_run_below_the_success_floor_fails_naming_the_rate() {
+        // One client, two requests of a one-entry mix, no retries: the
+        // scripted server answers the expected body once, then sheds.
+        let opts = LoadgenOptions {
+            clients: 1,
+            requests: 2,
+            scenario_seeds: 1,
+            artifacts: vec![Experiment::Fig15],
+            scenario_args: ["--scale", "0.25", "--edges", "40", "--vendors", "16"]
+                .map(String::from)
+                .to_vec(),
+            verify: true,
+            policy: RetryPolicy {
+                retries: 0,
+                ..RetryPolicy::default()
+            },
+            ..LoadgenOptions::default()
+        };
+        let expected = render_expected(&build_mix(&opts).unwrap()).unwrap();
+        let shed =
+            b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 0\r\n\r\n";
+        let addr = scripted_server(vec![ok_response(expected[0].as_bytes()), shed.to_vec()]);
+        let err = run(&LoadgenOptions { addr, ..opts }).unwrap_err();
+        assert_eq!(err.exit_code(), 1);
+        assert!(err.to_string().contains("eventual success 50.00%"), "{err}");
+    }
+
+    #[test]
     fn percentiles_are_total_for_empty_and_singleton_samples() {
         assert_eq!(percentile(&[], 50.0), 0, "empty sample must not panic");
         assert_eq!(percentile(&[], 99.0), 0);
@@ -903,7 +923,6 @@ mod tests {
             shed: 1,
             errors: 0,
             corrupt: 0,
-            stale: 0,
             retries: RetryCauses::default(),
             verify_failures: 0,
             wall: Duration::from_secs(1),

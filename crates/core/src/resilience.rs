@@ -206,9 +206,6 @@ pub struct FetchResult {
     pub status: Option<u16>,
     /// The successful response (present iff `outcome.is_success()`).
     pub response: Option<ClientResponse>,
-    /// Whether the successful response was served stale
-    /// (`X-Dcnr-Stale` header present).
-    pub stale: bool,
     /// The last error message, when the request did not succeed.
     pub error: Option<String>,
     /// Wall-clock time spent including backoff waits.
@@ -267,7 +264,6 @@ pub fn resilient_get(addr: &str, target: &str, policy: &RetryPolicy, seed: u64) 
         attempts += 1;
         let (cause, wait) = match client::get(addr, target, Some(timeout)) {
             Ok(resp) if resp.status == 200 => {
-                let stale = resp.header("x-dcnr-stale").is_some();
                 return FetchResult {
                     outcome: if attempt == 0 {
                         Outcome::Ok
@@ -277,7 +273,6 @@ pub fn resilient_get(addr: &str, target: &str, policy: &RetryPolicy, seed: u64) 
                     attempts,
                     retries,
                     status: Some(200),
-                    stale,
                     response: Some(resp),
                     error: None,
                     elapsed: start.elapsed(),
@@ -300,7 +295,6 @@ pub fn resilient_get(addr: &str, target: &str, policy: &RetryPolicy, seed: u64) 
                     attempts,
                     retries,
                     status: Some(resp.status),
-                    stale: false,
                     response: None,
                     error: Some(format!("terminal status {}", resp.status)),
                     elapsed: start.elapsed(),
@@ -334,7 +328,6 @@ pub fn resilient_get(addr: &str, target: &str, policy: &RetryPolicy, seed: u64) 
         attempts,
         retries,
         status: last_status,
-        stale: false,
         response: None,
         error: last_error,
         elapsed: start.elapsed(),
@@ -342,7 +335,7 @@ pub fn resilient_get(addr: &str, target: &str, policy: &RetryPolicy, seed: u64) 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::TcpListener;
@@ -387,7 +380,7 @@ mod tests {
 
     /// A one-shot TCP fixture: each accepted connection gets the next
     /// scripted raw response (connection closed after writing).
-    fn scripted_server(responses: Vec<Vec<u8>>) -> String {
+    pub(crate) fn scripted_server(responses: Vec<Vec<u8>>) -> String {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
@@ -403,7 +396,7 @@ mod tests {
         addr
     }
 
-    fn ok_response(body: &[u8]) -> Vec<u8> {
+    pub(crate) fn ok_response(body: &[u8]) -> Vec<u8> {
         format!(
             "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nX-Dcnr-Checksum: {:016x}\r\n\r\n",
             body.len(),

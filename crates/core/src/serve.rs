@@ -39,20 +39,17 @@ use crate::error::{panic_message, DcnrError};
 use crate::experiments::Experiment;
 use crate::scenario::{RunContext, Scenario};
 use crate::sweep;
-use dcnr_server::breaker::{BreakerConfig, CircuitBreaker};
 use dcnr_server::cache::LruCache;
 use dcnr_server::chaos::ChaosState;
 use dcnr_server::http::{percent_decode, Request, Response};
 use dcnr_server::pool::{Handler, Server, ServerConfig, ServerStats};
-use dcnr_sim::rng::derive_indexed_seed;
 use dcnr_telemetry::logger;
 use dcnr_telemetry::metrics::Key;
 use dcnr_telemetry::trace::TraceBuffer;
 use dcnr_telemetry::{prometheus, Telemetry, TelemetryHandle};
-use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -78,12 +75,6 @@ pub struct ServeOptions {
     /// Transport fault injection (`--chaos-*`); `None` leaves the write
     /// path untouched, and an all-zero plan is byte-identical to `None`.
     pub chaos: Option<dcnr_server::chaos::FaultPlan>,
-    /// Circuit-breaker knobs for the artifact render path; the CLI
-    /// always runs the defaults, tests set them in process.
-    pub breaker: BreakerConfig,
-    /// Deterministic render-failure injection for exercising the
-    /// breaker and stale-serving paths; only tests set it.
-    pub render_faults: RenderFaultPlan,
 }
 
 impl Default for ServeOptions {
@@ -97,55 +88,7 @@ impl Default for ServeOptions {
             admin: false,
             port_file: None,
             chaos: None,
-            breaker: BreakerConfig::default(),
-            render_faults: RenderFaultPlan::default(),
         }
-    }
-}
-
-/// Deterministic render-failure injection: render attempt `idx` (a
-/// process-wide miss counter) fails iff it falls inside the window
-/// `[skip, skip + limit)` (`limit == 0` means unbounded) *and* the
-/// per-index chance draw for `seed` lands under `rate`. With `rate`
-/// `1.0` the window is exact, which is what the breaker-lifecycle tests
-/// use to script failure runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RenderFaultPlan {
-    /// Probability a window attempt fails (`0.0` disables the hook).
-    pub rate: f64,
-    /// Render attempts to leave untouched before the window opens.
-    pub skip: u64,
-    /// Window length in attempts; `0` leaves it open forever.
-    pub limit: u64,
-    /// Chance-draw stream seed (`derive_indexed_seed(seed, _, idx)`).
-    pub seed: u64,
-}
-
-impl Default for RenderFaultPlan {
-    fn default() -> Self {
-        Self {
-            rate: 0.0,
-            skip: 0,
-            limit: 0,
-            seed: 0xFA017,
-        }
-    }
-}
-
-impl RenderFaultPlan {
-    /// Whether render attempt `idx` is scripted to fail.
-    pub fn fires(&self, idx: u64) -> bool {
-        if self.rate <= 0.0 || idx < self.skip {
-            return false;
-        }
-        if self.limit != 0 && idx >= self.skip.saturating_add(self.limit) {
-            return false;
-        }
-        if self.rate >= 1.0 {
-            return true;
-        }
-        let draw = derive_indexed_seed(self.seed, "serve.render.fault", idx);
-        ((draw >> 11) as f64 / (1u64 << 53) as f64) < self.rate
     }
 }
 
@@ -164,15 +107,13 @@ struct ServeState {
     /// Metrics only: nothing reads a trace back out of the server, so
     /// its buffer keeps no events and renders format no trace details.
     telemetry: TelemetryHandle,
-    /// Rendered-artifact result cache.
+    /// Rendered-artifact result cache, the only copy of a render the
+    /// server keeps: a render is a pure function of its key, so a miss
+    /// just renders again.
     cache: Mutex<LruCache<String, Arc<String>>>,
     /// The run contexts of the most recently rendered scenarios, keyed
     /// by [`scenario_key`]; misses render from these.
     contexts: Mutex<LruCache<String, Arc<RunContext>>>,
-    /// Last-known-good renders, retained past `cache` eviction so the
-    /// degraded paths (breaker open, render failure, saturation) can
-    /// serve something honest — always flagged with `X-Dcnr-Stale`.
-    stale: Mutex<LruCache<String, Arc<String>>>,
     stats: Arc<ServerStats>,
     sweep_root: PathBuf,
     admin: bool,
@@ -180,10 +121,6 @@ struct ServeState {
     queue_depth: usize,
     draining: AtomicBool,
     chaos: Option<Arc<ChaosState>>,
-    breaker_config: BreakerConfig,
-    breakers: Mutex<HashMap<&'static str, CircuitBreaker>>,
-    render_faults: RenderFaultPlan,
-    render_attempts: AtomicU64,
 }
 
 /// A started server plus the state handles tests and the CLI loop need.
@@ -246,7 +183,6 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
         }),
         cache: Mutex::new(LruCache::new(opts.cache_entries.max(1))),
         contexts: Mutex::new(LruCache::new(RESIDENT_CONTEXTS)),
-        stale: Mutex::new(LruCache::new(opts.cache_entries.max(1) * 8)),
         stats: stats.clone(),
         sweep_root: opts.sweep_root.clone(),
         admin: opts.admin,
@@ -254,10 +190,6 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
         queue_depth: opts.queue_depth.max(1),
         draining: AtomicBool::new(false),
         chaos: chaos.clone(),
-        breaker_config: opts.breaker,
-        breakers: Mutex::new(HashMap::new()),
-        render_faults: opts.render_faults,
-        render_attempts: AtomicU64::new(0),
     });
     let handler: Handler = {
         let state = state.clone();
@@ -460,33 +392,13 @@ fn metrics_response(state: &ServeState) -> Response {
             );
         }
     }
-    for (artifact, breaker) in lock(&state.breakers).iter() {
-        snapshot.gauges.insert(
-            Key::new("dcnr_server_breaker_state", &[("artifact", artifact)]),
-            breaker.state().code(),
-        );
-        let t = breaker.transitions();
-        for (to, count) in [
-            ("open", t.to_open),
-            ("half_open", t.to_half_open),
-            ("closed", t.to_closed),
-        ] {
-            snapshot.counters.insert(
-                Key::new(
-                    "dcnr_server_breaker_transitions_total",
-                    &[("artifact", artifact), ("to", to)],
-                ),
-                count,
-            );
-        }
-    }
     let mut response = Response::ok(prometheus::render(&snapshot));
     response.content_type = "text/plain; version=0.0.4";
     response
 }
 
-/// Locks a cache, the resident contexts or the breaker map. Every
-/// update to them is a single map operation that leaves the data
+/// Locks the cache or the resident contexts. Every update to them is a
+/// single map operation that leaves the data
 /// valid, so a guard poisoned by a panicking handler is still safe to
 /// use.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -495,42 +407,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The accept-queue depth at which cache misses brown out: renders are
 /// the expensive path, so once the queue is three-quarters full the
-/// server stops accepting *new* render work (stale or 503) and spends
-/// its workers on cheap routes and cache hits until the queue drains.
+/// server answers misses with the shed `503` and spends its workers on
+/// cheap routes and cache hits until the queue drains.
 fn brownout_threshold(queue_depth: usize) -> usize {
     (queue_depth * 3 / 4).max(2)
 }
 
-/// A last-known-good rendering for `key`, flagged stale with the
-/// degradation `cause`, if the stale store still holds one.
-fn stale_response(
-    state: &ServeState,
-    key: &str,
-    artifact: &'static str,
-    cause: &str,
-) -> Option<Response> {
-    let body = lock(&state.stale).get(key).cloned()?;
-    dcnr_telemetry::counter_add(
-        "dcnr_server_stale_total",
-        &[("artifact", artifact), ("cause", cause)],
-        1,
-    );
-    let mut response = Response::ok(body.as_str());
-    response
-        .extra_headers
-        .push(("X-Dcnr-Stale".into(), cause.to_string()));
-    Some(response)
-}
-
-/// A `503` with a `Retry-After` of at least one second.
-fn unavailable_for(after: Duration, reason: &str) -> Response {
-    let mut response = Response::text(503, format!("{reason}; retry later\n"));
-    response
-        .extra_headers
-        .push(("Retry-After".into(), after.as_secs().max(1).to_string()));
-    response
-}
-
+/// `/artifacts/{id}`: a hit answers from the cache; a miss is shed
+/// under brownout or rendered from its scenario's resident context.
 fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
     let experiment = match artifacts::lookup(id) {
         Ok(e) => e,
@@ -557,8 +441,6 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
         1,
     );
 
-    // Brownout: a saturated accept queue means renders cannot keep up;
-    // serve stale if we can, shed the miss if we cannot.
     let depth = state.stats.queue_depth.load(Ordering::Relaxed).max(0) as usize;
     if depth >= brownout_threshold(state.queue_depth) {
         dcnr_telemetry::counter_add(
@@ -566,85 +448,24 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
             &[("artifact", artifact_key)],
             1,
         );
-        return stale_response(state, &key, artifact_key, "saturated")
-            .unwrap_or_else(|| unavailable_for(Duration::from_secs(1), "render queue saturated"));
+        return Response::unavailable(1);
     }
 
-    // Circuit breaker around the render path: while open, misses are
-    // answered stale or shed instead of burning a worker on a path
-    // that keeps failing; a half-open probe readmits one render after
-    // the cooldown.
-    let now = Instant::now();
-    let admitted = lock(&state.breakers)
-        .entry(artifact_key)
-        .or_insert_with(|| CircuitBreaker::new(state.breaker_config))
-        .try_acquire(now);
-    if !admitted {
-        dcnr_telemetry::counter_add(
-            "dcnr_server_breaker_rejected_total",
-            &[("artifact", artifact_key)],
-            1,
-        );
-        if let Some(response) = stale_response(state, &key, artifact_key, "breaker-open") {
-            return response;
-        }
-        let after = lock(&state.breakers)
-            .get(artifact_key)
-            .map(|b| b.retry_after(now))
-            .unwrap_or_default();
-        return unavailable_for(after, "artifact render circuit open");
-    }
-
-    // Deterministic render-fault hook (off unless a test sets it).
-    let idx = state.render_attempts.fetch_add(1, Ordering::Relaxed);
-    let rendered = if state.render_faults.fires(idx) {
-        dcnr_telemetry::counter_add(
-            "dcnr_server_render_faults_total",
-            &[("artifact", artifact_key)],
-            1,
-        );
-        Err(DcnrError::Io {
-            path: format!("render[{idx}]"),
-            message: "injected render fault".into(),
-        })
-    } else {
-        resident_context(state, &scenario).and_then(|ctx| render_from(&ctx, experiment))
-    };
-
-    match rendered {
+    match resident_context(state, &scenario).and_then(|ctx| render_from(&ctx, experiment)) {
         Ok(text) => {
-            lock(&state.breakers)
-                .entry(artifact_key)
-                .or_insert_with(|| CircuitBreaker::new(state.breaker_config))
-                .record_success();
-            // Each guard is released at the end of its statement; what an
-            // insert evicted drops only when this arm ends.
-            let body = Arc::new(text.clone());
-            let _evicted = lock(&state.cache).insert(key.clone(), body.clone());
-            let _evicted_stale = lock(&state.stale).insert(key, body);
+            // The guard is released at the end of the statement; what
+            // the insert evicted drops only when this arm ends.
+            let _evicted = lock(&state.cache).insert(key, Arc::new(text.clone()));
             Response::ok(text)
         }
-        Err(e @ (DcnrError::Config(_) | DcnrError::Usage(_))) => {
-            // The request was wrong, not the render path — the probe
-            // (if any) completes successfully for breaker purposes.
-            lock(&state.breakers)
-                .entry(artifact_key)
-                .or_insert_with(|| CircuitBreaker::new(state.breaker_config))
-                .record_success();
-            Response::bad_request(e)
-        }
+        Err(e @ (DcnrError::Config(_) | DcnrError::Usage(_))) => Response::bad_request(e),
         Err(e) => {
-            lock(&state.breakers)
-                .entry(artifact_key)
-                .or_insert_with(|| CircuitBreaker::new(state.breaker_config))
-                .record_failure(Instant::now());
             dcnr_telemetry::counter_add(
                 "dcnr_server_render_failures_total",
                 &[("artifact", artifact_key)],
                 1,
             );
-            stale_response(state, &key, artifact_key, "render-failed")
-                .unwrap_or_else(|| Response::internal_error(e))
+            Response::internal_error(e)
         }
     }
 }
@@ -857,40 +678,6 @@ mod tests {
         assert_eq!(err.kind(), "config");
         assert!(lock(&state.contexts).is_empty());
         server.shutdown_and_join();
-    }
-
-    #[test]
-    fn render_fault_windows_are_exact_at_rate_one() {
-        let plan = RenderFaultPlan {
-            rate: 1.0,
-            skip: 2,
-            limit: 3,
-            ..RenderFaultPlan::default()
-        };
-        let fired: Vec<u64> = (0..10).filter(|&i| plan.fires(i)).collect();
-        assert_eq!(fired, vec![2, 3, 4]);
-        // limit 0 keeps the window open forever.
-        let open = RenderFaultPlan {
-            rate: 1.0,
-            skip: 1,
-            limit: 0,
-            ..RenderFaultPlan::default()
-        };
-        assert!(!open.fires(0));
-        assert!(open.fires(1) && open.fires(1_000_000));
-        // rate 0 never fires, regardless of window.
-        assert!(!RenderFaultPlan::default().fires(0));
-        // Fractional rates are deterministic per (seed, idx) and
-        // roughly proportional over a large window.
-        let half = RenderFaultPlan {
-            rate: 0.5,
-            skip: 0,
-            limit: 0,
-            seed: 9,
-        };
-        let hits = (0..1000).filter(|&i| half.fires(i)).count();
-        assert_eq!(hits, (0..1000).filter(|&i| half.fires(i)).count());
-        assert!((350..=650).contains(&hits), "rate 0.5 fired {hits}/1000");
     }
 
     #[test]

@@ -25,8 +25,6 @@
 //!   truncation, corruption, stalls) behind a deterministic
 //!   [`chaos::FaultPlan`]; zero-cost when off, byte-identical when all
 //!   rates are zero.
-//! * [`breaker`] — a per-route circuit breaker with half-open probes,
-//!   used by the application layer around the render path.
 //! * [`signal`] — a SIGINT latch so the CLI can drain gracefully on
 //!   Ctrl-C.
 //!
@@ -39,7 +37,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod breaker;
 pub mod cache;
 pub mod chaos;
 pub mod client;
@@ -47,7 +44,6 @@ pub mod http;
 pub mod pool;
 pub mod signal;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::LruCache;
 pub use chaos::{ChaosState, ConnFaults, FaultPlan};
 pub use client::{get, ClientResponse};

@@ -1,21 +1,22 @@
 //! End-to-end resilience contract of `dcnr serve` under transport
-//! chaos: zero-rate plans leave every response byte-identical, the
-//! `loadgen --chaos` harness reaches its eventual-success floor with
-//! zero undetected corruption, mid-write clients still receive the
-//! shed `503` (the half-close + drain regression), and the per-route
-//! circuit breaker opens, serves stale, and recovers through a
-//! half-open probe — all visible on a strictly validated `/metrics`.
+//! chaos and overload: zero-rate plans leave every response
+//! byte-identical, the `loadgen --chaos` harness reaches its
+//! eventual-success floor with zero undetected corruption, mid-write
+//! clients still receive the shed `503` (the half-close + drain
+//! regression), and a browned-out server still answers cache hits but
+//! sheds misses without running their study — counted on a strictly
+//! validated `/metrics`.
 
-use dcnr_core::serve::{self, RenderFaultPlan, ServeOptions};
+use dcnr_core::serve::{self, ServeOptions};
 use dcnr_core::telemetry::prometheus;
 use dcnr_core::{loadgen, LoadgenOptions, RetryPolicy};
-use dcnr_server::breaker::BreakerConfig;
 use dcnr_server::chaos::FaultPlan;
 use dcnr_server::client;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TIMEOUT: Option<Duration> = Some(Duration::from_secs(30));
 
@@ -52,6 +53,30 @@ fn labeled_total(body: &str, name: &str, labels: &[(&str, &str)]) -> f64 {
         })
         .filter_map(|l| l.rsplit_once(' ').and_then(|(_, v)| v.parse::<f64>().ok()))
         .sum()
+}
+
+/// Polls the server's stats until `placed(accepted, handled, shed,
+/// queued)` holds, failing once `deadline` passes.
+fn wait_until(
+    server: &serve::RunningServer,
+    deadline: Instant,
+    placed: &dyn Fn(u64, u64, u64, i64) -> bool,
+) {
+    loop {
+        let stats = server.stats();
+        let accepted = stats.accepted.load(Ordering::SeqCst);
+        let handled = stats.handled.load(Ordering::SeqCst);
+        let shed = stats.shed.load(Ordering::SeqCst);
+        let queued = stats.queue_depth.load(Ordering::SeqCst);
+        if placed(accepted, handled, shed, queued) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "requests were never placed (accepted {accepted}, handled {handled}, shed {shed}, queued {queued})"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 /// One raw HTTP/1.1 GET, returning the exact bytes the server put on
@@ -221,22 +246,7 @@ fn mid_write_clients_still_receive_the_shed_response() {
     // can shed three of them before the worker takes the first off the
     // queue, which then stays empty; a fixed sleep races the scheduler
     // on a loaded host and the writer below slips in before saturation.)
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let wait_until = |placed: &dyn Fn(u64, u64, u64, i64) -> bool| loop {
-        let stats = server.stats();
-        let accepted = stats.accepted.load(std::sync::atomic::Ordering::SeqCst);
-        let handled = stats.handled.load(std::sync::atomic::Ordering::SeqCst);
-        let shed = stats.shed.load(std::sync::atomic::Ordering::SeqCst);
-        let queued = stats.queue_depth.load(std::sync::atomic::Ordering::SeqCst);
-        if placed(accepted, handled, shed, queued) {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "sleepers never saturated the server (accepted {accepted}, shed {shed})"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    let deadline = Instant::now() + Duration::from_secs(5);
     let mut sleepers = Vec::new();
     for i in 0..4 {
         let sleeper = server.clone();
@@ -244,15 +254,17 @@ fn mid_write_clients_still_receive_the_shed_response() {
             get(&sleeper, "/admin/sleep?millis=1000")
         }));
         match i {
-            0 => wait_until(&|_, handled, _, _| handled >= 1),
-            1 => wait_until(&|_, _, _, queued| queued >= 1),
+            0 => wait_until(&server, deadline, &|_, handled, _, _| handled >= 1),
+            1 => wait_until(&server, deadline, &|_, _, _, queued| queued >= 1),
             _ => {}
         }
     }
     // All 4 dispositioned: with 1 worker sleeping and 1 queue slot, two
     // of them must have shed, and the queue stays full for the sleep's
     // duration.
-    wait_until(&|accepted, _, shed, _| accepted >= 4 && shed >= 2);
+    wait_until(&server, deadline, &|accepted, _, shed, _| {
+        accepted >= 4 && shed >= 2
+    });
 
     // A slow writer: half the request line, a pause, then the rest.
     // The shed answer is written at accept time, before any of this
@@ -297,94 +309,78 @@ fn mid_write_clients_still_receive_the_shed_response() {
         .shutdown_and_join();
 }
 
+/// Brownout: once the accept queue is three-quarters full, a cache hit
+/// still answers 200 with its bytes, but a miss is shed with the
+/// accept loop's own `503` + `Retry-After: 1` and runs no study.
 #[test]
-fn breaker_opens_serves_stale_and_recovers_via_half_open_probe() {
-    // Render attempts are numbered globally: 0 = fig15 (ok), 1 = fig16
-    // (ok, evicts fig15 from the 1-entry cache), 2..5 = scripted
-    // failures, 5.. = healthy again. Breaker: 3 failures open it,
-    // cooldown 200ms, then a half-open probe closes it.
-    let server = serve::start(&ServeOptions {
-        addr: "127.0.0.1:0".into(),
-        cache_entries: 1,
-        breaker: BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_millis(200),
-        },
-        render_faults: RenderFaultPlan {
-            rate: 1.0,
-            skip: 2,
-            limit: 3,
-            ..RenderFaultPlan::default()
-        },
-        ..ServeOptions::default()
-    })
-    .unwrap();
-    let fig15 = format!("/artifacts/fig15?{SMALL_QUERY}");
-    let fig16 = format!("/artifacts/fig16?{SMALL_QUERY}");
+fn brownout_answers_hits_and_sheds_misses_without_rendering() {
+    // One worker and five queue slots: misses brown out at depth 3.
+    let server = Arc::new(
+        serve::start(&ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            queue_depth: 5,
+            admin: true,
+            ..ServeOptions::default()
+        })
+        .unwrap(),
+    );
+    let warm_target = format!("/artifacts/fig15?{SMALL_QUERY}");
+    let warm = get(&server, &warm_target);
+    assert_eq!(warm.status, 200);
+    let brownouts = |m: &str| labeled_total(m, "dcnr_server_brownout_total", &[]);
+    let studies = |m: &str| {
+        labeled_total(
+            m,
+            "dcnr_phase_duration_micros_count",
+            &[("phase", "backbone.sim")],
+        )
+    };
+    let before = validated_metrics(&server);
+    assert_eq!(studies(&before), 1.0, "the warm-up ran one study");
 
-    // Healthy renders populate both the cache and the stale store.
-    let fresh = get(&server, &fig15);
-    assert_eq!(fresh.status, 200);
-    assert_eq!(fresh.header("x-dcnr-stale"), None);
-    assert_eq!(get(&server, &fig16).status, 200); // evicts fig15
-
-    // Three scripted render failures: each serves last-known-good,
-    // flagged stale, byte-identical to the fresh body.
-    for _ in 0..3 {
-        let resp = get(&server, &fig15);
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.header("x-dcnr-stale"), Some("render-failed"));
-        assert_eq!(resp.body, fresh.body, "stale body is last-known-good");
+    // Hold the worker, then queue the warmed key, a key with a seed
+    // never requested, and three sleepers, each placed before the next
+    // is sent. When the worker frees, it answers the hit with three
+    // requests still behind it, then the miss with three.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let handled = server.stats().handled.load(Ordering::SeqCst);
+    let targets = [
+        "/admin/sleep?millis=2000".to_string(),
+        warm_target,
+        "/artifacts/fig15?seed=12&scale=0.25&edges=40&vendors=16".to_string(),
+        "/admin/sleep?millis=1".to_string(),
+        "/admin/sleep?millis=1".to_string(),
+        "/admin/sleep?millis=1".to_string(),
+    ];
+    let mut clients = Vec::new();
+    for (i, target) in targets.into_iter().enumerate() {
+        let client = server.clone();
+        clients.push(std::thread::spawn(move || get(&client, &target)));
+        if i == 0 {
+            wait_until(&server, deadline, &|_, h, _, _| h > handled);
+        } else {
+            wait_until(&server, deadline, &|_, _, _, queued| queued >= i as i64);
+        }
     }
+    let responses: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    assert_eq!(server.stats().shed.load(Ordering::SeqCst), 0);
 
-    // The third failure opened the breaker: no render is attempted,
-    // the stale copy is served with the breaker-open cause.
-    let resp = get(&server, &fig15);
-    assert_eq!(resp.status, 200);
-    assert_eq!(resp.header("x-dcnr-stale"), Some("breaker-open"));
-    assert_eq!(resp.body, fresh.body);
-
-    // After the cooldown a half-open probe runs the (now healthy)
-    // render and closes the breaker again.
-    std::thread::sleep(Duration::from_millis(250));
-    let recovered = get(&server, &fig15);
-    assert_eq!(recovered.status, 200);
-    assert_eq!(recovered.header("x-dcnr-stale"), None, "fresh again");
-    assert_eq!(recovered.body, fresh.body);
-
-    let metrics = validated_metrics(&server);
-    let fig15_label = [("artifact", "fig15")];
-    for (labels, at_least) in [
-        (vec![("artifact", "fig15"), ("to", "open")], 1.0),
-        (vec![("artifact", "fig15"), ("to", "half_open")], 1.0),
-        (vec![("artifact", "fig15"), ("to", "closed")], 1.0),
-    ] {
-        assert!(
-            labeled_total(&metrics, "dcnr_server_breaker_transitions_total", &labels) >= at_least,
-            "missing breaker transition {labels:?}: {metrics}"
-        );
-    }
+    let hit = &responses[1];
+    assert_eq!(hit.status, 200, "a hit is answered under brownout");
+    assert_eq!(hit.body, warm.body, "with its warm-up bytes");
+    let miss = &responses[2];
+    assert_eq!(miss.status, 503, "a miss is shed under brownout");
+    assert_eq!(miss.header("retry-after"), Some("1"));
+    let after = validated_metrics(&server);
+    assert_eq!(brownouts(&after) - brownouts(&before), 1.0);
     assert_eq!(
-        labeled_total(&metrics, "dcnr_server_breaker_state", &fig15_label),
-        0.0,
-        "the breaker ends closed"
+        studies(&after),
+        studies(&before),
+        "the shed miss ran no study"
     );
-    assert!(
-        labeled_total(
-            &metrics,
-            "dcnr_server_stale_total",
-            &[("artifact", "fig15"), ("cause", "render-failed")]
-        ) >= 3.0
-    );
-    assert!(
-        labeled_total(
-            &metrics,
-            "dcnr_server_stale_total",
-            &[("artifact", "fig15"), ("cause", "breaker-open")]
-        ) >= 1.0
-    );
-    assert!(labeled_total(&metrics, "dcnr_server_render_faults_total", &fig15_label) >= 3.0);
-    assert!(labeled_total(&metrics, "dcnr_server_render_failures_total", &fig15_label) >= 3.0);
 
-    server.shutdown_and_join();
+    Arc::try_unwrap(server)
+        .unwrap_or_else(|_| panic!("all clients joined"))
+        .shutdown_and_join();
 }
